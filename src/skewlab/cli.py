@@ -34,8 +34,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .backend import VALID as VALID_BACKENDS
-from .backend import get_backend, set_backend
 from .catalog import (
     UnknownNameError,
     catalog_listing,
@@ -228,6 +226,20 @@ def _parse_kv(rest: str, line: int, col: int) -> dict:
     return out
 
 
+# least accepted value of each integer search-budget option
+BUDGET_MIN = {"degree_bound": 0, "power_bound": 1, "pair_cap": 1}
+
+
+def _int_value(token: str, what: str, line: int = 0, col: int = 0, minimum=None) -> int:
+    try:
+        value = int(token)
+    except ValueError:
+        raise SpecError(f"{what} must be an integer, got {token!r}", line, col) from None
+    if minimum is not None and value < minimum:
+        raise SpecError(f"{what} must be >= {minimum}, got {value}", line, col)
+    return value
+
+
 def _json_value(token: str, what: str, line: int, col: int):
     try:
         return json.loads(token)
@@ -267,7 +279,7 @@ def parse_spec(text: str) -> SpecFile:
                     spec.ring_tables = {
                         "add": _json_value(kv["add"], "add table", line, col),
                         "mul": _json_value(kv["mul"], "mul table", line, col),
-                        "one": int(kv["one"]),
+                        "one": _int_value(kv["one"], "one", line, col),
                         "names": _json_value(kv["names"], "names", line, col),
                     }
                 spec.ring_name = name
@@ -306,6 +318,7 @@ def parse_spec(text: str) -> SpecFile:
                     payload, f"d[{i},{j}]", line, col
                 )
             pos.setdefault("cd", (line, col))
+            pos[f"{kind}{(i - 1, j - 1)}"] = (line, col)
         elif head == "instance":
             spec.label = rest
         elif head == "output":
@@ -458,25 +471,33 @@ def _resolve_spec(spec: SpecFile, pos: dict) -> None:
         spec.deltas = delta_names
 
         def elem(token, key):
-            token = token.strip().strip('"')
-            try:
-                return int(token)
-            except ValueError:
-                pass
-            try:
-                return ring.element_index(token)
-            except KeyError as e:
-                raise err(key, e) from None
+            if isinstance(token, str):
+                token = token.strip().strip('"')
+                try:
+                    token = int(token)
+                except ValueError:
+                    try:
+                        return ring.element_index(token)
+                    except KeyError as e:
+                        raise err(key, e) from None
+            if type(token) is not int or not 0 <= token < ring.size:
+                raise err(
+                    key, f"{token!r} is not an element index of {ring.name} (size {ring.size})"
+                )
+            return token
 
-        c = {pair: elem(tok, "cd") for pair, tok in spec.c_entries.items()}
+        c = {pair: elem(tok, f"c{pair}") for pair, tok in spec.c_entries.items()}
         d = {}
         for pair, row in spec.d_entries.items():
-            vals = [v if isinstance(v, int) else elem(str(v), "cd") for v in row]
+            key = f"d{pair}"
+            if not isinstance(row, list):
+                raise err(key, f"d[{pair[0] + 1},{pair[1] + 1}] must be a JSON list")
+            vals = [elem(v, key) for v in row]
             if len(vals) == 1:
                 vals += [ring.zero] * family.n
             if len(vals) != family.n + 1:
                 raise err(
-                    "cd",
+                    key,
                     f"d[{pair[0] + 1},{pair[1] + 1}] needs 1 constant + "
                     f"{family.n} linear entries",
                 )
@@ -505,8 +526,10 @@ def _resolve_spec(spec: SpecFile, pos: dict) -> None:
                 ck.line,
                 ck.col,
             )
-        for k in ck.kwargs:
-            if k not in ("degree_bound", "power_bound", "pair_cap", "subset", "seed"):
+        for k, v in ck.kwargs.items():
+            if k in BUDGET_MIN:
+                _int_value(v, k, ck.line, ck.col, BUDGET_MIN[k])
+            elif k != "subset":
                 raise SpecError(f"unknown check option {k!r}", ck.line, ck.col)
     declared = {ck.name for ck in spec.checks}
     for name in spec.expects:
@@ -609,13 +632,10 @@ def _budget_from(ck: CheckRequest, spec: SpecFile, defaults: dict) -> SearchBudg
         pair_cap=int(kw.get("pair_cap", 50_000_000)),
         subset=subset,
         subset_name=subset_name,
-        seed=int(kw.get("seed", 0)),
     )
 
 
-def run_check(
-    ck: CheckRequest, spec: SpecFile, defaults: dict, backend: str | None
-) -> PropertyVerdict:
+def run_check(ck: CheckRequest, spec: SpecFile, defaults: dict) -> PropertyVerdict:
     kind = CHECK_KINDS[ck.name]
     instance = spec.instance
     if kind == "ring":
@@ -625,16 +645,11 @@ def run_check(
         return fn(spec.ring, spec.system.sigma, instance=instance)
     budget = _budget_from(ck, spec, defaults)
     if kind == "budget_ring":
-        return is_weak_armendariz(spec.ring, budget, instance=instance, backend=backend)
-    fn = _SYSTEM_CHECKS[ck.name]
-    if kind == "system":
-        return fn(spec.system, budget, instance=instance, backend=backend)
-    return fn(spec.system, budget, instance=instance)
+        return is_weak_armendariz(spec.ring, budget, instance=instance)
+    return _SYSTEM_CHECKS[ck.name](spec.system, budget, instance=instance)
 
 
-def run_spec(
-    spec: SpecFile, defaults: dict | None = None, backend: str | None = None
-) -> tuple[list[dict], int]:
+def run_spec(spec: SpecFile, defaults: dict | None = None) -> tuple[list[dict], int]:
     """Execute every check; returns (records, exit_code)."""
     defaults = defaults or {}
     context = {"source": "spec", "spec_text": spec.serialize()}
@@ -642,7 +657,7 @@ def run_spec(
     mismatch = False
     for ck in spec.checks:
         t0 = time.perf_counter()
-        verdict = run_check(ck, spec, defaults, backend)
+        verdict = run_check(ck, spec, defaults)
         ms = round((time.perf_counter() - t0) * 1000.0, 3)
         rec = {
             "check": verdict.property,
@@ -720,11 +735,10 @@ def cmd_check(args) -> int:
                 ("degree_bound", args.degree_bound),
                 ("power_bound", args.power_bound),
                 ("pair_cap", args.budget),
-                ("seed", args.seed),
             )
             if v is not None
         }
-        records, code = run_spec(spec, defaults, backend=args.backend)
+        records, code = run_spec(spec, defaults)
     except SpecError as e:
         print(f"{args.spec_file}:{e}", file=sys.stderr)
         return 2
@@ -744,7 +758,6 @@ def cmd_verify_theorems(args) -> int:
             degree_bound=args.degree_bound if args.degree_bound is not None else 2,
             pair_cap=args.budget if args.budget is not None else 50_000_000,
             ideal_mode=args.ideal_mode,
-            backend=None if args.backend == "auto" else args.backend,
         )
     except KeyError as e:
         print(f"error: {e.args[0]}", file=sys.stderr)
@@ -961,17 +974,23 @@ def cmd_explain(args) -> int:
 # entry point
 
 
+def _budget_flag(key: str):
+    def parse(text: str) -> int:
+        try:
+            return _int_value(text, key, minimum=BUDGET_MIN[key])
+        except SpecError as e:
+            raise argparse.ArgumentTypeError(str(e)) from None
+
+    return parse
+
+
 def _add_budget_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--degree-bound", type=int, default=None, metavar="D",
-                   help="max f, g degree in zero-product searches")
-    p.add_argument("--power-bound", type=int, default=None, metavar="K",
-                   help="max exponent when certifying nilpotent polynomials")
-    p.add_argument("--seed", type=int, default=None, metavar="N",
-                   help="seed for sampled law verification")
-    p.add_argument("--budget", type=int, default=None, metavar="N",
-                   help="max (f, g) pairs per search")
-    p.add_argument("--backend", choices=VALID_BACKENDS, default="auto",
-                   help="kernel path (default: auto)")
+    p.add_argument("--degree-bound", type=_budget_flag("degree_bound"), default=None,
+                   metavar="D", help="max f, g degree in zero-product searches")
+    p.add_argument("--power-bound", type=_budget_flag("power_bound"), default=None,
+                   metavar="K", help="max exponent when certifying nilpotent polynomials")
+    p.add_argument("--budget", type=_budget_flag("pair_cap"), default=None,
+                   metavar="N", help="max (f, g) pairs per search")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -1012,13 +1031,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    backend = getattr(args, "backend", None)
-    if backend is not None:
-        try:
-            set_backend(backend)
-        except (ValueError, RuntimeError) as e:
-            print(f"error: {e}", file=sys.stderr)
-            return 2
     return args.fn(args)
 
 

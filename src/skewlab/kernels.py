@@ -1,62 +1,28 @@
-"""Hot enumeration kernels: numba fast path with a pure-numpy twin.
+"""Hot enumeration kernels, vectorized with numpy.
 
 Every kernel here is order-deterministic: sweeps run in C order over
 element indices and the first violation (or witness) in that order is
-returned, so the numba and numpy paths are interchangeable bit for bit.
+returned.
 
 Table kernels take dense Cayley tables (int32, shape (n, n)).  The
-generic search takes any ring object exposing vectorized add/mul and a
-cached nilpotent mask; it is the only path for rings too large to
-tabulate.
+zero-product search is one sweep over any pair of vectorized add/mul
+operations: table gathers for tabulated rings, or a ring's own add/mul
+for rings too large to tabulate.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from .backend import get_backend
-
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except Exception:  # pragma: no cover - exercised only without numba
-    HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        if len(args) == 1 and callable(args[0]):
-            return args[0]
-
-        def wrap(fn):
-            return fn
-
-        return wrap
-
-
-def _use_numba(backend: str | None) -> bool:
-    return (backend or get_backend()) == "numba" and HAVE_NUMBA
-
-
-# chunk cap for the vectorized table search, in elements per slice
-_CHUNK_ELEMS = 1 << 22
+# chunk cap for the pair sweep, in (f, g) pairs per block
+_CHUNK_ELEMS = 1 << 18
 
 
 # ---------------------------------------------------------------------------
 # law sweeps
 
 
-@njit(cache=True)
-def _assoc_nb(table):
-    n = table.shape[0]
-    for a in range(n):
-        for b in range(n):
-            ab = table[a, b]
-            for c in range(n):
-                if table[ab, c] != table[a, table[b, c]]:
-                    return a, b, c
-    return -1, -1, -1
-
-
-def _assoc_np(table):
+def associativity_witness(table: np.ndarray):
+    """First (a, b, c) with (ab)c != a(bc), or None."""
     n = table.shape[0]
     idx = np.arange(n)
     for a in range(n):
@@ -67,81 +33,34 @@ def _assoc_np(table):
         if bad.any():
             flat = int(np.argmax(bad))
             return a, flat // n, flat % n
-    return -1, -1, -1
+    return None
 
 
-def associativity_witness(table: np.ndarray, backend: str | None = None):
-    """First (a, b, c) with (ab)c != a(bc), or None."""
-    if _use_numba(backend):
-        a, b, c = _assoc_nb(table)
-    else:
-        a, b, c = _assoc_np(table)
-    return None if a < 0 else (int(a), int(b), int(c))
+def distributivity_witness(add: np.ndarray, mul: np.ndarray):
+    """First distributivity failure as ("left"|"right", (a, b, c)), or None.
 
-
-@njit(cache=True)
-def _distrib_nb(add, mul):
-    n = add.shape[0]
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                if mul[a, add[b, c]] != add[mul[a, b], mul[a, c]]:
-                    return 0, a, b, c
-                if mul[add[a, b], c] != add[mul[a, c], mul[b, c]]:
-                    return 1, a, b, c
-    return -1, -1, -1, -1
-
-
-def _distrib_np(add, mul):
+    Scan order is (a, b, c), with the left law tested before the right
+    one at each triple.
+    """
     n = add.shape[0]
     for a in range(n):
         arow = mul[a]
-        left = arow[add]  # a*(b+c)
-        lsum = add[arow[:, None], arow[None, :]]  # a*b + a*c
-        right = mul[add[a]]  # (a+b)*c  indexed [b, c]
-        rsum = add[arow[None, :], mul]  # a*c + b*c  indexed [b, c]
-        badl = left != lsum
-        badr = right != rsum
-        if badl.any() or badr.any():
-            # report in the same (b, c, law) scan order as the loop twin
-            bad_any = badl | badr
-            flat = int(np.argmax(bad_any))
+        badl = arow[add] != add[arow[:, None], arow[None, :]]  # a(b+c) vs ab+ac
+        badr = mul[add[a]] != add[arow[None, :], mul]  # (a+b)c vs ac+bc
+        bad = badl | badr
+        if bad.any():
+            flat = int(np.argmax(bad))
             b, c = flat // n, flat % n
-            law = 0 if badl[b, c] else 1
-            return law, a, b, c
-    return -1, -1, -1, -1
-
-
-def distributivity_witness(add: np.ndarray, mul: np.ndarray, backend: str | None = None):
-    """First distributivity failure as ("left"|"right", (a, b, c)), or None."""
-    if _use_numba(backend):
-        law, a, b, c = _distrib_nb(add, mul)
-    else:
-        law, a, b, c = _distrib_np(add, mul)
-    if law < 0:
-        return None
-    return ("left" if law == 0 else "right", (int(a), int(b), int(c)))
+            return ("left" if badl[b, c] else "right", (a, b, c))
+    return None
 
 
 # ---------------------------------------------------------------------------
 # nilpotency
 
 
-@njit(cache=True)
-def _nil_mask_nb(mul, zero):
-    n = mul.shape[0]
-    out = np.zeros(n, dtype=np.bool_)
-    for a in range(n):
-        p = a
-        for _ in range(n):
-            if p == zero:
-                out[a] = True
-                break
-            p = mul[p, a]
-    return out
-
-
-def _nil_mask_np(mul, zero):
+def nilpotent_mask(mul: np.ndarray, zero: int) -> np.ndarray:
+    """Boolean mask of a with a^k = 0 for some 1 <= k <= n (pigeonhole bound)."""
     n = mul.shape[0]
     idx = np.arange(n)
     cur = idx.copy()
@@ -154,16 +73,10 @@ def _nil_mask_np(mul, zero):
     return out
 
 
-def nilpotent_mask(mul: np.ndarray, zero: int, backend: str | None = None) -> np.ndarray:
-    """Boolean mask of a with a^k = 0 for some 1 <= k <= n (pigeonhole bound)."""
-    if _use_numba(backend):
-        return _nil_mask_nb(mul, np.int64(zero))
-    return _nil_mask_np(mul, zero)
-
-
 # ---------------------------------------------------------------------------
 # zero-product pair search
 #
+# add, mul: vectorized ring operations on element-index arrays.
 # polys: (P, M) int32, rows = coefficient vectors over the monomial list,
 #   sorted by (degree, enumeration index), column 0 = constant monomial.
 # deg_starts: (D+2,) row offsets of the degree blocks.
@@ -172,110 +85,45 @@ def nilpotent_mask(mul: np.ndarray, zero: int, backend: str | None = None) -> np
 #   sum_g stc[i,j,g] * x^{gamma_g} over the product monomial list.
 # mode: 0 = products must be nilpotent, 1 = products must be zero,
 #   2 = only row i = 0 products must be zero.
-# quick_c0: skip pairs with nonzero constant coefficient product (valid
-#   only when the system has no lower-order d terms).
 #
-# Returns (fi, gi, i, j, pairs_checked, zero_products); fi < 0 means no
-# witness.  Counters cover the pairs enumerated up to and including the
-# witness pair, in (deg f, deg g, f, g) order.
+# Returns (witness, pairs_checked, zero_products); witness is
+# (fi, gi, i, j) or None.  Counters cover the pairs enumerated up to and
+# including the witness pair, in (deg f, deg g, f, g) order.
 
 
-@njit(cache=True)
-def _search_nb(polys, deg_starts, add, mul, sig, stc, nil_mask, zero, mode, quick_c0):
-    nblocks = deg_starts.shape[0] - 1
-    M = polys.shape[1]
-    G = stc.shape[2]
-    coeff = np.empty(G, dtype=np.int64)
-    pairs = 0
-    zeros = 0
-    for df in range(nblocks):
-        for dg in range(nblocks):
-            for fi in range(deg_starts[df], deg_starts[df + 1]):
-                for gi in range(deg_starts[dg], deg_starts[dg + 1]):
-                    pairs += 1
-                    if quick_c0 and mul[polys[fi, 0], polys[gi, 0]] != zero:
-                        continue
-                    for g in range(G):
-                        coeff[g] = zero
-                    for i in range(M):
-                        ai = polys[fi, i]
-                        if ai == zero:
-                            continue
-                        for j in range(M):
-                            bj = polys[gi, j]
-                            if bj == zero:
-                                continue
-                            t = mul[ai, sig[i, bj]]
-                            if t == zero:
-                                continue
-                            for g in range(G):
-                                s = stc[i, j, g]
-                                if s != zero:
-                                    coeff[g] = add[coeff[g], mul[t, s]]
-                    is_zero = True
-                    for g in range(G):
-                        if coeff[g] != zero:
-                            is_zero = False
-                            break
-                    if not is_zero:
-                        continue
-                    zeros += 1
-                    for i in range(M):
-                        if mode == 2 and i != 0:
-                            continue
-                        ai = polys[fi, i]
-                        for j in range(M):
-                            p = mul[ai, sig[i, polys[gi, j]]]
-                            if mode == 0:
-                                if not nil_mask[p]:
-                                    return fi, gi, i, j, pairs, zeros
-                            elif p != zero:
-                                return fi, gi, i, j, pairs, zeros
-    return -1, -1, -1, -1, pairs, zeros
-
-
-def _pair_products(add, mul, sig, stc, F, B, zero, G):
-    """Normal-form product coefficients for every (f, g) pair of two row blocks."""
-    nf, ng = F.shape[0], B.shape[0]
-    M = F.shape[1]
-    acc = [np.full((nf, ng), zero, dtype=add.dtype) for _ in range(G)]
+def _zero_products(add, mul, F, B, sig, stc, zero):
+    """Mask over F x B of the pairs whose product fg is zero."""
+    M, G = stc.shape[0], stc.shape[2]
+    acc = np.full((G, F.shape[0], B.shape[0]), zero, dtype=F.dtype)
     for i in range(M):
         fcol = F[:, i]
         if not (fcol != zero).any():
             continue
         for j in range(M):
-            gcol = sig[i][B[:, j]]
-            t = mul[fcol[:, None], gcol[None, :]]
+            t = mul(fcol[:, None], sig[i][B[:, j]][None, :])
             for g in range(G):
                 s = int(stc[i, j, g])
                 if s != zero:
-                    acc[g] = add[acc[g], mul[t, s]]
-    out = acc[0] == zero
-    for g in range(1, G):
-        out &= acc[g] == zero
-    return out
+                    acc[g] = add(acc[g], mul(t, s))
+    return (acc == zero).all(axis=0)
 
 
-def _scan_conditions_table(mul, sig, nil_mask, zero, mode, frow, grow):
-    """First (i, j) violating the coefficient condition for one zero pair."""
-    M = frow.shape[0]
-    for i in range(M):
-        if mode == 2 and i != 0:
-            continue
-        ai = int(frow[i])
+def _violations(mul, F, B, sig, nil_mask, zero, mode):
+    """bad[k, i, j]: a_i sigma^(alpha_i)(b_j) of pair (F[k], B[k]) breaks `mode`."""
+    M = F.shape[1]
+    rows = 1 if mode == 2 else M
+    bad = np.empty((F.shape[0], rows, M), dtype=bool)
+    for i in range(rows):
         for j in range(M):
-            p = int(mul[ai, sig[i][int(grow[j])]])
-            if mode == 0:
-                if not nil_mask[p]:
-                    return i, j
-            elif p != zero:
-                return i, j
-    return None
+            p = mul(F[:, i], sig[i][B[:, j]])
+            bad[:, i, j] = ~nil_mask[p] if mode == 0 else p != zero
+    return bad
 
 
-def _search_np(polys, deg_starts, add, mul, sig, stc, nil_mask, zero, mode, quick_c0):
+def _sweep(add, mul, polys, deg_starts, sig, stc, nil_mask, zero, mode):
+    """Scan poly pairs for fg = 0 with a coefficient product breaking `mode`."""
     nblocks = deg_starts.shape[0] - 1
-    G = stc.shape[2]
+    M = polys.shape[1]
     pairs = 0
     zeros = 0
     for df in range(nblocks):
@@ -286,35 +134,21 @@ def _search_np(polys, deg_starts, add, mul, sig, stc, nil_mask, zero, mode, quic
             if ng == 0 or f1 == f0:
                 continue
             B = polys[g0:g1]
-            step = max(1, _CHUNK_ELEMS // max(ng, 1))
+            step = max(1, _CHUNK_ELEMS // ng)
             for fc in range(f0, f1, step):
                 F = polys[fc : min(fc + step, f1)]
-                zmask = _pair_products(add, mul, sig, stc, F, B, zero, G)
-                if quick_c0:
-                    # pairs skipped by the shortcut have nonzero product anyway
-                    pass
-                zrows, zcols = np.nonzero(zmask)
-                bad_at = -1
-                for k in range(zrows.shape[0]):
-                    w = _scan_conditions_table(
-                        mul, sig, nil_mask, zero, mode, F[zrows[k]], B[zcols[k]]
-                    )
-                    if w is not None:
-                        bad_at = k
-                        break
-                if bad_at >= 0:
-                    fl, gl = int(zrows[bad_at]), int(zcols[bad_at])
-                    rank = fl * ng + gl + 1
-                    flat = zmask.reshape(-1)
-                    pairs += rank
-                    zeros += int(flat[:rank].sum())
-                    i, j = _scan_conditions_table(
-                        mul, sig, nil_mask, zero, mode, F[fl], B[gl]
-                    )
-                    return fc + fl, g0 + gl, i, j, pairs, zeros
+                zr, zc = np.nonzero(_zero_products(add, mul, F, B, sig, stc, zero))
+                bad = _violations(mul, F[zr], B[zc], sig, nil_mask, zero, mode)
+                hit = bad.any(axis=(1, 2))
+                if hit.any():
+                    k = int(np.argmax(hit))
+                    i, j = divmod(int(np.argmax(bad[k])), M)
+                    fl, gl = int(zr[k]), int(zc[k])
+                    witness = (fc + fl, g0 + gl, i, j)
+                    return witness, pairs + fl * ng + gl + 1, zeros + k + 1
                 pairs += F.shape[0] * ng
-                zeros += int(zmask.sum())
-    return -1, -1, -1, -1, pairs, zeros
+                zeros += int(zr.size)
+    return None, pairs, zeros
 
 
 def search_zero_products_table(
@@ -327,113 +161,24 @@ def search_zero_products_table(
     nil_mask: np.ndarray,
     zero: int,
     mode: int,
-    quick_c0: bool,
-    backend: str | None = None,
 ):
-    """Scan poly pairs over a table ring for fg = 0 with a bad coefficient pair."""
-    if _use_numba(backend):
-        fi, gi, i, j, pairs, zeros = _search_nb(
-            polys,
-            deg_starts,
-            add,
-            mul,
-            np.ascontiguousarray(sig),
-            np.ascontiguousarray(stc),
-            nil_mask,
-            np.int64(zero),
-            np.int64(mode),
-            quick_c0,
-        )
-    else:
-        fi, gi, i, j, pairs, zeros = _search_np(
-            polys, deg_starts, add, mul, sig, stc, nil_mask, zero, mode, quick_c0
-        )
-    witness = None if fi < 0 else (int(fi), int(gi), int(i), int(j))
-    return witness, int(pairs), int(zeros)
+    """The pair sweep over a table ring, with Cayley-table gathers as ops."""
+    return _sweep(
+        lambda a, b: add[a, b], lambda a, b: mul[a, b],
+        polys, deg_starts, sig, stc, nil_mask, zero, mode,
+    )
 
 
 def search_zero_products_generic(
     ring,
     polys: np.ndarray,
     deg_starts: np.ndarray,
-    sig: list[np.ndarray],
+    sig: np.ndarray,
     stc: np.ndarray,
     mode: int,
-    quick_c0: bool,
 ):
-    """Same search via a ring's vectorized ops; works for untabulated rings.
-
-    This path is backend-independent by construction and is the one used
-    for structured rings regardless of SKEWLAB_BACKEND.
-    """
-    zero = ring.zero
+    """The pair sweep through a ring's vectorized ops; for untabulated rings."""
     nil_mask = ring.nil_mask() if mode == 0 else None
-    nblocks = deg_starts.shape[0] - 1
-    M = polys.shape[1]
-    G = stc.shape[2]
-    pairs = 0
-    zeros = 0
-
-    def row_products(frow, B):
-        acc = [np.full(B.shape[0], zero, dtype=np.int64) for _ in range(G)]
-        for i in range(M):
-            ai = int(frow[i])
-            if ai == zero:
-                continue
-            for j in range(M):
-                t = ring.mul(ai, sig[i][B[:, j]])
-                for g in range(G):
-                    s = int(stc[i, j, g])
-                    if s != zero:
-                        acc[g] = ring.add(acc[g], ring.mul(t, s))
-        out = acc[0] == zero
-        for g in range(1, G):
-            out &= acc[g] == zero
-        return out
-
-    def scan_conditions(frow, grow):
-        for i in range(M):
-            if mode == 2 and i != 0:
-                continue
-            ai = int(frow[i])
-            for j in range(M):
-                p = int(ring.mul(ai, int(sig[i][int(grow[j])])))
-                if mode == 0:
-                    if not nil_mask[p]:
-                        return i, j
-                elif p != zero:
-                    return i, j
-        return None
-
-    for df in range(nblocks):
-        f0, f1 = int(deg_starts[df]), int(deg_starts[df + 1])
-        for dg in range(nblocks):
-            g0, g1 = int(deg_starts[dg]), int(deg_starts[dg + 1])
-            ng = g1 - g0
-            if ng == 0 or f1 == f0:
-                continue
-            B = polys[g0:g1]
-            for fi in range(f0, f1):
-                frow = polys[fi]
-                if quick_c0:
-                    alive = ring.mul(int(frow[0]), B[:, 0]) == zero
-                else:
-                    alive = np.ones(ng, dtype=bool)
-                zmask = np.zeros(ng, dtype=bool)
-                hit = np.nonzero(alive)[0]
-                if hit.size:
-                    zmask[hit] = row_products(frow, B[hit])
-                zcols = np.nonzero(zmask)[0]
-                found = -1
-                for gl in zcols:
-                    if scan_conditions(frow, B[gl]) is not None:
-                        found = int(gl)
-                        break
-                if found >= 0:
-                    pairs += found + 1
-                    zeros += int(zmask[: found + 1].sum())
-                    i, j = scan_conditions(frow, B[found])
-                    return (fi, g0 + found, i, j), pairs, zeros
-                pairs += ng
-                zeros += int(zmask.sum())
-    return None, pairs, zeros
+    return _sweep(
+        ring.add, ring.mul, polys, deg_starts, sig, stc, nil_mask, ring.zero, mode
+    )

@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
-from .backend import get_backend
 from .maps import RingMap, SigmaFamily, orbit_closure, sigma_power
 from .poly import (
     CommutationSystem,
@@ -51,14 +50,6 @@ class SearchBudget:
     pair_cap: int = DEFAULT_PAIR_CAP
     subset: np.ndarray | None = None
     subset_name: str = "full"
-    seed: int = 0
-
-    def describe(self) -> dict:
-        return {
-            "degree_bound": self.degree_bound,
-            "power_bound": self.power_bound,
-            "subset": self.subset_name,
-        }
 
 
 @dataclass
@@ -296,7 +287,6 @@ def _zero_product_search(
     budget: SearchBudget,
     prop: str,
     instance: str,
-    backend: str | None = None,
 ) -> PropertyVerdict:
     """Shared harness: find fg = 0 whose coefficient products break `prop`."""
     ring = sys.ring
@@ -311,8 +301,6 @@ def _zero_product_search(
     stc = monomial_product_table(sys, exps, exps_out)
     sig = sigma_power_tables(sys.sigma, exps)
     polys, deg_starts = _enumerate_polys(ring, exps, budget)
-    quick_c0 = not sys.has_lower_order_terms
-    resolved = backend or get_backend()
     if ring.is_table_backed:
         witness, pairs, zeros = kernels.search_zero_products_table(
             polys,
@@ -324,12 +312,10 @@ def _zero_product_search(
             ring.nil_mask(),
             ring.zero,
             mode,
-            quick_c0,
-            backend=resolved,
         )
     else:
         witness, pairs, zeros = kernels.search_zero_products_generic(
-            ring, polys, deg_starts, [sig[i] for i in range(len(exps))], stc, mode, quick_c0
+            ring, polys, deg_starts, sig, stc, mode
         )
     name = instance or f"{sys.name}"
     bound = {
@@ -383,11 +369,10 @@ def is_weak_sigma_skew_armendariz(
     sys: CommutationSystem,
     budget: SearchBudget | None = None,
     instance: str = "",
-    backend: str | None = None,
 ) -> PropertyVerdict:
     """fg = 0 must force every a_i sigma^(alpha_i)(b_j) nilpotent."""
     return _zero_product_search(
-        sys, budget or SearchBudget(), "weak_sigma_skew_armendariz", instance, backend
+        sys, budget or SearchBudget(), "weak_sigma_skew_armendariz", instance
     )
 
 
@@ -395,11 +380,10 @@ def is_sigma_skew_armendariz(
     sys: CommutationSystem,
     budget: SearchBudget | None = None,
     instance: str = "",
-    backend: str | None = None,
 ) -> PropertyVerdict:
     """fg = 0 must force every a_i sigma^(alpha_i)(b_j) = 0."""
     return _zero_product_search(
-        sys, budget or SearchBudget(), "sigma_skew_armendariz", instance, backend
+        sys, budget or SearchBudget(), "sigma_skew_armendariz", instance
     )
 
 
@@ -407,11 +391,10 @@ def is_skew_armendariz(
     sys: CommutationSystem,
     budget: SearchBudget | None = None,
     instance: str = "",
-    backend: str | None = None,
 ) -> PropertyVerdict:
     """fg = 0 must force a_0 b_j = 0 for every j."""
     return _zero_product_search(
-        sys, budget or SearchBudget(), "skew_armendariz", instance, backend
+        sys, budget or SearchBudget(), "skew_armendariz", instance
     )
 
 
@@ -419,7 +402,6 @@ def is_weak_armendariz(
     ring: FiniteRing,
     budget: SearchBudget | None = None,
     instance: str = "",
-    backend: str | None = None,
 ) -> PropertyVerdict:
     """Untwisted one-variable case: fg = 0 forces all a_i b_j nilpotent."""
     from .maps import identity_map
@@ -428,7 +410,7 @@ def is_weak_armendariz(
         ring, SigmaFamily(ring, [identity_map(ring)]), name=f"untwisted({ring.name})"
     )
     return _zero_product_search(
-        sys, budget or SearchBudget(), "weak_armendariz", instance or ring.name, backend
+        sys, budget or SearchBudget(), "weak_armendariz", instance or ring.name
     )
 
 

@@ -159,6 +159,8 @@ class TableRing(FiniteRing):
                 f"budget {DEFAULT_TABLE_BUDGET}"
             )
         self.one = int(one)
+        if not 0 <= self.one < self.size:
+            raise ValueError(f"{name}: one={self.one} is not an element index below {self.size}")
         self.names = list(names)
         if len(self.names) != self.size:
             raise ValueError(f"{name}: {len(self.names)} names for {self.size} elements")

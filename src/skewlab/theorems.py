@@ -397,7 +397,6 @@ def check_weak_armendariz_implication(
     ctx: EntryContext,
     degree_bound: int = 2,
     pair_cap: int = 50_000_000,
-    backend: str | None = None,
 ) -> TheoremReport:
     """NI + weak rigid (c central invertible) force weak twisted Armendariz.
 
@@ -416,9 +415,7 @@ def check_weak_armendariz_implication(
     }
     if all(gate.values()):
         budget = SearchBudget(degree_bound=degree_bound, pair_cap=pair_cap)
-        verdict = is_weak_sigma_skew_armendariz(
-            sys, budget, instance=ctx.entry.name, backend=backend
-        )
+        verdict = is_weak_sigma_skew_armendariz(sys, budget, instance=ctx.entry.name)
         if verdict.fails:
             return TheoremReport(
                 "ni_weak_rigid_implies_weak_armendariz", ctx.entry.name, "fail",
@@ -448,9 +445,7 @@ def check_weak_armendariz_implication(
     )
 
 
-def reproduce_counterexamples(
-    pair_cap: int = 50_000_000, backend: str | None = None
-) -> list[TheoremReport]:
+def reproduce_counterexamples(pair_cap: int = 50_000_000) -> list[TheoremReport]:
     """The two documented separating examples, re-derived from scratch.
 
     R3 over a rigid base is weak rigid but not rigid; S with the
@@ -523,7 +518,6 @@ def run_all(
     degree_bound: int = 2,
     pair_cap: int = 50_000_000,
     ideal_mode: str = "fixed",
-    backend: str | None = None,
 ) -> list[TheoremReport]:
     """Every theorem over every catalog entry, in a fixed order."""
     if instance is not None:
@@ -544,12 +538,11 @@ def run_all(
     for entry in entries:
         out.append(
             check_weak_armendariz_implication(
-                resolve(entry), degree_bound=degree_bound,
-                pair_cap=pair_cap, backend=backend,
+                resolve(entry), degree_bound=degree_bound, pair_cap=pair_cap
             )
         )
     if instance is None or instance in ("R3(Z2)/id", "S(Z3)/negate-B"):
-        cx = reproduce_counterexamples(pair_cap=pair_cap, backend=backend)
+        cx = reproduce_counterexamples(pair_cap=pair_cap)
         if instance is not None:
             cx = [r for r in cx if r.instance == instance]
         out.extend(cx)

@@ -132,6 +132,47 @@ def test_zero_commutation_coefficient_rejected(tmp_path, capsys):
     )
 
 
+@pytest.mark.parametrize("body,line,fragment", [
+    ("maps id, id\nc[1,2] = 5\n", 3, "5 is not an element index of Z3 (size 3)"),
+    ("maps id, id\nd[1,2] = [7]\n", 3, "7 is not an element index of Z3 (size 3)"),
+    ("maps id, id\nd[1,2] = 7\n", 3, "d[1,2] must be a JSON list"),
+    ("check weak_armendariz degree_bound=-1\n", 2, "degree_bound must be >= 0, got -1"),
+    ("check weak_armendariz degree_bound=abc\n", 2, "degree_bound must be an integer, got 'abc'"),
+    ("check skew_pi_armendariz power_bound=0\n", 2, "power_bound must be >= 1, got 0"),
+    ("check weak_armendariz pair_cap=lots\n", 2, "pair_cap must be an integer, got 'lots'"),
+], ids=["c-range", "d-range", "d-not-list", "degree-negative", "degree-not-int",
+        "power-zero", "pair-cap-not-int"])
+def test_bad_spec_numbers_exit_2(tmp_path, capsys, body, line, fragment):
+    path = write(tmp_path, "bad.spec", "ring Z3\n" + body)
+    code, out, err = run_cli(capsys, "check", path)
+    assert code == 2 and out == ""
+    assert err == f"{path}:line {line}, col 1: {fragment}\n"
+
+
+def test_explicit_ring_one_checked(tmp_path, capsys):
+    tables = 'add=[[0,1],[1,0]] mul=[[0,0],[0,1]]'
+    for one, fragment in (("x", "one must be an integer, got 'x'"),
+                          ("5", "F2: one=5 is not an element index below 2")):
+        path = write(tmp_path, "f2.spec", f'ring F2 {tables} one={one} names=["z","u"]\n')
+        code, out, err = run_cli(capsys, "check", path)
+        assert code == 2 and err == f"{path}:line 1, col 1: {fragment}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "x.spec", "--degree-bound", "-3"],
+    ["verify-theorems", "--degree-bound", "-1"],
+    ["check", "x.spec", "--power-bound", "0"],
+    ["check", "x.spec", "--budget", "0"],
+    ["verify-theorems", "--budget", "abc"],
+], ids=["degree-negative", "verify-degree-negative", "power-zero", "budget-zero",
+        "verify-budget-not-int"])
+def test_bad_budget_flags_exit_2(capsys, argv):
+    with pytest.raises(SystemExit) as e:
+        main(argv)
+    assert e.value.code == 2
+    assert "must be" in capsys.readouterr().err
+
+
 def test_missing_file_exits_2(capsys):
     code, out, err = run_cli(capsys, "check", "/nonexistent/path.spec")
     assert code == 2 and "error:" in err
@@ -259,17 +300,13 @@ def strip_wall(text):
 
 
 def test_verify_theorems_backend_identical(capsys):
-    import skewlab.kernels as K
-
-    _, out_nb, _ = run_cli(
-        capsys, "verify-theorems", "--instance", "M2(Z2)/id", "--json",
-        "--backend", "numba" if K.HAVE_NUMBA else "numpy",
-    )
-    _, out_np, _ = run_cli(
-        capsys, "verify-theorems", "--instance", "M2(Z2)/id", "--json",
-        "--backend", "numpy",
-    )
-    assert strip_wall(out_nb) == strip_wall(out_np)
+    # two runs in one process must agree record for record
+    runs = [
+        run_cli(capsys, "verify-theorems", "--instance", "M2(Z2)/id", "--json")[1]
+        for _ in range(2)
+    ]
+    assert len(runs[0].splitlines()) == 7
+    assert strip_wall(runs[0]) == strip_wall(runs[1])
 
 
 def test_verify_theorems_text_summary(capsys):
@@ -360,6 +397,9 @@ def test_version_flag(capsys):
 
 
 def test_invalid_backend_rejected(capsys):
-    with pytest.raises(SystemExit) as e:
-        main(["check", "x.spec", "--backend", "cuda"])
-    assert e.value.code == 2
+    # options the parser does not know are usage errors
+    for flag in (["--backend", "cuda"], ["--seed", "1"]):
+        with pytest.raises(SystemExit) as e:
+            main(["check", "x.spec", *flag])
+        assert e.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err

@@ -1,35 +1,47 @@
-"""Numba and numpy kernel twins must be interchangeable bit for bit."""
+"""Kernels: law sweeps, nil masks and the zero-product pair sweep.
+
+The pair sweep is checked against a brute-force oracle that walks the
+same canonical pair order with rewriting-engine products.
+"""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from skewlab import kernels
-from skewlab.poly import monomial_product_table, monomials_upto, sigma_power_tables
-from skewlab.properties import SearchBudget, _enumerate_polys
-from skewlab.rings import make_zn
+from skewlab.maps import SigmaFamily, identity_map, verify_endomorphism
+from skewlab.poly import (
+    CommutationSystem,
+    monomial_product_table,
+    monomials_upto,
+    sigma_power_tables,
+)
+from skewlab.properties import (
+    SearchBudget,
+    _enumerate_polys,
+    _poly_pairs_engine,
+    _zero_product_search,
+    block_elementary_subset,
+)
+from skewlab.rings import make_zn, nil_mask_cycle_detect
 
-from conftest import get_ring, get_system
-
-BACKENDS = ["numba", "numpy"] if kernels.HAVE_NUMBA else ["numpy"]
+from conftest import get_map, get_ring, get_system
 
 
 # --- law sweeps --------------------------------------------------------------
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("name", ["Z2", "Z4", "Z6", "Z2xZ2", "M2(Z2)", "R3(Z2)"])
-def test_valid_tables_have_no_witness(backend, name):
+def test_valid_tables_have_no_witness(name):
     ring = get_ring(name)
-    assert kernels.associativity_witness(ring.mul_table, backend=backend) is None
-    assert kernels.associativity_witness(ring.add_table, backend=backend) is None
-    assert (
-        kernels.distributivity_witness(ring.add_table, ring.mul_table, backend=backend)
-        is None
-    )
+    assert kernels.associativity_witness(ring.mul_table) is None
+    assert kernels.associativity_witness(ring.add_table) is None
+    assert kernels.distributivity_witness(ring.add_table, ring.mul_table) is None
 
 
 def test_distributivity_right_law_regression():
     # a table whose left law holds but right law fails must be reported
-    # as "right" by both twins (mul[a,b] = b left-distributes trivially)
+    # as "right" (mul[a,b] = b left-distributes trivially)
     n = 3
     add = make_zn(3).add_table
     mul = np.tile(np.arange(n, dtype=np.int32), (n, 1))
@@ -48,37 +60,36 @@ def test_distributivity_right_law_regression():
         if expected:
             break
     assert expected is not None and expected[0] == "right"
-    for backend in BACKENDS:
-        assert kernels.distributivity_witness(add, mul, backend=backend) == expected
+    assert kernels.distributivity_witness(add, mul) == expected
 
 
 def test_corrupted_tables_same_witness_across_backends():
+    # the witness repeats across runs and is a genuine law violation
     z4 = make_zn(4)
     mul = z4.mul_table.copy()
     mul[2, 3] = 1
     add = z4.add_table
-    got = {
-        backend: (
-            kernels.associativity_witness(mul, backend=backend),
-            kernels.distributivity_witness(add, mul, backend=backend),
-        )
-        for backend in BACKENDS
-    }
-    vals = list(got.values())
-    assert all(v == vals[0] for v in vals)
-    a, b, c = vals[0][0]
+    runs = [
+        (kernels.associativity_witness(mul), kernels.distributivity_witness(add, mul))
+        for _ in range(2)
+    ]
+    assert runs[0] == runs[1]
+    a, b, c = runs[0][0]
     assert mul[mul[a, b], c] != mul[a, mul[b, c]]
+    law, (a, b, c) = runs[0][1]
+    if law == "left":
+        assert mul[a, add[b, c]] != add[mul[a, b], mul[a, c]]
+    else:
+        assert mul[add[a, b], c] != add[mul[a, c], mul[b, c]]
 
 
 @pytest.mark.parametrize("name", ["Z4", "Z6", "M2(Z2)", "R3(Z2)"])
 def test_nil_mask_across_backends(name):
+    # the power sweep against the independent cycle-detection route
     ring = get_ring(name)
-    masks = [
-        kernels.nilpotent_mask(ring.mul_table, ring.zero, backend=b) for b in BACKENDS
-    ]
-    for m in masks[1:]:
-        assert (m == masks[0]).all()
-    assert (masks[0] == ring.nil_mask()).all()
+    mask = kernels.nilpotent_mask(ring.mul_table, ring.zero)
+    assert (mask == nil_mask_cycle_detect(ring)).all()
+    assert (mask == ring.nil_mask()).all()
 
 
 # --- pair search -------------------------------------------------------------
@@ -96,6 +107,15 @@ def _search_inputs(sysname, degree_bound=1, subset=None, subset_name="full"):
     return sys, polys, deg_starts, sig, stc
 
 
+def _table_search(sysname, mode):
+    sys, polys, deg_starts, sig, stc = _search_inputs(sysname)
+    ring = sys.ring
+    return kernels.search_zero_products_table(
+        polys, deg_starts, ring.add_table, ring.mul_table,
+        sig, stc, ring.nil_mask(), ring.zero, mode,
+    )
+
+
 @pytest.mark.parametrize("sysname,mode", [
     ("untwisted(Z4)", 0),          # holds: counters with no witness
     ("untwisted(M2(Z2))", 1),      # fails: witness plus counters
@@ -103,78 +123,136 @@ def _search_inputs(sysname, degree_bound=1, subset=None, subset_name="full"):
     ("untwisted(Z6)", 1),
 ])
 def test_table_search_identical_across_backends(sysname, mode):
-    sys, polys, deg_starts, sig, stc = _search_inputs(sysname)
-    ring = sys.ring
-    results = [
-        kernels.search_zero_products_table(
-            polys, deg_starts, ring.add_table, ring.mul_table,
-            sig, stc, ring.nil_mask(), ring.zero, mode, True, backend=b,
-        )
-        for b in BACKENDS
-    ]
-    for r in results[1:]:
-        assert r == results[0]
-
-
-def test_quick_c0_shortcut_changes_nothing():
-    sys, polys, deg_starts, sig, stc = _search_inputs("untwisted(M2(Z2))")
-    ring = sys.ring
-    args = (polys, deg_starts, ring.add_table, ring.mul_table, sig, stc,
-            ring.nil_mask(), ring.zero, 1)
-    for backend in BACKENDS:
-        with_q = kernels.search_zero_products_table(*args, True, backend=backend)
-        without_q = kernels.search_zero_products_table(*args, False, backend=backend)
-        assert with_q == without_q
+    # repeat runs must agree to the last counter
+    assert _table_search(sysname, mode) == _table_search(sysname, mode)
 
 
 def test_m2_mode1_frozen_counters():
-    sys, polys, deg_starts, sig, stc = _search_inputs("untwisted(M2(Z2))")
-    ring = sys.ring
-    witness, pairs, zeros = kernels.search_zero_products_table(
-        polys, deg_starts, ring.add_table, ring.mul_table,
-        sig, stc, ring.nil_mask(), ring.zero, 1, True,
-    )
+    witness, pairs, zeros = _table_search("untwisted(M2(Z2))", 1)
     assert witness is not None
     assert (pairs, zeros) == (11837, 875)
 
 
+def _generic_search(sysname, mode):
+    sys, polys, deg_starts, sig, stc = _search_inputs(sysname)
+    return kernels.search_zero_products_generic(sys.ring, polys, deg_starts, sig, stc, mode)
+
+
 def test_generic_path_matches_table_path():
-    sys, polys, deg_starts, sig, stc = _search_inputs("untwisted(M2(Z2))")
-    ring = sys.ring
-    table = kernels.search_zero_products_table(
-        polys, deg_starts, ring.add_table, ring.mul_table,
-        sig, stc, ring.nil_mask(), ring.zero, 1, True, backend="numpy",
-    )
-    generic = kernels.search_zero_products_generic(
-        ring, polys, deg_starts, [sig[i] for i in range(sig.shape[0])], stc, 1, True,
-    )
-    assert generic == table
+    assert _generic_search("untwisted(M2(Z2))", 1) == _table_search("untwisted(M2(Z2))", 1)
 
 
 def test_generic_path_matches_table_path_holds_case():
-    sys, polys, deg_starts, sig, stc = _search_inputs("untwisted(Z4)")
-    ring = sys.ring
-    table = kernels.search_zero_products_table(
-        polys, deg_starts, ring.add_table, ring.mul_table,
-        sig, stc, ring.nil_mask(), ring.zero, 0, True, backend="numpy",
-    )
-    generic = kernels.search_zero_products_generic(
-        ring, polys, deg_starts, [sig[i] for i in range(sig.shape[0])], stc, 0, True,
-    )
+    table = _table_search("untwisted(Z4)", 0)
+    generic = _generic_search("untwisted(Z4)", 0)
     assert generic == table
     assert table[0] is None and generic[0] is None
     assert table[1] == 256  # 16 polys of degree <= 1, all pairs swept
 
 
-def test_backend_selection(monkeypatch):
-    from skewlab import backend as B
+# --- brute-force engine oracle -------------------------------------------------
 
-    monkeypatch.setattr(B, "_requested", "numpy")
-    assert B.requested_backend() == "numpy" and B.get_backend() == "numpy"
-    monkeypatch.setattr(B, "_requested", "bogus")
-    with pytest.raises(ValueError):
-        B.requested_backend()
-    with pytest.raises(ValueError):
-        B.set_backend("bogus")
-    B.set_backend("auto")
-    assert B.get_backend() in ("numba", "numpy")
+_PROPS = {
+    0: "weak_sigma_skew_armendariz",
+    1: "sigma_skew_armendariz",
+    2: "skew_armendariz",
+}
+
+
+def engine_sweep(sys, budget, mode):
+    """(witness, pairs, zeros) from engine products in canonical pair order.
+
+    The coefficient condition is read off a_i x^alpha_i * b_j, whose only
+    term is a_i sigma^alpha_i(b_j) x^alpha_i when all derivations are zero.
+    """
+    ring = sys.ring
+    nil = nil_mask_cycle_detect(ring)
+    exps = monomials_upto(sys.n, budget.degree_bound, sys.order)
+    pairs = zeros = 0
+    for f, g, _, _ in _poly_pairs_engine(sys, exps, budget):
+        pairs += 1
+        if not (f * g).is_zero:
+            continue
+        zeros += 1
+        for ea in exps[:1] if mode == 2 else exps:
+            for eb in exps:
+                a = f.terms.get(ea, ring.zero)
+                b = g.terms.get(eb, ring.zero)
+                term = sys.monomial(ea, a) * sys.constant(b)
+                p = term.terms.get(ea, ring.zero)
+                if (not nil[p]) if mode == 0 else p != ring.zero:
+                    return (str(f), str(g), list(ea), list(eb)), pairs, zeros
+    return None, pairs, zeros
+
+
+def kernel_sweep(sys, budget, mode):
+    """The same triple read off the vectorized search's verdict."""
+    v = _zero_product_search(sys, budget, _PROPS[mode], "")
+    if v.fails:
+        w = v.witness
+        return (w["f"], w["g"], w["exp_i"], w["exp_j"]), w["pairs_checked"], w["zero_products"]
+    return None, v.bound["pairs_checked"], v.bound["zero_products"]
+
+
+def _inner_automorphism(ring, u):
+    mul = ring.mul_table
+    uinv = int(np.argmax(mul[u] == ring.one))
+    images = mul[mul[u], uinv]
+    return verify_endomorphism(ring, images, f"conj{u}")
+
+
+@st.composite
+def small_systems(draw):
+    """An endomorphism-type system over a small ring, and a search budget."""
+    # M2(Z2) twice: most zero-product failures live in its zero divisors
+    kind = draw(
+        st.sampled_from(["Z2", "Z3", "Z4", "Z5", "Z6", "Z2xZ2", "M2(Z2)", "M2(Z2)", "qp"])
+    )
+    if kind == "qp":
+        ring = get_ring(f"Z{draw(st.integers(2, 6))}")
+        units = [q for q in range(1, ring.size) if np.gcd(q, ring.size) == 1]
+        q = draw(st.sampled_from(units))
+        ident = identity_map(ring)
+        sys = CommutationSystem(ring, SigmaFamily(ring, [ident, ident]), c={(0, 1): q})
+        max_subset = 3
+    else:
+        ring = get_ring(kind)
+        twist = identity_map(ring)
+        if kind == "Z2xZ2" and draw(st.booleans()):
+            twist = get_map(ring, "swap")
+        elif kind == "M2(Z2)":
+            units = [u for u in range(ring.size) if (ring.mul_table[u] == ring.one).any()]
+            twist = _inner_automorphism(ring, draw(st.sampled_from(units)))
+        sys = CommutationSystem(ring, SigmaFamily(ring, [twist]))
+        max_subset = 6
+    # degree 2 adds x^2 rows and mixed-degree pair blocks; it runs on
+    # smaller subsets to keep the engine sweep short
+    degree_bound = draw(st.sampled_from([1, 2] if sys.n == 1 else [1]))
+    if degree_bound == 2:
+        max_subset = 2
+    subset = draw(
+        st.lists(st.integers(1, ring.size - 1), min_size=1, max_size=max_subset, unique=True)
+    )
+    budget = SearchBudget(
+        degree_bound=degree_bound, subset=np.asarray(subset), subset_name="drawn"
+    )
+    return sys, budget
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_systems(), st.sampled_from([0, 1, 2]))
+def test_zero_product_search_matches_engine_oracle(drawn, mode):
+    sys, budget = drawn
+    assert kernel_sweep(sys, budget, mode) == engine_sweep(sys, budget, mode)
+
+
+@pytest.mark.parametrize("mode", [0, 1, 2])
+def test_generic_search_matches_engine_oracle_s_ring(mode):
+    sys = get_system("s-negate-b(Z2)")
+    assert not sys.ring.is_table_backed
+    budget = SearchBudget(
+        degree_bound=1,
+        subset=block_elementary_subset(sys.ring),
+        subset_name="block-elementary",
+    )
+    assert kernel_sweep(sys, budget, mode) == engine_sweep(sys, budget, mode)

@@ -1,7 +1,6 @@
 """Property deciders: exact verdicts, frozen witnesses, bounded searches."""
 import pytest
 
-from skewlab import kernels
 from skewlab.maps import SigmaFamily, identity_map
 from skewlab.properties import (
     NotEndomorphismTypeError,
@@ -23,9 +22,6 @@ from skewlab.properties import (
 from skewlab.rings import BudgetError, make_ideal, principal_right_set
 
 from conftest import get_map, get_ring, get_system
-
-BACKENDS = ["numba", "numpy"] if kernels.HAVE_NUMBA else ["numpy"]
-
 
 def id_family(ring):
     return SigmaFamily(ring, [identity_map(ring)])
@@ -261,21 +257,25 @@ def test_poly_is_nilpotent():
 
 
 def test_verdicts_identical_across_backends_and_runs():
+    # repeat runs must give identical records
     sys = get_system("untwisted(M2(Z2))")
-    records = []
-    for backend in BACKENDS + BACKENDS:
-        v = is_sigma_skew_armendariz(sys, SearchBudget(degree_bound=1), backend=backend)
-        records.append(v.to_record())
+    records = [
+        is_sigma_skew_armendariz(sys, SearchBudget(degree_bound=1)).to_record()
+        for _ in range(3)
+    ]
+    assert records[0]["status"] == "fails"
     assert all(r == records[0] for r in records)
 
 
 def test_weak_armendariz_backend_agreement():
+    # repeat runs must give identical records
     z6 = get_ring("Z6")
     recs = [
-        is_weak_armendariz(z6, SearchBudget(degree_bound=2), backend=b).to_record()
-        for b in BACKENDS
+        is_weak_armendariz(z6, SearchBudget(degree_bound=2)).to_record()
+        for _ in range(2)
     ]
-    assert all(r == recs[0] for r in recs)
+    assert recs[0]["status"] == "holds_up_to_bound"
+    assert recs[0] == recs[1]
 
 
 def test_to_record_field_order():
