@@ -228,6 +228,7 @@ def _parse_kv(rest: str, line: int, col: int) -> dict:
 
 # least accepted value of each integer search-budget option
 BUDGET_MIN = {"degree_bound": 0, "power_bound": 1, "pair_cap": 1}
+SUBSETS = ("full", "block-elementary")
 
 
 def _int_value(token: str, what: str, line: int = 0, col: int = 0, minimum=None) -> int:
@@ -531,6 +532,10 @@ def _resolve_spec(spec: SpecFile, pos: dict) -> None:
                 _int_value(v, k, ck.line, ck.col, BUDGET_MIN[k])
             elif k != "subset":
                 raise SpecError(f"unknown check option {k!r}", ck.line, ck.col)
+            elif v not in SUBSETS:
+                raise SpecError(
+                    f"subset must be one of {', '.join(SUBSETS)}, got {v!r}", ck.line, ck.col
+                )
     declared = {ck.name for ck in spec.checks}
     for name in spec.expects:
         if name not in CHECK_KINDS:
@@ -614,7 +619,7 @@ def _budget_from(ck: CheckRequest, spec: SpecFile, defaults: dict) -> SearchBudg
     kw = {**defaults, **{k: v for k, v in ck.kwargs.items()}}
     subset = None
     subset_name = "full"
-    if str(kw.get("subset", "full")) == "block-elementary":
+    if kw.get("subset") == "block-elementary":
         if not isinstance(spec.ring, SRing):
             raise SpecError(
                 "subset=block-elementary needs an S ring", ck.line, ck.col
@@ -854,6 +859,8 @@ def _reverify(rec: dict) -> tuple[bool, str]:
     check, wit = rec["check"], rec.get("witness") or {}
     if rec["status"] != "fails":
         return True, f"{check} on {rec['instance']}: status {rec['status']}, no witness to re-verify"
+    if "context" not in rec:
+        raise ValueError("the record has no `context` field to rebuild its instance from")
     sys_ = _rebuild_system(rec["context"])
     ring = sys_.ring
     if check == "reduced":
@@ -987,8 +994,6 @@ def _budget_flag(key: str):
 def _add_budget_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--degree-bound", type=_budget_flag("degree_bound"), default=None,
                    metavar="D", help="max f, g degree in zero-product searches")
-    p.add_argument("--power-bound", type=_budget_flag("power_bound"), default=None,
-                   metavar="K", help="max exponent when certifying nilpotent polynomials")
     p.add_argument("--budget", type=_budget_flag("pair_cap"), default=None,
                    metavar="N", help="max (f, g) pairs per search")
 
@@ -1006,6 +1011,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true", help="force NDJSON output")
     p.add_argument("--text", action="store_true", help="force text output")
     _add_budget_flags(p)
+    p.add_argument("--power-bound", type=_budget_flag("power_bound"), default=None,
+                   metavar="K", help="max exponent when certifying nilpotent polynomials")
     p.set_defaults(fn=cmd_check)
 
     p = sub.add_parser("verify-theorems", help="run the statement suite over the catalog")

@@ -60,7 +60,9 @@ class RingMap:
 
     @property
     def is_injective(self) -> bool:
-        return np.unique(self.table).size == self.ring.size
+        seen = np.zeros(self.ring.size, dtype=bool)
+        seen[self.table] = True
+        return bool(seen.all())
 
     def compose(self, other: "RingMap") -> "RingMap":
         """self after other: (self . other)(x) = self(other(x))."""
@@ -195,6 +197,7 @@ class SigmaFamily:
             if m.ring is not ring:
                 raise ValueError("family maps must share one ring")
         self.n = len(self.maps)
+        self._closure: list[RingMap] | None = None
 
     def __iter__(self):
         return iter(self.maps)
@@ -229,21 +232,25 @@ def orbit_closure(family: SigmaFamily, cap: int = DEFAULT_CLOSURE_CAP) -> list[R
     Breadth-first over words in the generators, so the returned order is
     canonical: by word length, then by generator index.  Covers every
     sigma^theta (and more, when the maps do not commute).  Raises
-    BudgetError past `cap` distinct maps.
+    BudgetError past `cap` distinct maps.  The closure is built once per
+    family; later calls return the stored list.
     """
     ring = family.ring
-    ident = identity_map(ring)
-    seen = {ident.key()}
-    out = [RingMap(ring, ident.table, "id")]
+    if family._closure is not None:
+        if len(family._closure) > cap:
+            raise BudgetError(f"composition closure exceeded cap {cap} on {ring.name}")
+        return family._closure
+    out = [identity_map(ring)]
+    seen = {out[0].key()}
     frontier = [out[0]]
     while frontier:
         nxt = []
         for w in frontier:
-            for i, gen in enumerate(family.maps):
+            for gen in family.maps:
                 comp = RingMap(
                     ring,
                     w.table[gen.table],
-                    gen.name if w.is_identity else f"{w.name}*{gen.name}",
+                    gen.name if w is out[0] else f"{w.name}*{gen.name}",
                 )
                 k = comp.key()
                 if k not in seen:
@@ -255,4 +262,5 @@ def orbit_closure(family: SigmaFamily, cap: int = DEFAULT_CLOSURE_CAP) -> list[R
                             f"composition closure exceeded cap {cap} on {ring.name}"
                         )
         frontier = nxt
+    family._closure = out
     return out

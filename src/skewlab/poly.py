@@ -562,28 +562,23 @@ class PbwReport:
         return not self.failures
 
 
-def verify_pbw_axioms(
-    sys: CommutationSystem,
-    r_cap: int = DEFAULT_R_SWEEP_CAP,
-    samples: int = DEFAULT_R_SAMPLES,
-    seed: int = 0,
-) -> PbwReport:
+def verify_pbw_axioms(sys: CommutationSystem) -> PbwReport:
     """Check the defining axioms of a skew extension.
 
     Per-map laws (endomorphism, twisted Leibniz) were already verified
     when the maps were built; here we check injectivity of each twist,
     nonzero leading coefficients c_ij, and confluence of the rewrite
     rules: both association orders of x_j * (x_i * r) for i < j over all
-    (or sampled) r, and of the variable triples x_k * x_j * x_i.
+    (or, above DEFAULT_R_SWEEP_CAP elements, DEFAULT_R_SAMPLES seeded
+    samples of) r, and of the variable triples x_k * x_j * x_i.
     """
     ring = sys.ring
-    exhaustive = ring.size <= r_cap
-    if exhaustive:
+    if ring.size <= DEFAULT_R_SWEEP_CAP:
         r_values = range(ring.size)
         mode = "exhaustive-r"
     else:
-        rng = np.random.default_rng(seed)
-        r_values = [int(v) for v in rng.integers(0, ring.size, size=samples)]
+        rng = np.random.default_rng(0)
+        r_values = [int(v) for v in rng.integers(0, ring.size, size=DEFAULT_R_SAMPLES)]
         mode = "sampled-r"
     rep = PbwReport(sys.name, mode)
     for i, m in enumerate(sys.sigma.maps):
@@ -638,8 +633,8 @@ def verify_pbw_axioms(
     return rep
 
 
-def require_pbw(sys: CommutationSystem, **kwargs) -> PbwReport:
-    rep = verify_pbw_axioms(sys, **kwargs)
+def require_pbw(sys: CommutationSystem) -> PbwReport:
+    rep = verify_pbw_axioms(sys)
     if not rep.ok:
         raise PbwAxiomError(rep)
     return rep

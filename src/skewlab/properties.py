@@ -14,6 +14,7 @@ g index) over the enumerated coefficient vectors.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -102,14 +103,9 @@ def _first_bad_element(ring: FiniteRing, maps: list[RingMap], bad_for_map) -> tu
     return best
 
 
-def is_sigma_rigid(
-    ring: FiniteRing,
-    family: SigmaFamily,
-    instance: str = "",
-    closure_cap: int = 4096,
-) -> PropertyVerdict:
+def is_sigma_rigid(ring: FiniteRing, family: SigmaFamily, instance: str = "") -> PropertyVerdict:
     """r sigma^theta(r) = 0 forces r = 0, for every iterated twist."""
-    maps = orbit_closure(family, cap=closure_cap)
+    maps = orbit_closure(family)
     zero = ring.zero
 
     def bad_for_map(m, x):
@@ -134,14 +130,9 @@ def is_sigma_rigid(
     return PropertyVerdict("sigma_rigid", name, "fails", witness=witness)
 
 
-def is_weak_sigma_rigid(
-    ring: FiniteRing,
-    family: SigmaFamily,
-    instance: str = "",
-    closure_cap: int = 4096,
-) -> PropertyVerdict:
+def is_weak_sigma_rigid(ring: FiniteRing, family: SigmaFamily, instance: str = "") -> PropertyVerdict:
     """a sigma^theta(a) nilpotent exactly when a is, for every iterated twist."""
-    maps = orbit_closure(family, cap=closure_cap)
+    maps = orbit_closure(family)
     nil = ring.nil_mask()
 
     def bad_for_map(m, x):
@@ -173,10 +164,9 @@ def is_weak_sigma_rigid_ideal(
     family: SigmaFamily,
     ideal: SubsetIdeal,
     instance: str = "",
-    closure_cap: int = 4096,
 ) -> PropertyVerdict:
     """The weak rigidity biconditional restricted to elements of an ideal."""
-    maps = orbit_closure(family, cap=closure_cap)
+    maps = orbit_closure(family)
     nil = ring.nil_mask()
     elems = np.asarray(ideal.elements, dtype=np.int64)
     best = None
@@ -423,14 +413,10 @@ def _poly_pairs_engine(sys: CommutationSystem, exps, budget: SearchBudget):
     ring = sys.ring
     polys, deg_starts = _enumerate_polys(ring, exps, budget)
     nblocks = deg_starts.shape[0] - 1
-    cache: dict[int, SkewPoly] = {}
 
+    @functools.cache
     def poly_at(r: int) -> SkewPoly:
-        p = cache.get(r)
-        if p is None:
-            p = _row_poly(sys, exps, polys[r])
-            cache[r] = p
-        return p
+        return _row_poly(sys, exps, polys[r])
 
     for df in range(nblocks):
         for dg in range(nblocks):

@@ -6,12 +6,15 @@ dense numpy Cayley tables; the block upper-triangular construction S
 structurally.  All add/mul/neg methods accept plain ints or numpy index
 arrays and broadcast.
 
-Ring axioms are checked on construction: exhaustively for small
-carriers, by seeded sampling above `exhaustive_cap`.
+Ring axioms are checked on construction: exhaustively for table rings
+up to DEFAULT_EXHAUSTIVE_CAP elements, by seeded sampling otherwise.
+Invariants computed by a full carrier sweep (nil mask, idempotents) are
+stored on the ring, read-only, at first use.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -71,6 +74,7 @@ class FiniteRing:
 
     def __init__(self):
         self._nil_mask: np.ndarray | None = None
+        self._idempotents: np.ndarray | None = None
         self.law_report: LawReport | None = None
 
     # arithmetic ------------------------------------------------------
@@ -144,9 +148,6 @@ class TableRing(FiniteRing):
         mul_table: np.ndarray,
         one: int,
         names: list[str],
-        exhaustive_cap: int = DEFAULT_EXHAUSTIVE_CAP,
-        samples: int = DEFAULT_SAMPLES,
-        seed: int = 0,
     ):
         super().__init__()
         self.name = name
@@ -167,9 +168,7 @@ class TableRing(FiniteRing):
         self._index = {s: i for i, s in enumerate(self.names)}
         if len(self._index) != self.size:
             raise ValueError(f"{name}: element names are not unique")
-        self.law_report = verify_ring_laws(
-            self, exhaustive_cap=exhaustive_cap, samples=samples, seed=seed
-        )
+        self.law_report = verify_ring_laws(self)
         if not self.law_report.ok:
             law, witness = self.law_report.violation
             raise RingConstructionError(name, law, witness)
@@ -183,13 +182,9 @@ class TableRing(FiniteRing):
     def neg(self, a):
         return _scalar(self._neg_table[a])
 
-    @property
+    @cached_property
     def _neg_table(self) -> np.ndarray:
-        tab = getattr(self, "_neg_cache", None)
-        if tab is None:
-            tab = np.argmax(self.add_table == self.zero, axis=1).astype(np.int32)
-            self._neg_cache = tab
-        return tab
+        return np.argmax(self.add_table == self.zero, axis=1).astype(np.int32)
 
     def element_name(self, a: int) -> str:
         return self.names[a]
@@ -217,14 +212,14 @@ class SRing(FiniteRing):
     is nilpotent exactly when both diagonal blocks are.
     """
 
-    def __init__(self, block_ring: TableRing, name: str, seed: int = 0):
+    def __init__(self, block_ring: TableRing, name: str):
         super().__init__()
         self.block = block_ring
         self.bsize = block_ring.size
         self.size = self.bsize**3
         self.name = name
         self.one = self.encode(block_ring.one, 0, block_ring.one)
-        self.law_report = verify_ring_laws(self, seed=seed)
+        self.law_report = verify_ring_laws(self)
         if not self.law_report.ok:
             law, witness = self.law_report.violation
             raise RingConstructionError(name, law, witness)
@@ -311,14 +306,10 @@ def _first_bad(mask: np.ndarray):
 
 
 def verify_ring_laws(
-    ring: FiniteRing,
-    exhaustive_cap: int = DEFAULT_EXHAUSTIVE_CAP,
-    samples: int = DEFAULT_SAMPLES,
-    seed: int = 0,
+    ring: FiniteRing, samples: int = DEFAULT_SAMPLES, seed: int = 0
 ) -> LawReport:
     """Check the ring axioms; exhaustive when the carrier is small."""
-    n = ring.size
-    if ring.is_table_backed and n <= exhaustive_cap:
+    if ring.is_table_backed and ring.size <= DEFAULT_EXHAUSTIVE_CAP:
         return _verify_exhaustive_tables(ring)
     return _verify_sampled(ring, samples, seed)
 
@@ -453,18 +444,17 @@ def nil_mask_cycle_detect(ring: FiniteRing, cap: int = 1 << 14) -> np.ndarray:
     return out
 
 
-def power_trajectory(ring: FiniteRing, a: int, cap: int | None = None):
+def power_trajectory(ring: FiniteRing, a: int):
     """Powers a, a^2, ... up to the first repeat or first zero.
 
     Returns (powers, reaches_zero).  If reaches_zero is False the list
     ends just before the power that closed a cycle, certifying that no
     power of a is ever zero.
     """
-    limit = ring.size if cap is None else cap
     seen = {}
     powers = []
     p = int(a)
-    for _ in range(limit + 1):
+    for _ in range(ring.size + 1):
         if p == ring.zero:
             powers.append(p)
             return powers, True
@@ -518,13 +508,15 @@ def is_ni(ring: FiniteRing) -> bool:
 
 
 def idempotents(ring: FiniteRing) -> np.ndarray:
-    """Ascending indices of elements with e*e = e."""
-    out = []
-    for lo in range(0, ring.size, _CHUNK):
-        x = np.arange(lo, min(lo + _CHUNK, ring.size))
-        hit = ring.mul(x, x) == x
-        out.append(x[hit])
-    return np.concatenate(out).astype(np.int64)
+    """Ascending indices of elements with e*e = e; swept once per ring."""
+    if ring._idempotents is None:
+        out = []
+        for lo in range(0, ring.size, _CHUNK):
+            x = np.arange(lo, min(lo + _CHUNK, ring.size))
+            out.append(x[ring.mul(x, x) == x])
+        ring._idempotents = np.concatenate(out).astype(np.int64)
+        ring._idempotents.setflags(write=False)
+    return ring._idempotents
 
 
 def noncommuting_witness(ring: FiniteRing, a: int):
@@ -603,13 +595,9 @@ class SubsetIdeal:
     def __contains__(self, a: int) -> bool:
         return int(a) in self._set
 
-    @property
-    def _set(self):
-        s = getattr(self, "_set_cache", None)
-        if s is None:
-            s = frozenset(self.elements)
-            object.__setattr__(self, "_set_cache", s)
-        return s
+    @cached_property
+    def _set(self) -> frozenset:
+        return frozenset(self.elements)
 
 
 class NotAnIdealError(RingError):

@@ -9,6 +9,7 @@ exhaustive or bounded sweep, which no catalog instance should produce.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -99,10 +100,33 @@ DEFAULT_ENTRIES: list[CatalogEntry] = [
 
 @dataclass
 class EntryContext:
+    """One resolved catalog entry; its verdicts are computed at first use."""
+
     entry: CatalogEntry
     ring: FiniteRing
     family: SigmaFamily
     system: CommutationSystem
+
+    @cached_property
+    def rigid(self) -> PropertyVerdict:
+        return is_sigma_rigid(self.ring, self.family, instance=self.entry.name)
+
+    @cached_property
+    def weak(self) -> PropertyVerdict:
+        return is_weak_sigma_rigid(self.ring, self.family, instance=self.entry.name)
+
+    @cached_property
+    def flags(self) -> dict:
+        """The classification flags the catalog entry declares."""
+        # both rigidity verdicts first: the sweep order sets peak memory
+        rigid, weak = self.rigid, self.weak
+        return {
+            "reduced": is_reduced(self.ring),
+            "ni": is_ni(self.ring),
+            "abelian": is_abelian(self.ring),
+            "sigma_rigid": rigid.holds,
+            "weak_sigma_rigid": weak.holds,
+        }
 
 
 _ctx_cache: dict[str, EntryContext] = {}
@@ -148,30 +172,9 @@ class TheoremReport:
         }
 
 
-def _flags(ctx: EntryContext) -> dict:
-    key = "_flags_" + ctx.entry.name
-    got = _ctx_cache.get(key)
-    if got is not None:
-        return got  # type: ignore[return-value]
-    rigid = is_sigma_rigid(ctx.ring, ctx.family, instance=ctx.entry.name)
-    weak = is_weak_sigma_rigid(ctx.ring, ctx.family, instance=ctx.entry.name)
-    flags = {
-        "reduced": is_reduced(ctx.ring),
-        "ni": is_ni(ctx.ring),
-        "abelian": is_abelian(ctx.ring),
-        "sigma_rigid": rigid.holds,
-        "weak_sigma_rigid": weak.holds,
-        "_rigid_verdict": rigid,
-        "_weak_verdict": weak,
-    }
-    _ctx_cache[key] = flags  # type: ignore[assignment]
-    return flags
-
-
 def check_catalog_flags(ctx: EntryContext) -> TheoremReport:
     """Computed classification flags must match the catalog expectations."""
-    flags = _flags(ctx)
-    computed = {k: v for k, v in flags.items() if not k.startswith("_")}
+    computed = dict(ctx.flags)
     mismatches = {
         k: {"expected": ctx.entry.expected[k], "computed": computed[k]}
         for k in ctx.entry.expected
@@ -187,7 +190,7 @@ def check_catalog_flags(ctx: EntryContext) -> TheoremReport:
 
 def check_rigid_iff_weak_reduced(ctx: EntryContext) -> TheoremReport:
     """Rigid exactly when weak rigid and reduced, on every instance."""
-    flags = _flags(ctx)
+    flags = ctx.flags
     lhs = flags["sigma_rigid"]
     rhs = flags["weak_sigma_rigid"] and flags["reduced"]
     details = {
@@ -195,12 +198,10 @@ def check_rigid_iff_weak_reduced(ctx: EntryContext) -> TheoremReport:
         "weak_sigma_rigid": flags["weak_sigma_rigid"],
         "reduced": flags["reduced"],
     }
-    rv: PropertyVerdict = flags["_rigid_verdict"]
-    wv: PropertyVerdict = flags["_weak_verdict"]
-    if rv.witness:
-        details["rigid_witness"] = rv.witness
-    if wv.witness:
-        details["weak_witness"] = wv.witness
+    if ctx.rigid.witness:
+        details["rigid_witness"] = ctx.rigid.witness
+    if ctx.weak.witness:
+        details["weak_witness"] = ctx.weak.witness
     return TheoremReport(
         "rigid_iff_weak_reduced",
         ctx.entry.name,
@@ -216,7 +217,7 @@ def check_nil_transfer(ctx: EntryContext) -> TheoremReport:
     (3) a*m(b) nil => ab, ba nil; swept over all pairs and all closure
     maps m.
     """
-    flags = _flags(ctx)
+    flags = ctx.flags
     gate = {"ni": flags["ni"], "weak_sigma_rigid": flags["weak_sigma_rigid"]}
     if not all(gate.values()):
         missing = [k for k, v in gate.items() if not v]
@@ -262,40 +263,32 @@ def check_nil_transfer(ctx: EntryContext) -> TheoremReport:
     )
 
 
+def _first_moved(ctx: EntryContext, elems: list[int]) -> dict | None:
+    """The first e in `elems` (then family map m) with m(e) != e, named; else None."""
+    name = ctx.ring.element_name
+    for e in elems:
+        for m in ctx.family.maps:
+            if int(m(e)) != e:
+                return {"e": name(e), "map": m.name, "image": name(int(m(e)))}
+    return None
+
+
 def check_idempotent_fixed(ctx: EntryContext) -> TheoremReport:
     """NI + weak rigid force every twist to fix central idempotents."""
-    flags = _flags(ctx)
-    ring = ctx.ring
+    flags = ctx.flags
     gate = {"ni": flags["ni"], "weak_sigma_rigid": flags["weak_sigma_rigid"]}
-    central = [int(e) for e in central_idempotents(ring)]
+    central = [int(e) for e in central_idempotents(ctx.ring)]
+    moved = _first_moved(ctx, central)
     if not all(gate.values()):
         missing = [k for k, v in gate.items() if not v]
         details: dict = {"failed_hypotheses": missing}
         # when the gate fails a twist may genuinely move a central
         # idempotent; record the first one as evidence
-        for e in central:
-            for m in ctx.family.maps:
-                if int(m(e)) != e:
-                    details["moved_central_idempotent"] = {
-                        "e": ring.element_name(e),
-                        "map": m.name,
-                        "image": ring.element_name(int(m(e))),
-                    }
-                    break
-            if "moved_central_idempotent" in details:
-                break
+        if moved is not None:
+            details["moved_central_idempotent"] = moved
         return TheoremReport("idempotent_fixed", ctx.entry.name, "vacuous", details)
-    for e in central:
-        for m in ctx.family.maps:
-            if int(m(e)) != e:
-                return TheoremReport(
-                    "idempotent_fixed", ctx.entry.name, "fail",
-                    {
-                        "e": ring.element_name(e),
-                        "map": m.name,
-                        "image": ring.element_name(int(m(e))),
-                    },
-                )
+    if moved is not None:
+        return TheoremReport("idempotent_fixed", ctx.entry.name, "fail", moved)
     return TheoremReport(
         "idempotent_fixed", ctx.entry.name, "pass",
         {"central_idempotents": len(central), "maps": len(ctx.family.maps)},
@@ -313,7 +306,7 @@ def check_ideal_decomposition(ctx: EntryContext, mode: str = "fixed") -> Theorem
     """
     if mode not in ("fixed", "literal"):
         raise ValueError("mode must be 'fixed' or 'literal'")
-    flags = _flags(ctx)
+    flags = ctx.flags
     ring = ctx.ring
     if mode == "literal":
         # sigma_i(1) = 1 for every unital endomorphism, so the literal
@@ -338,22 +331,17 @@ def check_ideal_decomposition(ctx: EntryContext, mode: str = "fixed") -> Theorem
              "abelian_witness": abelian_failure(ring)},
         )
     idems = [int(e) for e in idempotents(ring)]
-    for e in idems:
-        for m in ctx.family.maps:
-            img = int(m(e))
-            if img != e:
-                details = {
-                    "mode": mode,
-                    "failed_hypotheses": ["idempotent_condition[fixed]"],
-                    "unsatisfiable_at": ring.element_name(e),
-                    "reason": (
-                        f"sigma({ring.element_name(e)}) = "
-                        f"{ring.element_name(img)} != {ring.element_name(e)}"
-                    ),
-                }
-                return TheoremReport(
-                    "ideal_decomposition", ctx.entry.name, "vacuous", details
-                )
+    moved = _first_moved(ctx, idems)
+    if moved is not None:
+        return TheoremReport(
+            "ideal_decomposition", ctx.entry.name, "vacuous",
+            {
+                "mode": mode,
+                "failed_hypotheses": ["idempotent_condition[fixed]"],
+                "unsatisfiable_at": moved["e"],
+                "reason": f"sigma({moved['e']}) = {moved['image']} != {moved['e']}",
+            },
+        )
     # hypothesis satisfied; assert (1) <=> (2) over every idempotent
     lhs = flags["weak_sigma_rigid"]
     per_e = {}
@@ -405,7 +393,7 @@ def check_weak_armendariz_implication(
     failing hypothesis and the conclusion also fails, the witness is
     recorded: the instance shows the NI hypothesis is essential.
     """
-    flags = _flags(ctx)
+    flags = ctx.flags
     sys = ctx.system
     gate = {
         "ni": flags["ni"],
@@ -455,8 +443,7 @@ def reproduce_counterexamples(pair_cap: int = 50_000_000) -> list[TheoremReport]
     out = []
     # upper-triangular R3: weak rigid, not rigid
     r3 = resolve(entry_by_name("R3(Z2)/id"))
-    weak = is_weak_sigma_rigid(r3.ring, r3.family, instance=r3.entry.name)
-    rigid = is_sigma_rigid(r3.ring, r3.family, instance=r3.entry.name)
+    weak, rigid = r3.weak, r3.rigid
     ok = weak.holds and rigid.fails
     out.append(
         TheoremReport(
@@ -472,7 +459,7 @@ def reproduce_counterexamples(pair_cap: int = 50_000_000) -> list[TheoremReport]
     )
     # block ring S: weak rigid, not weak twisted Armendariz
     s = resolve(entry_by_name("S(Z3)/negate-B"))
-    weak_s = is_weak_sigma_rigid(s.ring, s.family, instance=s.entry.name)
+    weak_s = s.weak
     budget = _counterexample_budget(s.ring, 1, pair_cap)
     arm = is_weak_sigma_skew_armendariz(s.system, budget, instance=s.entry.name)
     details: dict = {

@@ -140,8 +140,10 @@ def test_zero_commutation_coefficient_rejected(tmp_path, capsys):
     ("check weak_armendariz degree_bound=abc\n", 2, "degree_bound must be an integer, got 'abc'"),
     ("check skew_pi_armendariz power_bound=0\n", 2, "power_bound must be >= 1, got 0"),
     ("check weak_armendariz pair_cap=lots\n", 2, "pair_cap must be an integer, got 'lots'"),
+    ("check weak_armendariz degree_bound=1 subset=bogus\n", 2,
+     "subset must be one of full, block-elementary, got 'bogus'"),
 ], ids=["c-range", "d-range", "d-not-list", "degree-negative", "degree-not-int",
-        "power-zero", "pair-cap-not-int"])
+        "power-zero", "pair-cap-not-int", "subset-unknown"])
 def test_bad_spec_numbers_exit_2(tmp_path, capsys, body, line, fragment):
     path = write(tmp_path, "bad.spec", "ring Z3\n" + body)
     code, out, err = run_cli(capsys, "check", path)
@@ -380,6 +382,21 @@ def test_explain_theorem_records(tmp_path, capsys):
     assert all(r["verified"] for r in rows)
 
 
+def test_explain_record_without_context(tmp_path, capsys):
+    path = write(tmp_path, "z4.spec", "ring Z4\ncheck reduced\n")
+    _, out, _ = run_cli(capsys, "check", path, "--json")
+    rec = json.loads(out.splitlines()[0])
+    assert rec["status"] == "fails"
+    del rec["context"]
+    ndjson = write(tmp_path, "bare.ndjson", json.dumps(rec) + "\n")
+    code, out, err = run_cli(capsys, "explain", ndjson)
+    assert code == 1
+    assert out == (
+        "[BAD] record at line 1: cannot re-verify: the record has no `context` "
+        "field to rebuild its instance from\n"
+    )
+
+
 def test_explain_empty_file(tmp_path, capsys):
     ndjson = write(tmp_path, "empty.ndjson", "\n")
     code, out, err = run_cli(capsys, "explain", ndjson)
@@ -397,9 +414,11 @@ def test_version_flag(capsys):
 
 
 def test_invalid_backend_rejected(capsys):
-    # options the parser does not know are usage errors
-    for flag in (["--backend", "cuda"], ["--seed", "1"]):
+    # options the parser does not know are usage errors; --power-bound
+    # bounds the searches of `check` only
+    for argv in (["check", "x.spec", "--backend", "cuda"], ["check", "x.spec", "--seed", "1"],
+                 ["verify-theorems", "--power-bound", "1"]):
         with pytest.raises(SystemExit) as e:
-            main(["check", "x.spec", *flag])
+            main(argv)
         assert e.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err

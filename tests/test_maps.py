@@ -13,7 +13,13 @@ from skewlab.maps import (
     verify_sigma_derivation,
     zero_derivation,
 )
-from skewlab.rings import BudgetError, make_zn
+from skewlab.rings import (
+    BudgetError,
+    abelian_failure,
+    central_idempotents,
+    idempotents,
+    make_zn,
+)
 
 from conftest import get_map, get_ring
 
@@ -133,6 +139,27 @@ def test_orbit_closure_cap():
     fam = SigmaFamily(r, [get_map(r, "swap")])
     with pytest.raises(BudgetError):
         orbit_closure(fam, cap=1)
+
+
+def test_invariants_stored_once():
+    # idempotents are swept once per ring and shared read-only
+    r = make_zn(6)
+    idem = idempotents(r)
+    assert idempotents(r) is idem
+    assert not idem.flags.writeable
+    with pytest.raises(ValueError):
+        idem[0] = 1
+    central_idempotents(r)
+    abelian_failure(r)
+    assert idempotents(r) is idem
+    # the orbit closure is built once per family; the cap still applies
+    z = get_ring("Z2xZ2")
+    fam = SigmaFamily(z, [get_map(z, "swap")])
+    closure = orbit_closure(fam)
+    assert orbit_closure(fam) is closure and len(closure) == 2
+    with pytest.raises(BudgetError):
+        orbit_closure(fam, cap=1)
+    assert orbit_closure(fam, cap=2) is closure
 
 
 def test_family_rejects_foreign_map():

@@ -91,6 +91,26 @@ def test_catalog_flags_detect_wrong_expectation():
     }
 
 
+def test_entry_verdicts_computed_once(monkeypatch):
+    import skewlab.theorems as T
+
+    calls = Counter()
+    for name in ("is_sigma_rigid", "is_weak_sigma_rigid"):
+        def counted(*args, _fn=getattr(T, name), _name=name, **kw):
+            calls[_name] += 1
+            return _fn(*args, **kw)
+
+        monkeypatch.setattr(T, name, counted)
+    cached = resolve(entry_by_name("Z4/id"))
+    ctx = type(cached)(cached.entry, cached.ring, cached.family, cached.system)
+    for check in (check_catalog_flags, check_rigid_iff_weak_reduced, check_nil_transfer,
+                  check_idempotent_fixed, check_ideal_decomposition):
+        assert check(ctx).status == by(check.__name__.removeprefix("check_"), "Z4/id").status
+    assert calls == {"is_sigma_rigid": 1, "is_weak_sigma_rigid": 1}
+    assert ctx.flags is ctx.flags and ctx.rigid is ctx.rigid and ctx.weak is ctx.weak
+    assert list(ctx.flags) == ["reduced", "ni", "abelian", "sigma_rigid", "weak_sigma_rigid"]
+
+
 def test_rigid_iff_weak_reduced_all_pass():
     for e in DEFAULT_ENTRIES:
         r = by("rigid_iff_weak_reduced", e.name)
