@@ -54,6 +54,9 @@ from .maps import (
 )
 from .poly import CommutationSystem, PbwAxiomError, SkewPoly, require_pbw
 from .properties import (
+    DEFAULT_DEGREE_BOUND,
+    DEFAULT_PAIR_CAP,
+    DEFAULT_POWER_BOUND,
     PropertyVerdict,
     SearchBudget,
     block_elementary_subset,
@@ -549,8 +552,10 @@ def _resolve_spec(spec: SpecFile, pos: dict) -> None:
 # ---------------------------------------------------------------------------
 # running checks
 
-# kind: ring (bare ring flag), family (twist family), system (endomorphism
-# type zero-product search), system_any (engine-driven search, deltas ok)
+# kind: ring (bare ring flag), family (twist family), budget_ring (untwisted
+# zero-product search), system (endomorphism-type zero-product search),
+# system_any (zero-product search that allows derivations); every search
+# kind runs the one pair sweep in kernels.py
 CHECK_KINDS = {
     "reduced": "ring",
     "ni": "ring",
@@ -632,9 +637,9 @@ def _budget_from(ck: CheckRequest, spec: SpecFile, defaults: dict) -> SearchBudg
         subset = block_elementary_subset(spec.ring)
         subset_name = "block-elementary"
     return SearchBudget(
-        degree_bound=int(kw.get("degree_bound", 2)),
-        power_bound=int(kw.get("power_bound", 4)),
-        pair_cap=int(kw.get("pair_cap", 50_000_000)),
+        degree_bound=int(kw.get("degree_bound", DEFAULT_DEGREE_BOUND)),
+        power_bound=int(kw.get("power_bound", DEFAULT_POWER_BOUND)),
+        pair_cap=int(kw.get("pair_cap", DEFAULT_PAIR_CAP)),
         subset=subset,
         subset_name=subset_name,
     )
@@ -760,8 +765,10 @@ def cmd_verify_theorems(args) -> int:
     try:
         reports = theorem_suite.run_all(
             instance=args.instance,
-            degree_bound=args.degree_bound if args.degree_bound is not None else 2,
-            pair_cap=args.budget if args.budget is not None else 50_000_000,
+            degree_bound=(
+                args.degree_bound if args.degree_bound is not None else DEFAULT_DEGREE_BOUND
+            ),
+            pair_cap=args.budget if args.budget is not None else DEFAULT_PAIR_CAP,
             ideal_mode=args.ideal_mode,
         )
     except KeyError as e:

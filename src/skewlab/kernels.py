@@ -7,7 +7,8 @@ returned.
 Table kernels take dense Cayley tables (int32, shape (n, n)).  The
 zero-product search is one sweep over any pair of vectorized add/mul
 operations: table gathers for tabulated rings, or a ring's own add/mul
-for rings too large to tabulate.
+for rings too large to tabulate.  Move-past constants carry the twists
+and derivations, so the same sweep serves every zero-product property.
 """
 from __future__ import annotations
 
@@ -80,52 +81,94 @@ def nilpotent_mask(mul: np.ndarray, zero: int) -> np.ndarray:
 # polys: (P, M) int32, rows = coefficient vectors over the monomial list,
 #   sorted by (degree, enumeration index), column 0 = constant monomial.
 # deg_starts: (D+2,) row offsets of the degree blocks.
-# sig: (M, n_ring) int32, sig[i] = table of the map twisting column i.
+# moves: move-past constants [(i, k, table)], x^{alpha_i} * b =
+#   sum_k table[b] * x^{alpha_k}; without derivations (i, i, sigma^{alpha_i}).
 # stc: (M, M, G) int32 structure constants: x^{alpha_i} * x^{alpha_j} =
 #   sum_g stc[i,j,g] * x^{gamma_g} over the product monomial list.
-# mode: 0 = products must be nilpotent, 1 = products must be zero,
-#   2 = only row i = 0 products must be zero.
+# mode: what each coefficient pair (i, j) of a selected pair must meet:
+#   0 = a_i sigma^(alpha_i)(b_j) nilpotent, 1 = it is zero, 2 = it is zero
+#   for i = 0, 3 = (a_i x^alpha_i)(b_j x^alpha_j) = 0, 4 = a_i b_j nilpotent.
+# keep: None selects the pairs with fg = 0; else keep(row of fg) decides,
+#   asked in pair order and never about a row first seen after the witness.
 #
-# Returns (witness, pairs_checked, zero_products); witness is
-# (fi, gi, i, j) or None.  Counters cover the pairs enumerated up to and
-# including the witness pair, in (deg f, deg g, f, g) order.
+# Returns (witness, pairs_checked, selected); witness is (fi, gi, i, j)
+# or None.  Counters cover the pairs enumerated up to and including the
+# witness pair, in (deg f, deg g, f, g) order.
 
 
-def _zero_products(add, mul, F, B, sig, stc, zero):
-    """Mask over F x B of the pairs whose product fg is zero."""
-    M, G = stc.shape[0], stc.shape[2]
-    acc = np.full((G, F.shape[0], B.shape[0]), zero, dtype=F.dtype)
-    for i in range(M):
+def _add_term(add, mul, acc, a, b, j, row_moves, stc, zero):
+    """acc[g] += coefficients of (a x^alpha_i)(b x^alpha_j), i owning row_moves."""
+    for k, tab in row_moves:
+        t = mul(a, tab[b])
+        for g in range(stc.shape[2]):
+            s = int(stc[k, j, g])
+            if s != zero:
+                acc[g] = add(acc[g], mul(t, s))
+
+
+def _products(add, mul, F, B, moves, stc, zero):
+    """acc[g, f * len(B) + b]: coefficient g of the product F[f] * B[b]."""
+    acc = np.full((stc.shape[2], F.shape[0], B.shape[0]), zero, dtype=F.dtype)
+    for i, row_moves in enumerate(moves):
         fcol = F[:, i]
         if not (fcol != zero).any():
             continue
-        for j in range(M):
-            t = mul(fcol[:, None], sig[i][B[:, j]][None, :])
-            for g in range(G):
-                s = int(stc[i, j, g])
-                if s != zero:
-                    acc[g] = add(acc[g], mul(t, s))
-    return (acc == zero).all(axis=0)
+        for j in range(F.shape[1]):
+            _add_term(add, mul, acc, fcol[:, None], B[:, j][None, :], j, row_moves, stc, zero)
+    return acc.reshape(acc.shape[0], -1)
 
 
-def _violations(mul, F, B, sig, nil_mask, zero, mode):
-    """bad[k, i, j]: a_i sigma^(alpha_i)(b_j) of pair (F[k], B[k]) breaks `mode`."""
+def _violations(add, mul, F, B, moves, stc, nil_mask, zero, mode):
+    """bad[k, i, j]: coefficient pair (i, j) of pair (F[k], B[k]) breaks `mode`."""
     M = F.shape[1]
     rows = 1 if mode == 2 else M
     bad = np.empty((F.shape[0], rows, M), dtype=bool)
     for i in range(rows):
         for j in range(M):
-            p = mul(F[:, i], sig[i][B[:, j]])
-            bad[:, i, j] = ~nil_mask[p] if mode == 0 else p != zero
+            a, b = F[:, i], B[:, j]
+            if mode == 3:
+                acc = np.full((stc.shape[2], a.shape[0]), zero, dtype=F.dtype)
+                _add_term(add, mul, acc, a, b, j, moves[i], stc, zero)
+                bad[:, i, j] = (acc != zero).any(axis=0)
+            elif mode == 4:
+                bad[:, i, j] = ~nil_mask[mul(a, b)]
+            else:
+                ((_, tab),) = moves[i]
+                p = mul(a, tab[b])
+                bad[:, i, j] = ~nil_mask[p] if mode == 0 else p != zero
     return bad
 
 
-def _sweep(add, mul, polys, deg_starts, sig, stc, nil_mask, zero, mode):
-    """Scan poly pairs for fg = 0 with a coefficient product breaking `mode`."""
+def _kept(rows, hit, keep):
+    """Mask of the pairs whose product row passes `keep`, up to the first kept hit.
+
+    Pairs after that one read False: their rows are not asked about
+    unless an earlier pair shares them.
+    """
+    uniq, first, inv = np.unique(rows, axis=0, return_index=True, return_inverse=True)
+    inv = inv.reshape(-1)
+    first_hit = np.full(uniq.shape[0], rows.shape[0])
+    at = np.flatnonzero(hit)
+    np.minimum.at(first_hit, inv[at], at)
+    ok = np.zeros(uniq.shape[0], dtype=bool)
+    stop = rows.shape[0]
+    for u in np.argsort(first):
+        if first[u] > stop:
+            break
+        if keep(uniq[u]):
+            ok[u] = True
+            stop = min(stop, int(first_hit[u]))
+    sel = ok[inv]
+    sel[stop + 1 :] = False
+    return sel
+
+
+def _sweep(add, mul, polys, deg_starts, moves, stc, nil_mask, zero, mode, keep=None):
+    """Scan poly pairs for a selected fg with a coefficient pair breaking `mode`."""
     nblocks = deg_starts.shape[0] - 1
     M = polys.shape[1]
-    pairs = 0
-    zeros = 0
+    by_row = [[(k, tab) for i2, k, tab in moves if i2 == i] for i in range(M)]
+    pairs = selected = 0
     for df in range(nblocks):
         f0, f1 = int(deg_starts[df]), int(deg_starts[df + 1])
         for dg in range(nblocks):
@@ -137,48 +180,47 @@ def _sweep(add, mul, polys, deg_starts, sig, stc, nil_mask, zero, mode):
             step = max(1, _CHUNK_ELEMS // ng)
             for fc in range(f0, f1, step):
                 F = polys[fc : min(fc + step, f1)]
-                zr, zc = np.nonzero(_zero_products(add, mul, F, B, sig, stc, zero))
-                bad = _violations(mul, F[zr], B[zc], sig, nil_mask, zero, mode)
+                fg = _products(add, mul, F, B, by_row, stc, zero)
+                if keep is None:
+                    cand = np.flatnonzero((fg == zero).all(axis=0))
+                else:
+                    cand = np.arange(fg.shape[1])
+                bad = _violations(
+                    add, mul, F[cand // ng], B[cand % ng], by_row, stc, nil_mask, zero, mode
+                )
                 hit = bad.any(axis=(1, 2))
+                if keep is not None:
+                    sel = _kept(fg.T, hit, keep)
+                    cand, bad, hit = cand[sel], bad[sel], hit[sel]
+                del fg  # one product block alive at a time
                 if hit.any():
                     k = int(np.argmax(hit))
                     i, j = divmod(int(np.argmax(bad[k])), M)
-                    fl, gl = int(zr[k]), int(zc[k])
+                    fl, gl = divmod(int(cand[k]), ng)
                     witness = (fc + fl, g0 + gl, i, j)
-                    return witness, pairs + fl * ng + gl + 1, zeros + k + 1
+                    return witness, pairs + fl * ng + gl + 1, selected + k + 1
                 pairs += F.shape[0] * ng
-                zeros += int(zr.size)
-    return None, pairs, zeros
+                selected += int(cand.size)
+    return None, pairs, selected
 
 
 def search_zero_products_table(
-    polys: np.ndarray,
-    deg_starts: np.ndarray,
-    add: np.ndarray,
-    mul: np.ndarray,
-    sig: np.ndarray,
-    stc: np.ndarray,
-    nil_mask: np.ndarray,
-    zero: int,
-    mode: int,
+    polys: np.ndarray, deg_starts: np.ndarray, add: np.ndarray, mul: np.ndarray,
+    moves: list, stc: np.ndarray, nil_mask: np.ndarray, zero: int, mode: int, keep=None,
 ):
     """The pair sweep over a table ring, with Cayley-table gathers as ops."""
     return _sweep(
         lambda a, b: add[a, b], lambda a, b: mul[a, b],
-        polys, deg_starts, sig, stc, nil_mask, zero, mode,
+        polys, deg_starts, moves, stc, nil_mask, zero, mode, keep,
     )
 
 
 def search_zero_products_generic(
-    ring,
-    polys: np.ndarray,
-    deg_starts: np.ndarray,
-    sig: np.ndarray,
-    stc: np.ndarray,
-    mode: int,
+    ring, polys: np.ndarray, deg_starts: np.ndarray, moves: list, stc: np.ndarray,
+    mode: int, keep=None,
 ):
     """The pair sweep through a ring's vectorized ops; for untabulated rings."""
-    nil_mask = ring.nil_mask() if mode == 0 else None
+    nil_mask = ring.nil_mask() if mode in (0, 4) else None
     return _sweep(
-        ring.add, ring.mul, polys, deg_starts, sig, stc, nil_mask, ring.zero, mode
+        ring.add, ring.mul, polys, deg_starts, moves, stc, nil_mask, ring.zero, mode, keep
     )

@@ -8,6 +8,8 @@ non-commuting endomorphisms get a finite composition closure so that
 """
 from __future__ import annotations
 
+import zlib
+
 import numpy as np
 
 from .rings import BudgetError, FiniteRing, _CHUNK
@@ -241,7 +243,9 @@ def orbit_closure(family: SigmaFamily, cap: int = DEFAULT_CLOSURE_CAP) -> list[R
             raise BudgetError(f"composition closure exceeded cap {cap} on {ring.name}")
         return family._closure
     out = [identity_map(ring)]
-    seen = {out[0].key()}
+    # crc32 of the table -> maps with that digest; an exact compare
+    # confirms each hit, so no carrier-sized key is kept
+    seen = {zlib.crc32(out[0].table): [out[0]]}
     frontier = [out[0]]
     while frontier:
         nxt = []
@@ -252,9 +256,9 @@ def orbit_closure(family: SigmaFamily, cap: int = DEFAULT_CLOSURE_CAP) -> list[R
                     w.table[gen.table],
                     gen.name if w is out[0] else f"{w.name}*{gen.name}",
                 )
-                k = comp.key()
-                if k not in seen:
-                    seen.add(k)
+                bucket = seen.setdefault(zlib.crc32(comp.table), [])
+                if not any(np.array_equal(comp.table, m.table) for m in bucket):
+                    bucket.append(comp)
                     out.append(comp)
                     nxt.append(comp)
                     if len(out) > cap:

@@ -113,7 +113,7 @@ class CommutationSystem:
         for i, dv in enumerate(delta):
             if dv.ring is not ring:
                 raise ValueError("derivation ring mismatch")
-            if dv.sigma.key() != sigma.maps[i].key():
+            if not np.array_equal(dv.sigma.table, sigma.maps[i].table):
                 raise ValueError(f"delta[{i}] twists by a map other than sigma[{i}]")
         self.delta = list(delta)
         self.c = {}
@@ -673,3 +673,27 @@ def sigma_power_tables(
     for k, e in enumerate(exps):
         out[k] = sigma_power(family, e).table
     return out
+
+
+def move_past_tables(
+    sys: CommutationSystem, exps: list[tuple], coeffs: np.ndarray
+) -> list[tuple[int, int, np.ndarray]]:
+    """Move-past constants [(i, k, table)]: x^a_i * b = sum_k table[b] x^a_k.
+
+    Lists the (i, k) pairs that occur, ascending.  Without derivations
+    these are the sigma power rows (x^a * b = sigma^a(b) x^a); otherwise
+    one engine product per (a_i, b) fills them for b in `coeffs`.
+    """
+    if sys.endomorphism_type:
+        return [(i, i, row) for i, row in enumerate(sigma_power_tables(sys.sigma, exps))]
+    ring = sys.ring
+    index = {e: k for k, e in enumerate(exps)}
+    tables: dict[tuple[int, int], np.ndarray] = {}
+    for i, a in enumerate(exps):
+        for b in coeffs:
+            for e, cval in mono_times_coeff_engine(sys, a, int(b)).terms.items():
+                tab = tables.get((i, index[e]))
+                if tab is None:
+                    tab = tables[i, index[e]] = np.full(ring.size, ring.zero, dtype=np.int32)
+                tab[b] = cval
+    return [(i, k, tables[i, k]) for i, k in sorted(tables)]

@@ -4,7 +4,10 @@ Universal statements over a finite ring and the finite closure of its
 twist maps are decided exactly (verdict Holds or Fails with witness).
 Statements quantified over all polynomials are searched up to a degree
 bound and coefficient subset, giving Fails with witness or
-HoldsUpToBound with the bound descriptor.  Every Fails verdict is
+HoldsUpToBound with the bound descriptor.  All six zero-product
+properties run on the one pair sweep of kernels.py; the rewriting
+engine only builds its constants, certifies nilpotency of products for
+skew_pi_armendariz, and re-checks witnesses.  Every Fails verdict is
 re-checked through an independent route (engine arithmetic or direct
 ring ops) before it is returned.
 
@@ -14,23 +17,24 @@ g index) over the enumerated coefficient vectors.
 """
 from __future__ import annotations
 
-import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import kernels
-from .maps import RingMap, SigmaFamily, orbit_closure, sigma_power
+from .maps import RingMap, SigmaFamily, identity_map, orbit_closure, sigma_power
 from .poly import (
     CommutationSystem,
     SkewPoly,
-    mono_times_coeff_engine,
     monomial_product_table,
     monomials_upto,
-    sigma_power_tables,
+    move_past_tables,
 )
 from .rings import BudgetError, FiniteRing, SRing, SubsetIdeal, _CHUNK
 
+# search defaults; the CLI and the theorem suite read these
+DEFAULT_DEGREE_BOUND = 2
+DEFAULT_POWER_BOUND = 4
 DEFAULT_PAIR_CAP = 50_000_000
 
 
@@ -46,8 +50,8 @@ class ConsistencyError(Exception):
 class SearchBudget:
     """Bounds for polynomial searches; subset=None sweeps the full carrier."""
 
-    degree_bound: int = 2
-    power_bound: int = 4
+    degree_bound: int = DEFAULT_DEGREE_BOUND
+    power_bound: int = DEFAULT_POWER_BOUND
     pair_cap: int = DEFAULT_PAIR_CAP
     subset: np.ndarray | None = None
     subset_name: str = "full"
@@ -216,14 +220,19 @@ def _digit_rows(P: int, k: int, M: int) -> np.ndarray:
     return out
 
 
+def _coeff_subset(ring: FiniteRing, budget: SearchBudget) -> np.ndarray:
+    """The searched coefficients, ascending, zero always included."""
+    if budget.subset is None:
+        return np.arange(ring.size, dtype=np.int64)
+    subset = np.unique(np.asarray(budget.subset, dtype=np.int64))
+    if ring.zero not in subset:
+        subset = np.unique(np.concatenate([[ring.zero], subset]))
+    return subset
+
+
 def _enumerate_polys(ring: FiniteRing, exps: list[tuple], budget: SearchBudget):
     """Coefficient rows over the subset, stably sorted into degree blocks."""
-    if budget.subset is None:
-        subset = np.arange(ring.size, dtype=np.int64)
-    else:
-        subset = np.unique(np.asarray(budget.subset, dtype=np.int64))
-        if ring.zero not in subset:
-            subset = np.unique(np.concatenate([[ring.zero], subset]))
+    subset = _coeff_subset(ring, budget)
     k = int(subset.size)
     M = len(exps)
     P = k**M
@@ -264,223 +273,6 @@ def poly_terms_record(f: SkewPoly) -> list[dict]:
     ]
 
 
-_MODE_BY_PROP = {
-    "weak_sigma_skew_armendariz": 0,
-    "sigma_skew_armendariz": 1,
-    "skew_armendariz": 2,
-    "weak_armendariz": 0,
-}
-
-
-def _zero_product_search(
-    sys: CommutationSystem,
-    budget: SearchBudget,
-    prop: str,
-    instance: str,
-) -> PropertyVerdict:
-    """Shared harness: find fg = 0 whose coefficient products break `prop`."""
-    ring = sys.ring
-    if not sys.endomorphism_type:
-        raise NotEndomorphismTypeError(
-            f"{prop} needs an endomorphism-type extension (all derivations zero)"
-        )
-    mode = _MODE_BY_PROP[prop]
-    D = budget.degree_bound
-    exps = monomials_upto(sys.n, D, sys.order)
-    exps_out = monomials_upto(sys.n, 2 * D, sys.order)
-    stc = monomial_product_table(sys, exps, exps_out)
-    sig = sigma_power_tables(sys.sigma, exps)
-    polys, deg_starts = _enumerate_polys(ring, exps, budget)
-    if ring.is_table_backed:
-        witness, pairs, zeros = kernels.search_zero_products_table(
-            polys,
-            deg_starts,
-            ring.add_table,
-            ring.mul_table,
-            sig,
-            stc,
-            ring.nil_mask(),
-            ring.zero,
-            mode,
-        )
-    else:
-        witness, pairs, zeros = kernels.search_zero_products_generic(
-            ring, polys, deg_starts, sig, stc, mode
-        )
-    name = instance or f"{sys.name}"
-    bound = {
-        "degree_bound": D,
-        "subset": budget.subset_name if budget.subset is not None else "full",
-        "monomials": len(exps),
-        "polys": int(polys.shape[0]),
-        "pairs_checked": pairs,
-        "zero_products": zeros,
-    }
-    if witness is None:
-        return PropertyVerdict(prop, name, "holds_up_to_bound", bound=bound)
-    fi, gi, i, j = witness
-    f = _row_poly(sys, exps, polys[fi])
-    g = _row_poly(sys, exps, polys[gi])
-    ai = int(polys[fi][i])
-    bj = int(polys[gi][j])
-    tw = sigma_power(sys.sigma, exps[i])
-    p = int(ring.mul(ai, tw(bj)))
-    # independent re-check through the engine and direct ring ops
-    if not (f * g).is_zero:
-        raise ConsistencyError(f"{prop} witness product fg is not zero")
-    nilp = bool(ring.nil_mask()[p])
-    if mode == 0 and nilp:
-        raise ConsistencyError(f"{prop} witness product is nilpotent after all")
-    if mode in (1, 2) and p == ring.zero:
-        raise ConsistencyError(f"{prop} witness product is zero after all")
-    wit = {
-        "f": str(f),
-        "g": str(g),
-        "f_terms": poly_terms_record(f),
-        "g_terms": poly_terms_record(g),
-        "monomial_i": _mono_str(exps[i]),
-        "monomial_j": _mono_str(exps[j]),
-        "exp_i": list(exps[i]),
-        "exp_j": list(exps[j]),
-        "a_i": ring.element_name(ai),
-        "b_j": ring.element_name(bj),
-        "twist": tw.name,
-        "product": ring.element_name(p),
-        "product_nilpotent": nilp,
-        "pairs_checked": pairs,
-        "zero_products": zeros,
-        "degree_bound": D,
-        "subset": budget.subset_name if budget.subset is not None else "full",
-    }
-    return PropertyVerdict(prop, name, "fails", witness=wit)
-
-
-def is_weak_sigma_skew_armendariz(
-    sys: CommutationSystem,
-    budget: SearchBudget | None = None,
-    instance: str = "",
-) -> PropertyVerdict:
-    """fg = 0 must force every a_i sigma^(alpha_i)(b_j) nilpotent."""
-    return _zero_product_search(
-        sys, budget or SearchBudget(), "weak_sigma_skew_armendariz", instance
-    )
-
-
-def is_sigma_skew_armendariz(
-    sys: CommutationSystem,
-    budget: SearchBudget | None = None,
-    instance: str = "",
-) -> PropertyVerdict:
-    """fg = 0 must force every a_i sigma^(alpha_i)(b_j) = 0."""
-    return _zero_product_search(
-        sys, budget or SearchBudget(), "sigma_skew_armendariz", instance
-    )
-
-
-def is_skew_armendariz(
-    sys: CommutationSystem,
-    budget: SearchBudget | None = None,
-    instance: str = "",
-) -> PropertyVerdict:
-    """fg = 0 must force a_0 b_j = 0 for every j."""
-    return _zero_product_search(
-        sys, budget or SearchBudget(), "skew_armendariz", instance
-    )
-
-
-def is_weak_armendariz(
-    ring: FiniteRing,
-    budget: SearchBudget | None = None,
-    instance: str = "",
-) -> PropertyVerdict:
-    """Untwisted one-variable case: fg = 0 forces all a_i b_j nilpotent."""
-    from .maps import identity_map
-
-    sys = CommutationSystem(
-        ring, SigmaFamily(ring, [identity_map(ring)]), name=f"untwisted({ring.name})"
-    )
-    return _zero_product_search(
-        sys, budget or SearchBudget(), "weak_armendariz", instance or ring.name
-    )
-
-
-# ---------------------------------------------------------------------------
-# engine-based searches (derivations allowed)
-
-
-def _poly_pairs_engine(sys: CommutationSystem, exps, budget: SearchBudget):
-    """Yield (f, g, row_f, row_g) in the same canonical pair order."""
-    ring = sys.ring
-    polys, deg_starts = _enumerate_polys(ring, exps, budget)
-    nblocks = deg_starts.shape[0] - 1
-
-    @functools.cache
-    def poly_at(r: int) -> SkewPoly:
-        return _row_poly(sys, exps, polys[r])
-
-    for df in range(nblocks):
-        for dg in range(nblocks):
-            for fi in range(int(deg_starts[df]), int(deg_starts[df + 1])):
-                for gi in range(int(deg_starts[dg]), int(deg_starts[dg + 1])):
-                    yield poly_at(fi), poly_at(gi), polys[fi], polys[gi]
-
-
-def is_sigma_delta_skew_armendariz(
-    sys: CommutationSystem,
-    budget: SearchBudget | None = None,
-    instance: str = "",
-) -> PropertyVerdict:
-    """fg = 0 must force every term product (a_i x^a_i)(b_j x^b_j) = 0.
-
-    Engine-based, so derivations are allowed; costs one engine product
-    per pair and is meant for small carriers or subsets.
-    """
-    budget = budget or SearchBudget()
-    ring = sys.ring
-    exps = monomials_upto(sys.n, budget.degree_bound, sys.order)
-    name = instance or sys.name
-    pairs = 0
-    zeros = 0
-    for f, g, _, _ in _poly_pairs_engine(sys, exps, budget):
-        pairs += 1
-        if not (f * g).is_zero:
-            continue
-        zeros += 1
-        for ea in f.support():
-            for eb in g.support():
-                term = sys.monomial(ea, f.terms[ea]) * sys.monomial(eb, g.terms[eb])
-                if not term.is_zero:
-                    wit = {
-                        "f": str(f),
-                        "g": str(g),
-                        "f_terms": poly_terms_record(f),
-                        "g_terms": poly_terms_record(g),
-                        "monomial_i": _mono_str(ea),
-                        "monomial_j": _mono_str(eb),
-                        "exp_i": list(ea),
-                        "exp_j": list(eb),
-                        "a_i": ring.element_name(f.terms[ea]),
-                        "b_j": ring.element_name(g.terms[eb]),
-                        "term_product": str(term),
-                        "pairs_checked": pairs,
-                        "zero_products": zeros,
-                        "degree_bound": budget.degree_bound,
-                        "subset": budget.subset_name if budget.subset is not None else "full",
-                    }
-                    return PropertyVerdict(
-                        "sigma_delta_skew_armendariz", name, "fails", witness=wit
-                    )
-    bound = {
-        "degree_bound": budget.degree_bound,
-        "subset": budget.subset_name if budget.subset is not None else "full",
-        "pairs_checked": pairs,
-        "zero_products": zeros,
-    }
-    return PropertyVerdict(
-        "sigma_delta_skew_armendariz", name, "holds_up_to_bound", bound=bound
-    )
-
-
 def poly_is_nilpotent(f: SkewPoly, power_bound: int) -> tuple[bool, int]:
     """(True, k) when f^k = 0 for some k <= power_bound, else (False, 0).
 
@@ -498,64 +290,186 @@ def poly_is_nilpotent(f: SkewPoly, power_bound: int) -> tuple[bool, int]:
     return (True, power_bound) if p.is_zero else (False, 0)
 
 
+# kernel mode per property (see kernels.py); modes 0-2 need all
+# derivations zero, 3 and 4 take any system
+_MODE_BY_PROP = {
+    "weak_sigma_skew_armendariz": 0,
+    "sigma_skew_armendariz": 1,
+    "skew_armendariz": 2,
+    "weak_armendariz": 0,
+    "sigma_delta_skew_armendariz": 3,
+    "skew_pi_armendariz": 4,
+}
+
+
+def _nilpotent_filter(sys: CommutationSystem, exps_out: list[tuple], power_bound: int):
+    """keep(row) for the sweep: fg nilpotent within the bound, memoized on the row."""
+    certified: dict[bytes, bool] = {}
+
+    def keep(row: np.ndarray) -> bool:
+        key = row.tobytes()
+        if key not in certified:
+            certified[key] = poly_is_nilpotent(_row_poly(sys, exps_out, row), power_bound)[0]
+        return certified[key]
+
+    return keep
+
+
+def _zero_product_search(
+    sys: CommutationSystem, budget: SearchBudget | None, prop: str, instance: str
+) -> PropertyVerdict:
+    """Shared harness: find a selected fg whose coefficient pairs break `prop`.
+
+    Selected means fg = 0, or for skew_pi_armendariz fg nilpotent within
+    the power bound.  A witness is re-checked through the engine and
+    direct ring ops before it is returned.
+    """
+    ring = sys.ring
+    budget = budget or SearchBudget()
+    mode = _MODE_BY_PROP[prop]
+    if mode < 3 and not sys.endomorphism_type:
+        raise NotEndomorphismTypeError(
+            f"{prop} needs an endomorphism-type extension (all derivations zero)"
+        )
+    D = budget.degree_bound
+    exps = monomials_upto(sys.n, D, sys.order)
+    exps_out = monomials_upto(sys.n, 2 * D, sys.order)
+    stc = monomial_product_table(sys, exps, exps_out)
+    moves = move_past_tables(sys, exps, _coeff_subset(ring, budget))
+    polys, deg_starts = _enumerate_polys(ring, exps, budget)
+    keep = _nilpotent_filter(sys, exps_out, budget.power_bound) if mode == 4 else None
+    if ring.is_table_backed:
+        witness, pairs, selected = kernels.search_zero_products_table(
+            polys, deg_starts, ring.add_table, ring.mul_table,
+            moves, stc, ring.nil_mask(), ring.zero, mode, keep,
+        )
+    else:
+        witness, pairs, selected = kernels.search_zero_products_generic(
+            ring, polys, deg_starts, moves, stc, mode, keep
+        )
+    name = instance or f"{sys.name}"
+    subset = budget.subset_name if budget.subset is not None else "full"
+    counters = {
+        "pairs_checked": pairs,
+        ("nilpotent_products" if mode == 4 else "zero_products"): selected,
+    }
+    if witness is not None:
+        wit = _witness(sys, exps, polys, witness, prop, budget.power_bound)
+        wit.update(counters, degree_bound=D)
+        wit.update({"power_bound": budget.power_bound} if mode == 4 else {"subset": subset})
+        return PropertyVerdict(prop, name, "fails", witness=wit)
+    bound = {"degree_bound": D}
+    if mode == 4:
+        bound["power_bound"] = budget.power_bound
+    bound["subset"] = subset
+    if mode < 3:
+        bound.update(monomials=len(exps), polys=int(polys.shape[0]))
+    bound.update(counters)
+    return PropertyVerdict(prop, name, "holds_up_to_bound", bound=bound)
+
+
+def _witness(sys: CommutationSystem, exps, polys, witness, prop: str, power_bound: int) -> dict:
+    """Witness record of a sweep hit, re-checked through the engine and ring ops."""
+    ring = sys.ring
+    nil = ring.nil_mask()
+    mode = _MODE_BY_PROP[prop]
+    fi, gi, i, j = witness
+    f = _row_poly(sys, exps, polys[fi])
+    g = _row_poly(sys, exps, polys[gi])
+    ai, bj = int(polys[fi][i]), int(polys[gi][j])
+    wit = {
+        "f": str(f),
+        "g": str(g),
+        "f_terms": poly_terms_record(f),
+        "g_terms": poly_terms_record(g),
+    }
+    if mode == 4:
+        ok, k = poly_is_nilpotent(f * g, power_bound)
+        if not ok:
+            raise ConsistencyError(f"{prop} witness product fg is not nilpotent")
+        wit["fg_power_zero_at"] = k
+    elif not (f * g).is_zero:
+        raise ConsistencyError(f"{prop} witness product fg is not zero")
+    wit.update(
+        monomial_i=_mono_str(exps[i]),
+        monomial_j=_mono_str(exps[j]),
+        exp_i=list(exps[i]),
+        exp_j=list(exps[j]),
+        a_i=ring.element_name(ai),
+        b_j=ring.element_name(bj),
+    )
+    if mode == 3:
+        term = sys.monomial(exps[i], ai) * sys.monomial(exps[j], bj)
+        if term.is_zero:
+            raise ConsistencyError(f"{prop} witness term product is zero")
+        wit["term_product"] = str(term)
+    elif mode == 4:
+        p = int(ring.mul(ai, bj))
+        if nil[p]:
+            raise ConsistencyError(f"{prop} witness product is nilpotent")
+        wit["product"] = ring.element_name(p)
+    else:
+        tw = sigma_power(sys.sigma, exps[i])
+        p = int(ring.mul(ai, tw(bj)))
+        if nil[p] if mode == 0 else p == ring.zero:
+            raise ConsistencyError(f"{prop} witness product breaks no condition after all")
+        wit.update(twist=tw.name, product=ring.element_name(p), product_nilpotent=bool(nil[p]))
+    return wit
+
+
+def is_weak_sigma_skew_armendariz(
+    sys: CommutationSystem, budget: SearchBudget | None = None, instance: str = ""
+) -> PropertyVerdict:
+    """fg = 0 must force every a_i sigma^(alpha_i)(b_j) nilpotent."""
+    return _zero_product_search(sys, budget, "weak_sigma_skew_armendariz", instance)
+
+
+def is_sigma_skew_armendariz(
+    sys: CommutationSystem, budget: SearchBudget | None = None, instance: str = ""
+) -> PropertyVerdict:
+    """fg = 0 must force every a_i sigma^(alpha_i)(b_j) = 0."""
+    return _zero_product_search(sys, budget, "sigma_skew_armendariz", instance)
+
+
+def is_skew_armendariz(
+    sys: CommutationSystem, budget: SearchBudget | None = None, instance: str = ""
+) -> PropertyVerdict:
+    """fg = 0 must force a_0 b_j = 0 for every j."""
+    return _zero_product_search(sys, budget, "skew_armendariz", instance)
+
+
+def is_weak_armendariz(
+    ring: FiniteRing, budget: SearchBudget | None = None, instance: str = ""
+) -> PropertyVerdict:
+    """Untwisted one-variable case: fg = 0 forces all a_i b_j nilpotent."""
+    sys = CommutationSystem(
+        ring, SigmaFamily(ring, [identity_map(ring)]), name=f"untwisted({ring.name})"
+    )
+    return _zero_product_search(sys, budget, "weak_armendariz", instance or ring.name)
+
+
+def is_sigma_delta_skew_armendariz(
+    sys: CommutationSystem, budget: SearchBudget | None = None, instance: str = ""
+) -> PropertyVerdict:
+    """fg = 0 must force every term product (a_i x^a_i)(b_j x^b_j) = 0.
+
+    Derivations are allowed: the sweep moves coefficients past monomials
+    with move-past constants built by the engine.
+    """
+    return _zero_product_search(sys, budget, "sigma_delta_skew_armendariz", instance)
+
+
 def is_skew_pi_armendariz(
-    sys: CommutationSystem,
-    budget: SearchBudget | None = None,
-    instance: str = "",
+    sys: CommutationSystem, budget: SearchBudget | None = None, instance: str = ""
 ) -> PropertyVerdict:
     """fg nilpotent in the extension must force every a_i b_j nilpotent in R.
 
-    Nilpotency of fg is certified by computing powers up to power_bound;
-    pairs whose product never reaches zero within the bound impose no
-    constraint and are skipped.
+    Nilpotency of fg is certified by computing powers up to power_bound,
+    once per distinct product and only up to the witness pair; pairs
+    whose product never reaches zero within the bound impose no
+    constraint and are skipped.  Derivations are allowed.
     """
-    budget = budget or SearchBudget()
-    ring = sys.ring
-    nil = ring.nil_mask()
-    exps = monomials_upto(sys.n, budget.degree_bound, sys.order)
-    name = instance or sys.name
-    pairs = 0
-    nilprods = 0
-    for f, g, _, _ in _poly_pairs_engine(sys, exps, budget):
-        pairs += 1
-        h = f * g
-        ok, k = poly_is_nilpotent(h, budget.power_bound)
-        if not ok:
-            continue
-        nilprods += 1
-        for ea in f.support():
-            for eb in g.support():
-                p = int(ring.mul(f.terms[ea], g.terms[eb]))
-                if not nil[p]:
-                    wit = {
-                        "f": str(f),
-                        "g": str(g),
-                        "f_terms": poly_terms_record(f),
-                        "g_terms": poly_terms_record(g),
-                        "fg_power_zero_at": k,
-                        "monomial_i": _mono_str(ea),
-                        "monomial_j": _mono_str(eb),
-                        "exp_i": list(ea),
-                        "exp_j": list(eb),
-                        "a_i": ring.element_name(f.terms[ea]),
-                        "b_j": ring.element_name(g.terms[eb]),
-                        "product": ring.element_name(p),
-                        "pairs_checked": pairs,
-                        "nilpotent_products": nilprods,
-                        "degree_bound": budget.degree_bound,
-                        "power_bound": budget.power_bound,
-                    }
-                    return PropertyVerdict(
-                        "skew_pi_armendariz", name, "fails", witness=wit
-                    )
-    bound = {
-        "degree_bound": budget.degree_bound,
-        "power_bound": budget.power_bound,
-        "subset": budget.subset_name if budget.subset is not None else "full",
-        "pairs_checked": pairs,
-        "nilpotent_products": nilprods,
-    }
-    return PropertyVerdict("skew_pi_armendariz", name, "holds_up_to_bound", bound=bound)
+    return _zero_product_search(sys, budget, "skew_pi_armendariz", instance)
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,8 @@ from .catalog import get_map, get_ring, get_system
 from .maps import SigmaFamily, orbit_closure
 from .poly import CommutationSystem
 from .properties import (
+    DEFAULT_DEGREE_BOUND,
+    DEFAULT_PAIR_CAP,
     PropertyVerdict,
     SearchBudget,
     block_elementary_subset,
@@ -33,7 +35,6 @@ from .rings import (
     abelian_failure,
     central_idempotents,
     idempotents,
-    is_abelian,
     is_central,
     is_ni,
     is_reduced,
@@ -116,6 +117,11 @@ class EntryContext:
         return is_weak_sigma_rigid(self.ring, self.family, instance=self.entry.name)
 
     @cached_property
+    def abelian_witness(self) -> tuple | None:
+        """(e, r) with er != re for an idempotent e; None when R is abelian."""
+        return abelian_failure(self.ring)
+
+    @cached_property
     def flags(self) -> dict:
         """The classification flags the catalog entry declares."""
         # both rigidity verdicts first: the sweep order sets peak memory
@@ -123,7 +129,7 @@ class EntryContext:
         return {
             "reduced": is_reduced(self.ring),
             "ni": is_ni(self.ring),
-            "abelian": is_abelian(self.ring),
+            "abelian": self.abelian_witness is None,
             "sigma_rigid": rigid.holds,
             "weak_sigma_rigid": weak.holds,
         }
@@ -328,7 +334,7 @@ def check_ideal_decomposition(ctx: EntryContext, mode: str = "fixed") -> Theorem
         return TheoremReport(
             "ideal_decomposition", ctx.entry.name, "vacuous",
             {"failed_hypotheses": ["abelian"], "mode": mode,
-             "abelian_witness": abelian_failure(ring)},
+             "abelian_witness": ctx.abelian_witness},
         )
     idems = [int(e) for e in idempotents(ring)]
     moved = _first_moved(ctx, idems)
@@ -383,8 +389,8 @@ def _counterexample_budget(ring: FiniteRing, degree_bound: int, pair_cap: int) -
 
 def check_weak_armendariz_implication(
     ctx: EntryContext,
-    degree_bound: int = 2,
-    pair_cap: int = 50_000_000,
+    degree_bound: int = DEFAULT_DEGREE_BOUND,
+    pair_cap: int = DEFAULT_PAIR_CAP,
 ) -> TheoremReport:
     """NI + weak rigid (c central invertible) force weak twisted Armendariz.
 
@@ -433,7 +439,7 @@ def check_weak_armendariz_implication(
     )
 
 
-def reproduce_counterexamples(pair_cap: int = 50_000_000) -> list[TheoremReport]:
+def reproduce_counterexamples(pair_cap: int = DEFAULT_PAIR_CAP) -> list[TheoremReport]:
     """The two documented separating examples, re-derived from scratch.
 
     R3 over a rigid base is weak rigid but not rigid; S with the
@@ -502,8 +508,8 @@ THEOREM_ORDER = [
 
 def run_all(
     instance: str | None = None,
-    degree_bound: int = 2,
-    pair_cap: int = 50_000_000,
+    degree_bound: int = DEFAULT_DEGREE_BOUND,
+    pair_cap: int = DEFAULT_PAIR_CAP,
     ideal_mode: str = "fixed",
 ) -> list[TheoremReport]:
     """Every theorem over every catalog entry, in a fixed order."""

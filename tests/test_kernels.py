@@ -1,27 +1,42 @@
 """Kernels: law sweeps, nil masks and the zero-product pair sweep.
 
 The pair sweep is checked against a brute-force oracle that walks the
-same canonical pair order with rewriting-engine products.
+same canonical pair order with rewriting-engine products, for every
+zero-product property, derivations included.
 """
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from skewlab import kernels
-from skewlab.maps import SigmaFamily, identity_map, verify_endomorphism
+from skewlab.maps import (
+    SigmaFamily,
+    id_minus_sigma_derivation,
+    identity_map,
+    verify_endomorphism,
+    zero_derivation,
+)
 from skewlab.poly import (
     CommutationSystem,
     monomial_product_table,
     monomials_upto,
-    sigma_power_tables,
+    move_past_tables,
 )
 from skewlab.properties import (
+    PropertyVerdict,
     SearchBudget,
     _enumerate_polys,
-    _poly_pairs_engine,
+    _mono_str,
+    _row_poly,
     _zero_product_search,
     block_elementary_subset,
+    is_sigma_delta_skew_armendariz,
+    is_skew_pi_armendariz,
+    poly_is_nilpotent,
+    poly_terms_record,
 )
 from skewlab.rings import make_zn, nil_mask_cycle_detect
 
@@ -102,17 +117,17 @@ def _search_inputs(sysname, degree_bound=1, subset=None, subset_name="full"):
     exps = monomials_upto(sys.n, degree_bound, sys.order)
     exps_out = monomials_upto(sys.n, 2 * degree_bound, sys.order)
     stc = monomial_product_table(sys, exps, exps_out)
-    sig = sigma_power_tables(sys.sigma, exps)
+    moves = move_past_tables(sys, exps, np.arange(ring.size))
     polys, deg_starts = _enumerate_polys(ring, exps, budget)
-    return sys, polys, deg_starts, sig, stc
+    return sys, polys, deg_starts, moves, stc
 
 
 def _table_search(sysname, mode):
-    sys, polys, deg_starts, sig, stc = _search_inputs(sysname)
+    sys, polys, deg_starts, moves, stc = _search_inputs(sysname)
     ring = sys.ring
     return kernels.search_zero_products_table(
         polys, deg_starts, ring.add_table, ring.mul_table,
-        sig, stc, ring.nil_mask(), ring.zero, mode,
+        moves, stc, ring.nil_mask(), ring.zero, mode,
     )
 
 
@@ -134,8 +149,8 @@ def test_m2_mode1_frozen_counters():
 
 
 def _generic_search(sysname, mode):
-    sys, polys, deg_starts, sig, stc = _search_inputs(sysname)
-    return kernels.search_zero_products_generic(sys.ring, polys, deg_starts, sig, stc, mode)
+    sys, polys, deg_starts, moves, stc = _search_inputs(sysname)
+    return kernels.search_zero_products_generic(sys.ring, polys, deg_starts, moves, stc, mode)
 
 
 def test_generic_path_matches_table_path():
@@ -157,6 +172,22 @@ _PROPS = {
     1: "sigma_skew_armendariz",
     2: "skew_armendariz",
 }
+
+
+def _poly_pairs_engine(sys, exps, budget):
+    """Yield (f, g, row_f, row_g) in the canonical pair order."""
+    polys, deg_starts = _enumerate_polys(sys.ring, exps, budget)
+    nblocks = deg_starts.shape[0] - 1
+
+    @functools.cache
+    def poly_at(r):
+        return _row_poly(sys, exps, polys[r])
+
+    for df in range(nblocks):
+        for dg in range(nblocks):
+            for fi in range(int(deg_starts[df]), int(deg_starts[df + 1])):
+                for gi in range(int(deg_starts[dg]), int(deg_starts[dg + 1])):
+                    yield poly_at(fi), poly_at(gi), polys[fi], polys[gi]
 
 
 def engine_sweep(sys, budget, mode):
@@ -256,3 +287,164 @@ def test_generic_search_matches_engine_oracle_s_ring(mode):
         subset_name="block-elementary",
     )
     assert kernel_sweep(sys, budget, mode) == engine_sweep(sys, budget, mode)
+
+
+# --- derivations: the engine deciders as brute-force oracles ---------------------
+
+
+def _subset_name(budget):
+    return budget.subset_name if budget.subset is not None else "full"
+
+
+def engine_sigma_delta(sys, budget, instance=""):
+    """sigma_delta_skew_armendariz with one engine product per pair and term."""
+    ring = sys.ring
+    exps = monomials_upto(sys.n, budget.degree_bound, sys.order)
+    name = instance or sys.name
+    pairs = zeros = 0
+    for f, g, _, _ in _poly_pairs_engine(sys, exps, budget):
+        pairs += 1
+        if not (f * g).is_zero:
+            continue
+        zeros += 1
+        for ea in f.support():
+            for eb in g.support():
+                term = sys.monomial(ea, f.terms[ea]) * sys.monomial(eb, g.terms[eb])
+                if not term.is_zero:
+                    wit = {
+                        "f": str(f),
+                        "g": str(g),
+                        "f_terms": poly_terms_record(f),
+                        "g_terms": poly_terms_record(g),
+                        "monomial_i": _mono_str(ea),
+                        "monomial_j": _mono_str(eb),
+                        "exp_i": list(ea),
+                        "exp_j": list(eb),
+                        "a_i": ring.element_name(f.terms[ea]),
+                        "b_j": ring.element_name(g.terms[eb]),
+                        "term_product": str(term),
+                        "pairs_checked": pairs,
+                        "zero_products": zeros,
+                        "degree_bound": budget.degree_bound,
+                        "subset": _subset_name(budget),
+                    }
+                    return PropertyVerdict(
+                        "sigma_delta_skew_armendariz", name, "fails", witness=wit
+                    )
+    bound = {
+        "degree_bound": budget.degree_bound,
+        "subset": _subset_name(budget),
+        "pairs_checked": pairs,
+        "zero_products": zeros,
+    }
+    return PropertyVerdict(
+        "sigma_delta_skew_armendariz", name, "holds_up_to_bound", bound=bound
+    )
+
+
+def engine_skew_pi(sys, budget, instance=""):
+    """skew_pi_armendariz with engine products and powers for every pair."""
+    ring = sys.ring
+    nil = nil_mask_cycle_detect(ring)
+    exps = monomials_upto(sys.n, budget.degree_bound, sys.order)
+    name = instance or sys.name
+    pairs = nilprods = 0
+    for f, g, _, _ in _poly_pairs_engine(sys, exps, budget):
+        pairs += 1
+        ok, k = poly_is_nilpotent(f * g, budget.power_bound)
+        if not ok:
+            continue
+        nilprods += 1
+        for ea in f.support():
+            for eb in g.support():
+                p = int(ring.mul(f.terms[ea], g.terms[eb]))
+                if not nil[p]:
+                    wit = {
+                        "f": str(f),
+                        "g": str(g),
+                        "f_terms": poly_terms_record(f),
+                        "g_terms": poly_terms_record(g),
+                        "fg_power_zero_at": k,
+                        "monomial_i": _mono_str(ea),
+                        "monomial_j": _mono_str(eb),
+                        "exp_i": list(ea),
+                        "exp_j": list(eb),
+                        "a_i": ring.element_name(f.terms[ea]),
+                        "b_j": ring.element_name(g.terms[eb]),
+                        "product": ring.element_name(p),
+                        "pairs_checked": pairs,
+                        "nilpotent_products": nilprods,
+                        "degree_bound": budget.degree_bound,
+                        "power_bound": budget.power_bound,
+                    }
+                    return PropertyVerdict("skew_pi_armendariz", name, "fails", witness=wit)
+    bound = {
+        "degree_bound": budget.degree_bound,
+        "power_bound": budget.power_bound,
+        "subset": _subset_name(budget),
+        "pairs_checked": pairs,
+        "nilpotent_products": nilprods,
+    }
+    return PropertyVerdict("skew_pi_armendariz", name, "holds_up_to_bound", bound=bound)
+
+
+@st.composite
+def derivation_systems(draw):
+    """A one- or two-variable system, derivation zero or id - sigma, and a budget."""
+    kind = draw(st.sampled_from(["Z2xZ2", "M2(Z2)", "Z4", "Z6", "qp"]))
+    if kind == "qp":
+        ring = get_ring(f"Z{draw(st.integers(2, 6))}")
+        units = [q for q in range(1, ring.size) if np.gcd(q, ring.size) == 1]
+        ident = identity_map(ring)
+        sys = CommutationSystem(
+            ring, SigmaFamily(ring, [ident, ident]), c={(0, 1): draw(st.sampled_from(units))}
+        )
+        degree_bound, max_subset = 1, 2
+    else:
+        ring = get_ring(kind)
+        twist = identity_map(ring)
+        if kind == "Z2xZ2":
+            twist = get_map(ring, "swap")
+        elif kind == "M2(Z2)":
+            units = [u for u in range(ring.size) if (ring.mul_table[u] == ring.one).any()]
+            twist = _inner_automorphism(ring, draw(st.sampled_from(units)))
+        make_delta = draw(st.sampled_from([zero_derivation, id_minus_sigma_derivation]))
+        sys = CommutationSystem(
+            ring, SigmaFamily(ring, [twist]), delta=[make_delta(ring, twist)]
+        )
+        degree_bound = draw(st.sampled_from([1, 2]))
+        max_subset = 2 if degree_bound == 2 else 4
+    subset = draw(
+        st.lists(st.integers(1, ring.size - 1), min_size=1, max_size=max_subset, unique=True)
+    )
+    budget = SearchBudget(
+        degree_bound=degree_bound,
+        power_bound=draw(st.integers(1, 4)),
+        subset=np.asarray(subset),
+        subset_name="drawn",
+    )
+    return sys, budget
+
+
+@settings(max_examples=60, deadline=None)
+@given(derivation_systems())
+def test_derivation_deciders_match_engine_oracle(drawn):
+    sys, budget = drawn
+    got = is_sigma_delta_skew_armendariz(sys, budget).to_record()
+    assert got == engine_sigma_delta(sys, budget).to_record()
+    got = is_skew_pi_armendariz(sys, budget).to_record()
+    assert got == engine_skew_pi(sys, budget).to_record()
+
+
+@pytest.mark.parametrize("sysname", ["swap-ore", "quantum-plane(Z3,2)", "untwisted(M2(Z2))"])
+def test_derivation_deciders_match_engine_oracle_catalog(sysname):
+    sys = get_system(sysname)
+    budget = SearchBudget(degree_bound=1)
+    assert (
+        is_sigma_delta_skew_armendariz(sys, budget).to_record()
+        == engine_sigma_delta(sys, budget).to_record()
+    )
+    assert (
+        is_skew_pi_armendariz(sys, budget).to_record()
+        == engine_skew_pi(sys, budget).to_record()
+    )

@@ -134,6 +134,21 @@ def test_orbit_closure_covers_all_powers():
         assert sigma_power(fam, (t,)).key() in keys
 
 
+def test_orbit_closure_exact_under_digest_collisions(monkeypatch):
+    # one digest for every table: only the exact compare tells maps apart
+    r = get_ring("M2(Z2)")
+    mul = r.mul_table
+    conj = []
+    for u in range(r.size):
+        if (mul[u] == r.one).any():
+            uinv = int(np.argmax(mul[u] == r.one))
+            conj.append(verify_endomorphism(r, mul[mul[u], uinv], f"c{u}"))
+    expected = [m.name for m in orbit_closure(SigmaFamily(r, conj))]
+    monkeypatch.setattr("skewlab.maps.zlib.crc32", lambda table: 0)
+    got = [m.name for m in orbit_closure(SigmaFamily(r, conj))]
+    assert got == expected and len(got) == 6
+
+
 def test_orbit_closure_cap():
     r = get_ring("Z2xZ2")
     fam = SigmaFamily(r, [get_map(r, "swap")])

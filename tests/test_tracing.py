@@ -19,6 +19,7 @@ maps s
 checks weak_sigma_rigid
 check weak_sigma_skew_armendariz degree_bound=1
 check sigma_delta_skew_armendariz degree_bound=1
+check skew_pi_armendariz degree_bound=1
 """
 
 
@@ -33,12 +34,12 @@ def test_launch_trace_finds_every_target(tmp_path):
         capture_output=True, text=True, env=env, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
-    assert len(proc.stdout.splitlines()) == 3
+    assert len(proc.stdout.splitlines()) == 4
     trace = json.loads(spans.read_text())
     assert trace["missing"] == []
     counted = {layer for _, _, layer, _, _, counts in trace["spans"] if counts}
-    # explicit map, rigidity sweep, closure, table search and engine search
-    # each ran with their counters
+    # explicit map, rigidity sweep, closure, table search and the
+    # derivation-capable deciders each ran with their counters
     assert {
         "maps.verify",
         "maps.closure",
