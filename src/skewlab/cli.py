@@ -46,29 +46,23 @@ from .maps import (
     SigmaFamily,
     id_minus_sigma_derivation,
     identity_map,
-    orbit_closure,
-    sigma_power,
     verify_endomorphism,
     verify_sigma_derivation,
     zero_derivation,
 )
-from .poly import CommutationSystem, PbwAxiomError, SkewPoly, require_pbw
+from .poly import CommutationSystem, PbwAxiomError, require_pbw
 from .properties import (
+    DECIDERS,
     DEFAULT_DEGREE_BOUND,
     DEFAULT_PAIR_CAP,
     DEFAULT_POWER_BOUND,
+    FLAGS,
+    RIGIDITY,
+    NotEndomorphismTypeError,
     PropertyVerdict,
     SearchBudget,
     block_elementary_subset,
-    is_sigma_delta_skew_armendariz,
-    is_sigma_rigid,
-    is_skew_armendariz,
-    is_skew_pi_armendariz,
-    is_sigma_skew_armendariz,
-    is_weak_armendariz,
-    is_weak_sigma_rigid,
-    is_weak_sigma_skew_armendariz,
-    poly_is_nilpotent,
+    recheck,
 )
 from .rings import (
     FiniteRing,
@@ -76,9 +70,6 @@ from .rings import (
     RingError,
     SRing,
     TableRing,
-    abelian_failure,
-    ni_failure,
-    nil_set,
 )
 from . import theorems as theorem_suite
 
@@ -376,7 +367,7 @@ def _resolve_spec(spec: SpecFile, pos: dict) -> None:
             raise err("ring", "a builtin system cannot be combined with maps/deltas/c/d")
         try:
             spec.system = get_system(spec.system_name)
-        except UnknownNameError as e:
+        except (UnknownNameError, RingError, ValueError) as e:
             raise err("ring", e) from None
         spec.ring = spec.system.ring
         spec.ring_name = spec.ring.name
@@ -524,9 +515,9 @@ def _resolve_spec(spec: SpecFile, pos: dict) -> None:
         raise err(key, f"axiom violation {check}: {detail}") from None
 
     for ck in spec.checks:
-        if ck.name not in CHECK_KINDS:
+        if ck.name not in DECIDERS:
             raise SpecError(
-                f"unknown check {ck.name!r}; available: {', '.join(sorted(CHECK_KINDS))}",
+                f"unknown check {ck.name!r}; available: {', '.join(sorted(DECIDERS))}",
                 ck.line,
                 ck.col,
             )
@@ -541,7 +532,7 @@ def _resolve_spec(spec: SpecFile, pos: dict) -> None:
                 )
     declared = {ck.name for ck in spec.checks}
     for name in spec.expects:
-        if name not in CHECK_KINDS:
+        if name not in DECIDERS:
             raise SpecError(
                 f"expect references unknown check {name!r}", *pos[f"expect:{name}"]
             )
@@ -551,74 +542,6 @@ def _resolve_spec(spec: SpecFile, pos: dict) -> None:
 
 # ---------------------------------------------------------------------------
 # running checks
-
-# kind: ring (bare ring flag), family (twist family), budget_ring (untwisted
-# zero-product search), system (endomorphism-type zero-product search),
-# system_any (zero-product search that allows derivations); every search
-# kind runs the one pair sweep in kernels.py
-CHECK_KINDS = {
-    "reduced": "ring",
-    "ni": "ring",
-    "abelian": "ring",
-    "sigma_rigid": "family",
-    "weak_sigma_rigid": "family",
-    "weak_armendariz": "budget_ring",
-    "weak_sigma_skew_armendariz": "system",
-    "sigma_skew_armendariz": "system",
-    "skew_armendariz": "system",
-    "sigma_delta_skew_armendariz": "system_any",
-    "skew_pi_armendariz": "system_any",
-}
-
-_SYSTEM_CHECKS = {
-    "weak_sigma_skew_armendariz": is_weak_sigma_skew_armendariz,
-    "sigma_skew_armendariz": is_sigma_skew_armendariz,
-    "skew_armendariz": is_skew_armendariz,
-    "sigma_delta_skew_armendariz": is_sigma_delta_skew_armendariz,
-    "skew_pi_armendariz": is_skew_pi_armendariz,
-}
-
-
-def _ring_flag_verdict(name: str, ring: FiniteRing, instance: str) -> PropertyVerdict:
-    if name == "reduced":
-        nils = nil_set(ring)
-        if len(nils) > 1:
-            first = int(nils[1] if nils[0] == ring.zero else nils[0])
-            return PropertyVerdict(
-                "reduced",
-                instance,
-                "fails",
-                witness={"element": ring.element_name(first), "nilpotent": True},
-            )
-        return PropertyVerdict("reduced", instance, "holds")
-    if name == "ni":
-        bad = ni_failure(ring)
-        if bad is None:
-            return PropertyVerdict("ni", instance, "holds")
-        kind, x, y = bad
-        return PropertyVerdict(
-            "ni",
-            instance,
-            "fails",
-            witness={
-                "kind": kind,
-                "a": ring.element_name(x),
-                "b": ring.element_name(y),
-            },
-        )
-    if name == "abelian":
-        bad = abelian_failure(ring)
-        if bad is None:
-            return PropertyVerdict("abelian", instance, "holds")
-        e, r = bad
-        return PropertyVerdict(
-            "abelian",
-            instance,
-            "fails",
-            witness={"idempotent": ring.element_name(e), "r": ring.element_name(r)},
-        )
-    raise ValueError(name)
-
 
 def _budget_from(ck: CheckRequest, spec: SpecFile, defaults: dict) -> SearchBudget:
     kw = {**defaults, **{k: v for k, v in ck.kwargs.items()}}
@@ -646,17 +569,17 @@ def _budget_from(ck: CheckRequest, spec: SpecFile, defaults: dict) -> SearchBudg
 
 
 def run_check(ck: CheckRequest, spec: SpecFile, defaults: dict) -> PropertyVerdict:
-    kind = CHECK_KINDS[ck.name]
-    instance = spec.instance
-    if kind == "ring":
-        return _ring_flag_verdict(ck.name, spec.ring, instance)
-    if kind == "family":
-        fn = is_sigma_rigid if ck.name == "sigma_rigid" else is_weak_sigma_rigid
-        return fn(spec.ring, spec.system.sigma, instance=instance)
+    decide, instance = DECIDERS[ck.name], spec.instance
+    if ck.name in FLAGS:
+        return decide(spec.ring, instance=instance)
+    if ck.name in RIGIDITY:
+        return decide(spec.ring, spec.system.sigma, instance=instance)
     budget = _budget_from(ck, spec, defaults)
-    if kind == "budget_ring":
-        return is_weak_armendariz(spec.ring, budget, instance=instance)
-    return _SYSTEM_CHECKS[ck.name](spec.system, budget, instance=instance)
+    inst = spec.ring if ck.name == "weak_armendariz" else spec.system
+    try:
+        return decide(inst, budget, instance=instance)
+    except NotEndomorphismTypeError as e:
+        raise SpecError(str(e), ck.line, ck.col) from None
 
 
 def run_spec(spec: SpecFile, defaults: dict | None = None) -> tuple[list[dict], int]:
@@ -831,112 +754,23 @@ def _rebuild_system(context: dict) -> CommutationSystem:
     raise ValueError(f"record context {context!r} is not reconstructible")
 
 
-def _poly_from_terms(sys_: CommutationSystem, terms: list[dict]) -> SkewPoly:
-    ring = sys_.ring
-    return SkewPoly(
-        sys_,
-        {tuple(t["exp"]): ring.element_index(t["coeff"]) for t in terms},
-    )
-
-
 def _reverify(rec: dict) -> tuple[bool, str]:
-    """Re-check a failure witness from its record; (ok, explanation)."""
+    """Re-check a record: theorems re-run, `fails` witnesses go to `recheck`."""
     if "theorem" in rec:
-        if rec["theorem"].startswith("counterexample_"):
-            fresh = next(
-                r
-                for r in theorem_suite.reproduce_counterexamples()
-                if r.theorem == rec["theorem"]
-            )
-        else:
-            ctx = theorem_suite.resolve(theorem_suite.entry_by_name(rec["instance"]))
-            fresh = {
-                "catalog_flags": theorem_suite.check_catalog_flags,
-                "rigid_iff_weak_reduced": theorem_suite.check_rigid_iff_weak_reduced,
-                "nil_transfer": theorem_suite.check_nil_transfer,
-                "idempotent_fixed": theorem_suite.check_idempotent_fixed,
-                "ideal_decomposition": theorem_suite.check_ideal_decomposition,
-                "ni_weak_rigid_implies_weak_armendariz": theorem_suite.check_weak_armendariz_implication,
-            }[rec["theorem"]](ctx)
+        fresh = theorem_suite.replay(rec)
         ok = fresh.status == rec["status"]
         return ok, (
             f"re-ran {rec['theorem']} on {rec['instance']}: status {fresh.status}"
             + ("" if ok else f" (record says {rec['status']})")
         )
-    check, wit = rec["check"], rec.get("witness") or {}
+    check = rec["check"]
     if rec["status"] != "fails":
         return True, f"{check} on {rec['instance']}: status {rec['status']}, no witness to re-verify"
     if "context" not in rec:
         raise ValueError("the record has no `context` field to rebuild its instance from")
-    sys_ = _rebuild_system(rec["context"])
-    ring = sys_.ring
-    if check == "reduced":
-        a = ring.element_index(wit["element"])
-        ok = a != ring.zero and ring.is_nilpotent(a)
-        return ok, f"{wit['element']} is a nonzero nilpotent: {ok}"
-    if check == "ni":
-        a, b = ring.element_index(wit["a"]), ring.element_index(wit["b"])
-        if wit["kind"] == "add":
-            ok = (
-                ring.is_nilpotent(a)
-                and ring.is_nilpotent(b)
-                and not ring.is_nilpotent(int(ring.add(a, b)))
-            )
-            return ok, f"nil + nil escapes the nil set: {ok}"
-        ok = ring.is_nilpotent(b) and not ring.is_nilpotent(int(ring.mul(a, b)))
-        ok = ok or (
-            ring.is_nilpotent(a) and not ring.is_nilpotent(int(ring.mul(a, b)))
-        )
-        return ok, f"nilpotent absorbs under product fails: {ok}"
-    if check == "abelian":
-        e, r = ring.element_index(wit["idempotent"]), ring.element_index(wit["r"])
-        ok = int(ring.mul(e, e)) == e and int(ring.mul(e, r)) != int(ring.mul(r, e))
-        return ok, f"idempotent {wit['idempotent']} fails to commute with {wit['r']}: {ok}"
-    if check in ("sigma_rigid", "weak_sigma_rigid"):
-        maps = {m.name: m for m in orbit_closure(sys_.sigma)}
-        m = maps[wit["map"]]
-        a = ring.element_index(wit["element"])
-        prod = int(ring.mul(a, m(a)))
-        if check == "sigma_rigid":
-            ok = a != ring.zero and prod == ring.zero
-            return ok, f"a != 0 with a*{wit['map']}(a) = 0: {ok}"
-        ok = ring.is_nilpotent(prod) != ring.is_nilpotent(a)
-        return ok, f"nilpotency of a and a*{wit['map']}(a) disagree: {ok}"
-    if check in (
-        "weak_sigma_skew_armendariz",
-        "sigma_skew_armendariz",
-        "skew_armendariz",
-        "weak_armendariz",
-        "sigma_delta_skew_armendariz",
-        "skew_pi_armendariz",
-    ):
-        f = _poly_from_terms(sys_, wit["f_terms"])
-        g = _poly_from_terms(sys_, wit["g_terms"])
-        ai = ring.element_index(wit["a_i"])
-        bj = ring.element_index(wit["b_j"])
-        if check == "skew_pi_armendariz":
-            nil_fg, k = poly_is_nilpotent(f * g, int(wit["fg_power_zero_at"]))
-            ok = nil_fg and not ring.is_nilpotent(int(ring.mul(ai, bj)))
-            return ok, f"(fg)^{k} = 0 with a_i*b_j non-nilpotent: {ok}"
-        if not (f * g).is_zero:
-            return False, "stored f, g do not multiply to zero"
-        if check == "sigma_delta_skew_armendariz":
-            term = sys_.monomial(tuple(wit["exp_i"]), ai) * sys_.monomial(
-                tuple(wit["exp_j"]), bj
-            )
-            ok = not term.is_zero
-            return ok, f"fg = 0 but the term product is nonzero: {ok}"
-        tw = sigma_power(sys_.sigma, tuple(wit["exp_i"]))
-        p = int(ring.mul(ai, tw(bj)))
-        if check in ("weak_sigma_skew_armendariz", "weak_armendariz"):
-            ok = not ring.is_nilpotent(p)
-            return ok, f"fg = 0 but a_i*sigma^(alpha_i)(b_j) is not nilpotent: {ok}"
-        if check == "sigma_skew_armendariz":
-            ok = p != ring.zero
-            return ok, f"fg = 0 but a_i*sigma^(alpha_i)(b_j) != 0: {ok}"
-        ok = p != ring.zero and list(wit["exp_i"]) == [0] * sys_.n
-        return ok, f"fg = 0 but a_0*b_j != 0: {ok}"
-    return False, f"unknown check {check!r}"
+    if check not in DECIDERS:
+        return False, f"unknown check {check!r}"
+    return recheck(check, _rebuild_system(rec["context"]), rec.get("witness") or {})
 
 
 def cmd_explain(args) -> int:

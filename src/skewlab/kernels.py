@@ -25,10 +25,9 @@ _CHUNK_ELEMS = 1 << 18
 def associativity_witness(table: np.ndarray):
     """First (a, b, c) with (ab)c != a(bc), or None."""
     n = table.shape[0]
-    idx = np.arange(n)
     for a in range(n):
         row = table[a]
-        lhs = table[row][:, idx]  # lhs[b, c] = table[table[a,b], c]
+        lhs = table[row]  # lhs[b, c] = table[table[a,b], c]
         rhs = row[table]  # rhs[b, c] = table[a, table[b,c]]
         bad = lhs != rhs
         if bad.any():

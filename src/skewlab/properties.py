@@ -8,8 +8,9 @@ HoldsUpToBound with the bound descriptor.  All six zero-product
 properties run on the one pair sweep of kernels.py; the rewriting
 engine only builds its constants, certifies nilpotency of products for
 skew_pi_armendariz, and re-checks witnesses.  Every Fails verdict is
-re-checked through an independent route (engine arithmetic or direct
-ring ops) before it is returned.
+re-checked by `recheck` from its record fields, through an independent
+route (engine arithmetic or direct ring ops), before it is returned;
+`skewlab explain` runs the same re-check on stored records.
 
 Canonical orders make every verdict deterministic: elements ascending,
 closure maps in word order, polynomial pairs by (deg f, deg g, f index,
@@ -18,11 +19,12 @@ g index) over the enumerated coefficient vectors.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 
 import numpy as np
 
 from . import kernels
-from .maps import RingMap, SigmaFamily, identity_map, orbit_closure, sigma_power
+from .maps import SigmaFamily, identity_map, orbit_closure, sigma_power
 from .poly import (
     CommutationSystem,
     SkewPoly,
@@ -30,7 +32,16 @@ from .poly import (
     monomials_upto,
     move_past_tables,
 )
-from .rings import BudgetError, FiniteRing, SRing, SubsetIdeal, _CHUNK
+from .rings import (
+    _CHUNK,
+    BudgetError,
+    FiniteRing,
+    SRing,
+    SubsetIdeal,
+    abelian_failure,
+    ni_failure,
+    nil_set,
+)
 
 # search defaults; the CLI and the theorem suite read these
 DEFAULT_DEGREE_BOUND = 2
@@ -89,78 +100,100 @@ def family_label(family: SigmaFamily) -> str:
 
 
 # ---------------------------------------------------------------------------
-# rigidity (exact deciders)
+# ring flags and rigidity (exact deciders)
 
 
-def _first_bad_element(ring: FiniteRing, maps: list[RingMap], bad_for_map) -> tuple | None:
-    """Least bad element over all maps, tie-broken by closure order."""
+def reduced_verdict(ring: FiniteRing, instance: str = "") -> PropertyVerdict:
+    """0 is the only nilpotent; the witness is the least nonzero nilpotent."""
+    nils = nil_set(ring)
+    if len(nils) < 2:
+        return PropertyVerdict("reduced", instance or ring.name, "holds")
+    first = int(nils[1] if nils[0] == ring.zero else nils[0])
+    witness = {"element": ring.element_name(first), "nilpotent": True}
+    return _failed("reduced", ring, instance or ring.name, witness)
+
+
+def ni_verdict(ring: FiniteRing, instance: str = "") -> PropertyVerdict:
+    """The nilpotents form a two-sided ideal; the witness breaks closure."""
+    bad = ni_failure(ring)
+    if bad is None:
+        return PropertyVerdict("ni", instance or ring.name, "holds")
+    kind, x, y = bad
+    witness = {"kind": kind, "a": ring.element_name(x), "b": ring.element_name(y)}
+    return _failed("ni", ring, instance or ring.name, witness)
+
+
+def abelian_verdict(ring: FiniteRing, instance: str = "") -> PropertyVerdict:
+    """Every idempotent is central; the witness is (e, r) with er != re."""
+    bad = abelian_failure(ring)
+    if bad is None:
+        return PropertyVerdict("abelian", instance or ring.name, "holds")
+    e, r = bad
+    witness = {"idempotent": ring.element_name(e), "r": ring.element_name(r)}
+    return _failed("abelian", ring, instance or ring.name, witness)
+
+
+def _rigidity(
+    prop: str, ring: FiniteRing, family: SigmaFamily, instance: str,
+    ideal: SubsetIdeal | None = None,
+) -> PropertyVerdict:
+    """The one sweep of the rigidity deciders: least bad a, then closure order.
+
+    sigma_rigid asks a sigma^theta(a) = 0 to force a = 0; the weak
+    properties ask a sigma^theta(a) nilpotent exactly when a is, over the
+    carrier or over the elements of `ideal`.
+    """
+    maps = orbit_closure(family)
+    nil = None if prop == "sigma_rigid" else ring.nil_mask()
+    if ideal is None:
+        chunks = (np.arange(lo, min(lo + _CHUNK, ring.size)) for lo in range(0, ring.size, _CHUNK))
+    else:
+        chunks = [np.asarray(ideal.elements, dtype=np.int64)]
     best = None
-    for mi, m in enumerate(maps):
-        for lo in range(0, ring.size, _CHUNK):
-            x = np.arange(lo, min(lo + _CHUNK, ring.size))
-            bad = bad_for_map(m, x)
+    for x in chunks:
+        for mi, m in enumerate(maps):
+            prod = np.asarray(ring.mul(x, m.table[x]))
+            bad = (prod == ring.zero) & (x != ring.zero) if nil is None else nil[prod] != nil[x]
             if bad.any():
                 a = int(x[int(np.argmax(bad))])
                 if best is None or a < best[0]:
                     best = (a, mi)
-                break
-    return best
+        if best is not None:
+            break
+    label = (ideal.label or "ideal") if ideal is not None else None
+    name = instance or f"{ring.name}/{family_label(family)}" + (f"/{label}" if label else "")
+    if best is None:
+        bound = None if ideal is None else {"ideal": label, "ideal_size": len(ideal.elements)}
+        return PropertyVerdict(prop, name, "holds", bound=bound)
+    a, mi = best
+    m = maps[mi]
+    prod = int(ring.mul(a, m(a)))
+    el = ring.element_name
+    if nil is None:
+        witness = {"element": el(a), "map": m.name, "twisted": el(int(m(a))), "product": el(prod)}
+    else:
+        witness = {
+            "element": el(a),
+            "element_nilpotent": bool(nil[a]),
+            "map": m.name,
+            "product": el(prod),
+            "product_nilpotent": bool(nil[prod]),
+        }
+    if ideal is None:
+        witness["maps_swept"] = len(maps)
+    else:
+        witness = {"ideal": label, **witness}
+    return _failed(prop, family, name, witness)
 
 
 def is_sigma_rigid(ring: FiniteRing, family: SigmaFamily, instance: str = "") -> PropertyVerdict:
     """r sigma^theta(r) = 0 forces r = 0, for every iterated twist."""
-    maps = orbit_closure(family)
-    zero = ring.zero
-
-    def bad_for_map(m, x):
-        return (np.asarray(ring.mul(x, m.table[x])) == zero) & (x != zero)
-
-    best = _first_bad_element(ring, maps, bad_for_map)
-    name = instance or f"{ring.name}/{family_label(family)}"
-    if best is None:
-        return PropertyVerdict("sigma_rigid", name, "holds")
-    a, mi = best
-    m = maps[mi]
-    prod = int(ring.mul(a, m(a)))
-    if not (prod == zero and a != zero):
-        raise ConsistencyError("sigma_rigid witness failed re-check")
-    witness = {
-        "element": ring.element_name(a),
-        "map": m.name,
-        "twisted": ring.element_name(int(m(a))),
-        "product": ring.element_name(prod),
-        "maps_swept": len(maps),
-    }
-    return PropertyVerdict("sigma_rigid", name, "fails", witness=witness)
+    return _rigidity("sigma_rigid", ring, family, instance)
 
 
 def is_weak_sigma_rigid(ring: FiniteRing, family: SigmaFamily, instance: str = "") -> PropertyVerdict:
     """a sigma^theta(a) nilpotent exactly when a is, for every iterated twist."""
-    maps = orbit_closure(family)
-    nil = ring.nil_mask()
-
-    def bad_for_map(m, x):
-        prod = np.asarray(ring.mul(x, m.table[x]))
-        return nil[prod] != nil[x]
-
-    best = _first_bad_element(ring, maps, bad_for_map)
-    name = instance or f"{ring.name}/{family_label(family)}"
-    if best is None:
-        return PropertyVerdict("weak_sigma_rigid", name, "holds")
-    a, mi = best
-    m = maps[mi]
-    prod = int(ring.mul(a, m(a)))
-    if bool(nil[prod]) == bool(nil[a]):
-        raise ConsistencyError("weak_sigma_rigid witness failed re-check")
-    witness = {
-        "element": ring.element_name(a),
-        "element_nilpotent": bool(nil[a]),
-        "map": m.name,
-        "product": ring.element_name(prod),
-        "product_nilpotent": bool(nil[prod]),
-        "maps_swept": len(maps),
-    }
-    return PropertyVerdict("weak_sigma_rigid", name, "fails", witness=witness)
+    return _rigidity("weak_sigma_rigid", ring, family, instance)
 
 
 def is_weak_sigma_rigid_ideal(
@@ -170,40 +203,7 @@ def is_weak_sigma_rigid_ideal(
     instance: str = "",
 ) -> PropertyVerdict:
     """The weak rigidity biconditional restricted to elements of an ideal."""
-    maps = orbit_closure(family)
-    nil = ring.nil_mask()
-    elems = np.asarray(ideal.elements, dtype=np.int64)
-    best = None
-    for mi, m in enumerate(maps):
-        prod = np.asarray(ring.mul(elems, m.table[elems]))
-        bad = nil[prod] != nil[elems]
-        if bad.any():
-            a = int(elems[int(np.argmax(bad))])
-            if best is None or a < best[0]:
-                best = (a, mi)
-    label = ideal.label or "ideal"
-    name = instance or f"{ring.name}/{family_label(family)}/{label}"
-    if best is None:
-        return PropertyVerdict(
-            "weak_sigma_rigid_ideal",
-            name,
-            "holds",
-            bound={"ideal": label, "ideal_size": len(ideal.elements)},
-        )
-    a, mi = best
-    m = maps[mi]
-    prod = int(ring.mul(a, m(a)))
-    if bool(nil[prod]) == bool(nil[a]):
-        raise ConsistencyError("weak_sigma_rigid_ideal witness failed re-check")
-    witness = {
-        "ideal": label,
-        "element": ring.element_name(a),
-        "element_nilpotent": bool(nil[a]),
-        "map": m.name,
-        "product": ring.element_name(prod),
-        "product_nilpotent": bool(nil[prod]),
-    }
-    return PropertyVerdict("weak_sigma_rigid_ideal", name, "fails", witness=witness)
+    return _rigidity("weak_sigma_rigid_ideal", ring, family, instance, ideal)
 
 
 # ---------------------------------------------------------------------------
@@ -230,17 +230,26 @@ def _coeff_subset(ring: FiniteRing, budget: SearchBudget) -> np.ndarray:
     return subset
 
 
+def _check_pair_cap(k: int, M: int, cap: int) -> None:
+    """Raise the pair_cap BudgetError before any of the k**M polynomials is built."""
+    if k > 1 and 2 * M * (k.bit_length() - 1) > max(cap.bit_length(), 4096):
+        pairs = f"{k}^{2 * M}"  # past every cap: never formed
+    else:
+        pairs = k ** (2 * M)
+        if pairs <= cap:
+            return
+    raise BudgetError(
+        f"{pairs} polynomial pairs exceed pair_cap={cap}; "
+        "lower the degree bound or pass a coefficient subset"
+    )
+
+
 def _enumerate_polys(ring: FiniteRing, exps: list[tuple], budget: SearchBudget):
     """Coefficient rows over the subset, stably sorted into degree blocks."""
     subset = _coeff_subset(ring, budget)
     k = int(subset.size)
     M = len(exps)
     P = k**M
-    if P * P > budget.pair_cap:
-        raise BudgetError(
-            f"{P * P} polynomial pairs exceed pair_cap={budget.pair_cap}; "
-            "lower the degree bound or pass a coefficient subset"
-        )
     rows = subset[_digit_rows(P, k, M)]
     mdeg = np.array([sum(e) for e in exps], dtype=np.int64)
     rdeg = ((rows != ring.zero) * mdeg[None, :]).max(axis=1)
@@ -332,6 +341,8 @@ def _zero_product_search(
             f"{prop} needs an endomorphism-type extension (all derivations zero)"
         )
     D = budget.degree_bound
+    k = ring.size if budget.subset is None else _coeff_subset(ring, budget).size
+    _check_pair_cap(k, comb(sys.n + D, sys.n), budget.pair_cap)
     exps = monomials_upto(sys.n, D, sys.order)
     exps_out = monomials_upto(sys.n, 2 * D, sys.order)
     stc = monomial_product_table(sys, exps, exps_out)
@@ -354,10 +365,11 @@ def _zero_product_search(
         ("nilpotent_products" if mode == 4 else "zero_products"): selected,
     }
     if witness is not None:
+        del moves  # the re-check builds its own sigma^alpha table
         wit = _witness(sys, exps, polys, witness, prop, budget.power_bound)
         wit.update(counters, degree_bound=D)
         wit.update({"power_bound": budget.power_bound} if mode == 4 else {"subset": subset})
-        return PropertyVerdict(prop, name, "fails", witness=wit)
+        return _failed(prop, sys, name, wit)
     bound = {"degree_bound": D}
     if mode == 4:
         bound["power_bound"] = budget.power_bound
@@ -369,7 +381,7 @@ def _zero_product_search(
 
 
 def _witness(sys: CommutationSystem, exps, polys, witness, prop: str, power_bound: int) -> dict:
-    """Witness record of a sweep hit, re-checked through the engine and ring ops."""
+    """Witness record of a sweep hit; `recheck` then verifies it from these fields."""
     ring = sys.ring
     nil = ring.nil_mask()
     mode = _MODE_BY_PROP[prop]
@@ -384,12 +396,7 @@ def _witness(sys: CommutationSystem, exps, polys, witness, prop: str, power_boun
         "g_terms": poly_terms_record(g),
     }
     if mode == 4:
-        ok, k = poly_is_nilpotent(f * g, power_bound)
-        if not ok:
-            raise ConsistencyError(f"{prop} witness product fg is not nilpotent")
-        wit["fg_power_zero_at"] = k
-    elif not (f * g).is_zero:
-        raise ConsistencyError(f"{prop} witness product fg is not zero")
+        wit["fg_power_zero_at"] = poly_is_nilpotent(f * g, power_bound)[1]
     wit.update(
         monomial_i=_mono_str(exps[i]),
         monomial_j=_mono_str(exps[j]),
@@ -399,20 +406,12 @@ def _witness(sys: CommutationSystem, exps, polys, witness, prop: str, power_boun
         b_j=ring.element_name(bj),
     )
     if mode == 3:
-        term = sys.monomial(exps[i], ai) * sys.monomial(exps[j], bj)
-        if term.is_zero:
-            raise ConsistencyError(f"{prop} witness term product is zero")
-        wit["term_product"] = str(term)
+        wit["term_product"] = str(sys.monomial(exps[i], ai) * sys.monomial(exps[j], bj))
     elif mode == 4:
-        p = int(ring.mul(ai, bj))
-        if nil[p]:
-            raise ConsistencyError(f"{prop} witness product is nilpotent")
-        wit["product"] = ring.element_name(p)
+        wit["product"] = ring.element_name(int(ring.mul(ai, bj)))
     else:
         tw = sigma_power(sys.sigma, exps[i])
         p = int(ring.mul(ai, tw(bj)))
-        if nil[p] if mode == 0 else p == ring.zero:
-            raise ConsistencyError(f"{prop} witness product breaks no condition after all")
         wit.update(twist=tw.name, product=ring.element_name(p), product_nilpotent=bool(nil[p]))
     return wit
 
@@ -442,10 +441,7 @@ def is_weak_armendariz(
     ring: FiniteRing, budget: SearchBudget | None = None, instance: str = ""
 ) -> PropertyVerdict:
     """Untwisted one-variable case: fg = 0 forces all a_i b_j nilpotent."""
-    sys = CommutationSystem(
-        ring, SigmaFamily(ring, [identity_map(ring)]), name=f"untwisted({ring.name})"
-    )
-    return _zero_product_search(sys, budget, "weak_armendariz", instance or ring.name)
+    return _zero_product_search(untwisted(ring), budget, "weak_armendariz", instance or ring.name)
 
 
 def is_sigma_delta_skew_armendariz(
@@ -470,6 +466,109 @@ def is_skew_pi_armendariz(
     constraint and are skipped.  Derivations are allowed.
     """
     return _zero_product_search(sys, budget, "skew_pi_armendariz", instance)
+
+
+# ---------------------------------------------------------------------------
+# witness re-check (every decider's fails path, and `skewlab explain`)
+
+FLAGS = ("reduced", "ni", "abelian")
+RIGIDITY = ("sigma_rigid", "weak_sigma_rigid", "weak_sigma_rigid_ideal")
+
+
+def untwisted(ring: FiniteRing) -> CommutationSystem:
+    """R[x] with the identity twist: the extension weak_armendariz searches."""
+    return CommutationSystem(
+        ring, SigmaFamily(ring, [identity_map(ring)]), name=f"untwisted({ring.name})"
+    )
+
+
+def _failed(prop: str, inst, name: str, witness: dict) -> PropertyVerdict:
+    ok, msg = recheck(prop, inst, witness)
+    if not ok:
+        raise ConsistencyError(f"{prop} witness failed its re-check: {msg}")
+    return PropertyVerdict(prop, name, "fails", witness=witness)
+
+
+def _poly(sys: CommutationSystem, terms: list[dict]) -> SkewPoly:
+    return SkewPoly(sys, {tuple(t["exp"]): sys.ring.element_index(t["coeff"]) for t in terms})
+
+
+def recheck(prop: str, inst, witness: dict) -> tuple[bool, str]:
+    """(ok, explanation) for a `fails` witness of `prop`, from its record fields.
+
+    `inst` is the instance the decider searched or an extension built
+    over it: the flags read its ring, the rigidity properties its twist
+    family (whose orbit closure names the map), weak_armendariz the
+    untwisted extension of its ring, the other searches the extension.
+    """
+    ring = inst if isinstance(inst, FiniteRing) else inst.ring
+    el, nil = ring.element_index, ring.is_nilpotent
+    w = witness
+    if prop == "reduced":
+        a = el(w["element"])
+        ok = a != ring.zero and nil(a)
+        return ok, f"{w['element']} is a nonzero nilpotent: {ok}"
+    if prop == "ni":
+        a, b = el(w["a"]), el(w["b"])
+        if w["kind"] == "add":
+            ok = nil(a) and nil(b) and not nil(int(ring.add(a, b)))
+            return ok, f"nil + nil escapes the nil set: {ok}"
+        ok = (nil(a) or nil(b)) and not nil(int(ring.mul(a, b)))
+        return ok, f"nilpotent absorbs under product fails: {ok}"
+    if prop == "abelian":
+        e, r = el(w["idempotent"]), el(w["r"])
+        ok = int(ring.mul(e, e)) == e and int(ring.mul(e, r)) != int(ring.mul(r, e))
+        return ok, f"idempotent {w['idempotent']} fails to commute with {w['r']}: {ok}"
+    if prop in RIGIDITY:
+        family = inst.sigma if isinstance(inst, CommutationSystem) else inst
+        a = el(w["element"])
+        prods = [int(ring.mul(a, m(a))) for m in orbit_closure(family) if m.name == w["map"]]
+        if prop == "sigma_rigid":
+            ok = a != ring.zero and ring.zero in prods
+            return ok, f"a != 0 with a*{w['map']}(a) = 0: {ok}"
+        ok = any(nil(p) != nil(a) for p in prods)
+        return ok, f"nilpotency of a and a*{w['map']}(a) disagree: {ok}"
+    mode = _MODE_BY_PROP[prop]
+    sys = untwisted(ring) if prop == "weak_armendariz" else inst
+    f, g = _poly(sys, w["f_terms"]), _poly(sys, w["g_terms"])
+    ai, bj = el(w["a_i"]), el(w["b_j"])
+    if mode == 4:
+        nil_fg, k = poly_is_nilpotent(f * g, int(w["fg_power_zero_at"]))
+        ok = nil_fg and not nil(int(ring.mul(ai, bj)))
+        return ok, f"(fg)^{k} = 0 with a_i*b_j non-nilpotent: {ok}"
+    if not (f * g).is_zero:
+        return False, "stored f, g do not multiply to zero"
+    if mode == 3:
+        term = sys.monomial(tuple(w["exp_i"]), ai) * sys.monomial(tuple(w["exp_j"]), bj)
+        ok = not term.is_zero
+        return ok, f"fg = 0 but the term product is nonzero: {ok}"
+    p = int(ring.mul(ai, sigma_power(sys.sigma, tuple(w["exp_i"]))(bj)))
+    if mode == 0:
+        ok = not nil(p)
+        return ok, f"fg = 0 but a_i*sigma^(alpha_i)(b_j) is not nilpotent: {ok}"
+    if mode == 1:
+        ok = p != ring.zero
+        return ok, f"fg = 0 but a_i*sigma^(alpha_i)(b_j) != 0: {ok}"
+    ok = p != ring.zero and not any(w["exp_i"])
+    return ok, f"fg = 0 but a_0*b_j != 0: {ok}"
+
+
+# check name -> decider.  Each takes what its name asks for: the ring for
+# FLAGS, the ring and twist family for RIGIDITY, the ring and a budget for
+# weak_armendariz, the extension and a budget for the other searches.
+DECIDERS = {
+    "reduced": reduced_verdict,
+    "ni": ni_verdict,
+    "abelian": abelian_verdict,
+    "sigma_rigid": is_sigma_rigid,
+    "weak_sigma_rigid": is_weak_sigma_rigid,
+    "weak_armendariz": is_weak_armendariz,
+    "weak_sigma_skew_armendariz": is_weak_sigma_skew_armendariz,
+    "sigma_skew_armendariz": is_sigma_skew_armendariz,
+    "skew_armendariz": is_skew_armendariz,
+    "sigma_delta_skew_armendariz": is_sigma_delta_skew_armendariz,
+    "skew_pi_armendariz": is_skew_pi_armendariz,
+}
 
 
 # ---------------------------------------------------------------------------

@@ -639,6 +639,8 @@ def principal_right_set(ring: FiniteRing, e: int) -> np.ndarray:
 def make_zn(n: int) -> TableRing:
     if n < 2:
         raise ValueError("Z_n needs n >= 2")
+    if n > DEFAULT_TABLE_BUDGET:
+        raise BudgetError(f"Z{n} has size {n} > {DEFAULT_TABLE_BUDGET}")
     idx = np.arange(n)
     add = (idx[:, None] + idx[None, :]) % n
     mul = (idx[:, None] * idx[None, :]) % n

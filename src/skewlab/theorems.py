@@ -496,14 +496,15 @@ def reproduce_counterexamples(pair_cap: int = DEFAULT_PAIR_CAP) -> list[TheoremR
     return out
 
 
-THEOREM_ORDER = [
-    "catalog_flags",
-    "rigid_iff_weak_reduced",
-    "nil_transfer",
-    "idempotent_fixed",
-    "ideal_decomposition",
-    "ni_weak_rigid_implies_weak_armendariz",
-]
+# theorem name -> check over one entry, in report order
+CHECKS = {
+    "catalog_flags": check_catalog_flags,
+    "rigid_iff_weak_reduced": check_rigid_iff_weak_reduced,
+    "nil_transfer": check_nil_transfer,
+    "idempotent_fixed": check_idempotent_fixed,
+    "ideal_decomposition": check_ideal_decomposition,
+    "ni_weak_rigid_implies_weak_armendariz": check_weak_armendariz_implication,
+}
 
 
 def run_all(
@@ -512,31 +513,42 @@ def run_all(
     pair_cap: int = DEFAULT_PAIR_CAP,
     ideal_mode: str = "fixed",
 ) -> list[TheoremReport]:
-    """Every theorem over every catalog entry, in a fixed order."""
-    if instance is not None:
-        entries = [entry_by_name(instance)]
-    else:
-        entries = list(DEFAULT_ENTRIES)
-    out: list[TheoremReport] = []
-    for entry in entries:
-        out.append(check_catalog_flags(resolve(entry)))
-    for entry in entries:
-        out.append(check_rigid_iff_weak_reduced(resolve(entry)))
-    for entry in entries:
-        out.append(check_nil_transfer(resolve(entry)))
-    for entry in entries:
-        out.append(check_idempotent_fixed(resolve(entry)))
-    for entry in entries:
-        out.append(check_ideal_decomposition(resolve(entry), mode=ideal_mode))
-    for entry in entries:
-        out.append(
-            check_weak_armendariz_implication(
-                resolve(entry), degree_bound=degree_bound, pair_cap=pair_cap
-            )
-        )
+    """Every theorem over every catalog entry, theorem-major, in CHECKS order."""
+    entries = [entry_by_name(instance)] if instance is not None else DEFAULT_ENTRIES
+    params = {
+        "ideal_decomposition": {"mode": ideal_mode},
+        "ni_weak_rigid_implies_weak_armendariz": {
+            "degree_bound": degree_bound, "pair_cap": pair_cap,
+        },
+    }
+    out = [
+        check(resolve(entry), **params.get(name, {}))
+        for name, check in CHECKS.items()
+        for entry in entries
+    ]
     if instance is None or instance in ("R3(Z2)/id", "S(Z3)/negate-B"):
         cx = reproduce_counterexamples(pair_cap=pair_cap)
         if instance is not None:
             cx = [r for r in cx if r.instance == instance]
         out.extend(cx)
     return out
+
+
+def replay(record: dict) -> TheoremReport:
+    """Re-run the check behind a theorem record, with the parameters it carries.
+
+    ideal_decomposition reads its mode from `details.mode`; the Armendariz
+    implication reads the degree bound of its search from `details.bound`,
+    `details.witness` or `details.conclusion_fails_too`.
+    """
+    name, details = record["theorem"], record.get("details") or {}
+    if name.startswith("counterexample_"):
+        return {r.theorem: r for r in reproduce_counterexamples()}[name]
+    params = {}
+    if name == "ideal_decomposition":
+        params["mode"] = details["mode"]
+    elif name == "ni_weak_rigid_implies_weak_armendariz":
+        for key in ("bound", "witness", "conclusion_fails_too"):
+            if key in details:
+                params["degree_bound"] = details[key]["degree_bound"]
+    return CHECKS[name](resolve(entry_by_name(record["instance"])), **params)

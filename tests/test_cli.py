@@ -397,6 +397,86 @@ def test_explain_record_without_context(tmp_path, capsys):
     )
 
 
+def test_explain_literal_mode_theorem_records(tmp_path, capsys):
+    # the ideal decomposition replays in the mode its record names
+    _, out, _ = run_cli(
+        capsys, "verify-theorems", "--instance", "Z4/id", "--ideal-mode", "literal", "--json"
+    )
+    assert json.loads(out.splitlines()[4])["status"] == "vacuous"
+    code, out, err = run_cli(capsys, "explain", write(tmp_path, "lit.ndjson", out), "--json")
+    assert code == 0
+    assert all(json.loads(l)["verified"] for l in out.splitlines())
+
+
+def _m2_inner_spec():
+    """M2(Z2) twisted by conjugation with [1,1;0,1], which is its own inverse."""
+    from skewlab.catalog import get_ring
+
+    r = get_ring("M2(Z2)")
+    p = r.element_index("[1,1;0,1]")
+    images = [int(r.mul(r.mul(p, x), p)) for x in range(r.size)]
+    return f"ring M2(Z2)\nmap u = {images}\nmaps u\n"
+
+
+FAILS_SPECS = {
+    "m2": "ring M2(Z2)\n",
+    "m2-inner": _m2_inner_spec(),
+    "swap-ore": "system swap-ore\n",
+}
+FAILS_CASES = [
+    ("reduced", "m2"), ("ni", "m2"), ("abelian", "m2"), ("sigma_rigid", "m2"),
+    ("weak_sigma_rigid", "m2-inner"), ("weak_armendariz", "m2"),
+    ("weak_armendariz", "m2-inner"), ("weak_sigma_skew_armendariz", "m2-inner"),
+    ("sigma_skew_armendariz", "m2"), ("skew_armendariz", "m2-inner"),
+    ("sigma_delta_skew_armendariz", "swap-ore"), ("skew_pi_armendariz", "swap-ore"),
+]
+
+
+def check_fails(tmp_path, capsys, check, spec):
+    opts = " degree_bound=1" if "armendariz" in check else ""
+    text = FAILS_SPECS[spec] + f"check {check}{opts}\nexpect {check}=fails\n"
+    code, out, err = run_cli(capsys, "check", write(tmp_path, "f.spec", text), "--json")
+    assert code == 0, err
+    return json.loads(out)
+
+
+def explain_one(tmp_path, capsys, rec):
+    code, out, err = run_cli(
+        capsys, "explain", write(tmp_path, "f.ndjson", json.dumps(rec) + "\n"), "--json"
+    )
+    return code, json.loads(out)
+
+
+@pytest.mark.parametrize("check,spec", FAILS_CASES, ids=[f"{c}-{s}" for c, s in FAILS_CASES])
+def test_explain_roundtrip_every_check(tmp_path, capsys, check, spec):
+    rec = check_fails(tmp_path, capsys, check, spec)
+    code, row = explain_one(tmp_path, capsys, rec)
+    assert code == 0 and row["verified"] is True, row["explanation"]
+
+
+@pytest.mark.parametrize("check,spec,field,value", [
+    ("reduced", "m2", "element", "[1,0;0,1]"),
+    ("weak_sigma_rigid", "m2-inner", "element", "[0,0;0,0]"),
+    ("weak_armendariz", "m2-inner", "b_j", "[0,0;0,0]"),
+], ids=["flag", "rigidity", "search"])
+def test_explain_rejects_tampered_witness(tmp_path, capsys, check, spec, field, value):
+    rec = check_fails(tmp_path, capsys, check, spec)
+    assert rec["witness"][field] != value
+    rec["witness"][field] = value
+    code, row = explain_one(tmp_path, capsys, rec)
+    assert code == 1 and row["verified"] is False
+
+
+def test_check_needing_zero_derivations_exits_2(tmp_path, capsys):
+    path = write(tmp_path, "ore.spec", "system swap-ore\ncheck skew_armendariz degree_bound=1\n")
+    code, out, err = run_cli(capsys, "check", path)
+    assert code == 2 and out == ""
+    assert err == (
+        f"{path}:line 2, col 1: skew_armendariz needs an endomorphism-type "
+        "extension (all derivations zero)\n"
+    )
+
+
 def test_explain_empty_file(tmp_path, capsys):
     ndjson = write(tmp_path, "empty.ndjson", "\n")
     code, out, err = run_cli(capsys, "explain", ndjson)

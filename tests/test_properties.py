@@ -2,7 +2,9 @@
 import pytest
 
 from skewlab.maps import SigmaFamily, identity_map
+import skewlab.properties as P
 from skewlab.properties import (
+    ConsistencyError,
     NotEndomorphismTypeError,
     PropertyVerdict,
     SearchBudget,
@@ -191,6 +193,68 @@ def test_block_elementary_sizes():
 def test_pair_cap_budget():
     with pytest.raises(BudgetError):
         is_weak_armendariz(get_ring("M2(Z2)"), SearchBudget(degree_bound=2, pair_cap=1000))
+
+
+def test_pair_cap_checked_before_search_tables(monkeypatch):
+    def built(*args, **kw):
+        raise AssertionError("search tables built past the pair cap")
+
+    for name in ("monomials_upto", "monomial_product_table", "move_past_tables"):
+        monkeypatch.setattr(P, name, built)
+    z2 = get_ring("Z2")
+    with pytest.raises(BudgetError) as e:
+        is_weak_armendariz(z2, SearchBudget(degree_bound=120))
+    assert str(e.value) == (
+        f"{2**242} polynomial pairs exceed pair_cap=50000000; "
+        "lower the degree bound or pass a coefficient subset"
+    )
+    # past every cap the count is not formed, only named
+    with pytest.raises(BudgetError, match=r"^2\^2000002 polynomial pairs exceed"):
+        is_weak_armendariz(z2, SearchBudget(degree_bound=10**6))
+
+
+def _fails_calls():
+    """A call per decider that returns a `fails` verdict, cheap on small rings."""
+    m2, b1 = get_ring("M2(Z2)"), SearchBudget(degree_bound=1)
+    z22, swap = swap_family()
+    return {
+        "reduced": lambda: P.reduced_verdict(m2),
+        "ni": lambda: P.ni_verdict(m2),
+        "abelian": lambda: P.abelian_verdict(m2),
+        "sigma_rigid": lambda: P.is_sigma_rigid(m2, id_family(m2)),
+        "weak_sigma_rigid": lambda: P.is_weak_sigma_rigid(z22, swap),
+        "weak_sigma_rigid_ideal": lambda: P.is_weak_sigma_rigid_ideal(
+            z22, swap, make_ideal(z22, range(z22.size), "R")
+        ),
+        "weak_armendariz": lambda: P.is_weak_armendariz(m2, b1),
+        "weak_sigma_skew_armendariz": lambda: P.is_weak_sigma_skew_armendariz(
+            get_system("untwisted(M2(Z2))"), b1
+        ),
+        "sigma_skew_armendariz": lambda: P.is_sigma_skew_armendariz(
+            get_system("untwisted(M2(Z2))"), b1
+        ),
+        "skew_armendariz": lambda: P.is_skew_armendariz(get_system("untwisted(M2(Z2))"), b1),
+        "sigma_delta_skew_armendariz": lambda: P.is_sigma_delta_skew_armendariz(
+            get_system("swap-ore"), b1
+        ),
+        "skew_pi_armendariz": lambda: P.is_skew_pi_armendariz(get_system("swap-ore"), b1),
+    }
+
+
+@pytest.mark.parametrize("prop", list(_fails_calls()))
+def test_every_fails_path_runs_recheck(monkeypatch, prop):
+    call = _fails_calls()[prop]
+    assert call().status == "fails"
+    seen = []
+
+    def reject(p, inst, witness):
+        seen.append(p)
+        return False, "rejected"
+
+    monkeypatch.setattr(P, "recheck", reject)
+    with pytest.raises(ConsistencyError, match=f"^{prop} witness failed its re-check: rejected$"):
+        call()
+    assert seen == [prop]
 
 
 def test_derivations_rejected_by_table_searches():

@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 from skewlab.rings import (
+    DEFAULT_TABLE_BUDGET,
     BudgetError,
     NotAnIdealError,
     RingConstructionError,
@@ -275,3 +276,16 @@ def test_sampled_law_report_structure():
     s = get_ring("S(Z4)")
     rep = verify_ring_laws(s, samples=50_000, seed=3)
     assert rep.ok and rep.mode == "sampled" and rep.triples_checked == 50_000
+
+
+def test_make_zn_budget_before_tables():
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetError, match=f"Z{DEFAULT_TABLE_BUDGET + 1} has size"):
+            make_zn(DEFAULT_TABLE_BUDGET + 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20

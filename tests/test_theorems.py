@@ -5,7 +5,7 @@ import pytest
 
 from skewlab.theorems import (
     DEFAULT_ENTRIES,
-    THEOREM_ORDER,
+    CHECKS,
     check_catalog_flags,
     check_ideal_decomposition,
     check_idempotent_fixed,
@@ -35,7 +35,7 @@ def test_full_run_counts():
 def test_theorem_major_order():
     names = [r.theorem for r in REPORTS]
     n = len(DEFAULT_ENTRIES)
-    for k, theorem in enumerate(THEOREM_ORDER):
+    for k, theorem in enumerate(CHECKS):
         assert names[k * n : (k + 1) * n] == [theorem] * n
     assert names[-2:] == [
         "counterexample_weak_not_rigid",
