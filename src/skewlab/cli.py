@@ -755,13 +755,18 @@ def _rebuild_system(context: dict) -> CommutationSystem:
 
 
 def _reverify(rec: dict) -> tuple[bool, str]:
-    """Re-check a record: theorems re-run, `fails` witnesses go to `recheck`."""
+    """Re-check a record: theorems re-run and must reproduce the whole
+    record, `fails` witnesses go to `recheck`."""
     if "theorem" in rec:
-        fresh = theorem_suite.replay(rec)
-        ok = fresh.status == rec["status"]
-        return ok, (
-            f"re-ran {rec['theorem']} on {rec['instance']}: status {fresh.status}"
-            + ("" if ok else f" (record says {rec['status']})")
+        fresh = json.loads(_dumps(theorem_suite.replay(rec).to_record()))
+        stored = {k: v for k, v in rec.items() if k != "wall_ms"}
+        bad = [k for k in sorted(fresh.keys() | stored.keys()) if fresh.get(k) != stored.get(k)]
+        if bad == ["details"] and isinstance(stored.get("details"), dict):
+            new, old = fresh["details"], stored["details"]
+            bad = [f"details.{k}" for k in sorted(new.keys() | old.keys()) if new.get(k) != old.get(k)]
+        return not bad, (
+            f"re-ran {rec['theorem']} on {rec['instance']}: status {fresh['status']}"
+            + (f" (the record differs at {', '.join(bad)})" if bad else "")
         )
     check = rec["check"]
     if rec["status"] != "fails":

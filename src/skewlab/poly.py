@@ -22,9 +22,6 @@ import numpy as np
 from .maps import RingMap, SigmaDerivation, SigmaFamily, sigma_power
 from .rings import FiniteRing, is_central, is_invertible
 
-DEFAULT_R_SWEEP_CAP = 4096
-DEFAULT_R_SAMPLES = 512
-
 
 class PbwAxiomError(Exception):
     """The defining data does not present a well-formed extension."""
@@ -553,7 +550,6 @@ def is_in_nil_ra(f: SkewPoly) -> bool:
 @dataclass
 class PbwReport:
     system: str
-    mode: str  # "exhaustive-r" or "sampled-r"
     failures: list = field(default_factory=list)  # (check, detail) strings
     classification: dict = field(default_factory=dict)
 
@@ -568,19 +564,13 @@ def verify_pbw_axioms(sys: CommutationSystem) -> PbwReport:
     Per-map laws (endomorphism, twisted Leibniz) were already verified
     when the maps were built; here we check injectivity of each twist,
     nonzero leading coefficients c_ij, and confluence of the rewrite
-    rules: both association orders of x_j * (x_i * r) for i < j over all
-    (or, above DEFAULT_R_SWEEP_CAP elements, DEFAULT_R_SAMPLES seeded
-    samples of) r, and of the variable triples x_k * x_j * x_i.
+    rules: both association orders of x_j * (x_i * r) for i < j, and of
+    the variable triples x_k * x_j * x_i.  Both orders of x_j * (x_i * r)
+    are additive in r, so r runs over the ring's additive generators only
+    and a failure names the least failing generator.
     """
     ring = sys.ring
-    if ring.size <= DEFAULT_R_SWEEP_CAP:
-        r_values = range(ring.size)
-        mode = "exhaustive-r"
-    else:
-        rng = np.random.default_rng(0)
-        r_values = [int(v) for v in rng.integers(0, ring.size, size=DEFAULT_R_SAMPLES)]
-        mode = "sampled-r"
-    rep = PbwReport(sys.name, mode)
+    rep = PbwReport(sys.name)
     for i, m in enumerate(sys.sigma.maps):
         if not m.is_injective:
             rep.failures.append(
@@ -601,7 +591,7 @@ def verify_pbw_axioms(sys: CommutationSystem) -> PbwReport:
             for j in range(i + 1, sys.n):
                 xj, xi = sys.variable(j), sys.variable(i)
                 xji = xj * xi
-                for r in r_values:
+                for r in ring.additive_generators:
                     fr = sys.constant(int(r))
                     left = xj * (xi * fr)
                     right = xji * fr

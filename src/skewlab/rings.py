@@ -6,10 +6,10 @@ dense numpy Cayley tables; the block upper-triangular construction S
 structurally.  All add/mul/neg methods accept plain ints or numpy index
 arrays and broadcast.
 
-Ring axioms are checked on construction: exhaustively for table rings
-up to DEFAULT_EXHAUSTIVE_CAP elements, by seeded sampling otherwise.
-Invariants computed by a full carrier sweep (nil mask, idempotents) are
-stored on the ring, read-only, at first use.
+Ring axioms are checked exactly on construction, on additive generators
+G: every law is additive in each argument once (R, +) is a group.  G,
+the nil mask and the idempotents are stored on the ring, read-only, at
+first use.
 """
 from __future__ import annotations
 
@@ -21,9 +21,8 @@ import numpy as np
 from . import kernels
 
 DEFAULT_TABLE_BUDGET = 4096
-# carriers up to this size get exhaustive triple sweeps at construction
-DEFAULT_EXHAUSTIVE_CAP = 100
-DEFAULT_SAMPLES = 100_000
+# failing tables up to this size take their witness from the (a, b, c) sweep
+_WITNESS_SWEEP_CAP = 256
 _CHUNK = 1 << 20
 
 
@@ -47,8 +46,8 @@ class BudgetError(RingError):
 @dataclass
 class LawReport:
     ring: str
-    mode: str  # "exhaustive" or "sampled"
-    triples_checked: int
+    mode: str  # "generators" (table rings) or "block" (S rings); both exact
+    triples_checked: int  # law instances checked on the generators
     violation: tuple | None  # (law, witness) or None
 
     @property
@@ -130,7 +129,8 @@ class FiniteRing:
         """Elements generating the ring; commuting with them means central.
 
         The default is the whole carrier; structured rings override this
-        with a small set so centrality checks stay cheap.
+        with a small set so centrality checks stay cheap.  This is not
+        `additive_generators`: its order fixes the `abelian` witness r.
         """
         return self.elements()
 
@@ -170,8 +170,7 @@ class TableRing(FiniteRing):
             raise ValueError(f"{name}: element names are not unique")
         self.law_report = verify_ring_laws(self)
         if not self.law_report.ok:
-            law, witness = self.law_report.violation
-            raise RingConstructionError(name, law, witness)
+            raise RingConstructionError(name, *self.law_report.violation)
 
     def add(self, a, b):
         return _scalar(self.add_table[a, b])
@@ -185,6 +184,24 @@ class TableRing(FiniteRing):
     @cached_property
     def _neg_table(self) -> np.ndarray:
         return np.argmax(self.add_table == self.zero, axis=1).astype(np.int32)
+
+    @cached_property
+    def additive_generators(self) -> np.ndarray:
+        """Ascending G whose left-normed sums ((g1+g2)+...)+gk reach every
+        element: the least element not yet reached joins G, and a frontier
+        closure steps each reached element by each generator once."""
+        add, reached, gens = self.add_table, np.zeros(self.size, dtype=bool), []
+        reached[self.zero] = True
+        while not reached.all():
+            gens.append(int(np.argmin(reached)))
+            frontier, cols = np.nonzero(reached)[0], gens[-1:]
+            while len(frontier):
+                nxt = np.fromiter(set(add[frontier[:, None], cols].ravel().tolist()), np.int64)
+                frontier, cols = nxt[~reached[nxt]], gens
+                reached[frontier] = True
+        out = np.array(gens, dtype=np.int64)
+        out.setflags(write=False)
+        return out
 
     def element_name(self, a: int) -> str:
         return self.names[a]
@@ -221,8 +238,7 @@ class SRing(FiniteRing):
         self.one = self.encode(block_ring.one, 0, block_ring.one)
         self.law_report = verify_ring_laws(self)
         if not self.law_report.ok:
-            law, witness = self.law_report.violation
-            raise RingConstructionError(name, law, witness)
+            raise RingConstructionError(name, *self.law_report.violation)
 
     # packing: index = (A * bsize + B) * bsize + C
     def encode(self, A, B, C):
@@ -295,32 +311,67 @@ class SRing(FiniteRing):
         b = self.bsize
         return np.concatenate([x * b * b, x * b, x])
 
+    @cached_property
+    def additive_generators(self) -> np.ndarray:
+        """The block ring's additive generators placed in each slot, ascending."""
+        g, b = self.block.additive_generators, self.bsize
+        out = np.sort(np.concatenate([g * b * b, g * b, g]))
+        out.setflags(write=False)
+        return out
+
 
 # ---------------------------------------------------------------------------
 # law verification
 
 
 def _first_bad(mask: np.ndarray):
-    flat = int(np.argmax(mask))
-    return np.unravel_index(flat, mask.shape)
+    return np.unravel_index(int(np.argmax(mask)), mask.shape)
 
 
-def verify_ring_laws(
-    ring: FiniteRing, samples: int = DEFAULT_SAMPLES, seed: int = 0
-) -> LawReport:
-    """Check the ring axioms; exhaustive when the carrier is small."""
-    if ring.is_table_backed and ring.size <= DEFAULT_EXHAUSTIVE_CAP:
-        return _verify_exhaustive_tables(ring)
-    return _verify_sampled(ring, samples, seed)
+def verify_ring_laws(ring: FiniteRing) -> LawReport:
+    """Check the ring axioms exactly, over the ring's additive generators."""
+    return _verify_block(ring) if isinstance(ring, SRing) else _verify_tables(ring)
 
 
-def _verify_exhaustive_tables(ring: TableRing) -> LawReport:
+def _associativity_on(ring: FiniteRing, g: np.ndarray):
+    """First (a, b, c) in g^3 with (ab)c != a(bc), or None."""
+    a, b, c = g[:, None, None], g[None, :, None], g[None, None, :]
+    bad = ring.mul(ring.mul(a, b), c) != ring.mul(a, ring.mul(b, c))
+    return tuple(int(g[k]) for k in _first_bad(bad)) if bad.any() else None
+
+
+def _verify_block(ring: SRing) -> LawReport:
+    """The block rule and unit on the slot generators G_S, associativity on G_S^3.
+
+    (S, +) is three copies of the verified block ring's group and the
+    block rule is bilinear over it, so distributivity holds outright and
+    the other laws hold on S once they hold on G_S.
+    """
+    g, blk = ring.additive_generators, ring.block
+    (A1, B1, C1), (A2, B2, C2) = ring.decode(g[:, None]), ring.decode(g[None, :])
+    rule = blk.mul(A1, A2), blk.add(blk.mul(A1, B2), blk.mul(B1, C2)), blk.mul(C1, C2)
+    for law, bad in (
+        ("block_rule", ring.mul(g[:, None], g[None, :]) != ring.encode(*rule)),
+        ("one_left_identity", ring.mul(ring.one, g) != g),
+        ("one_right_identity", ring.mul(g, ring.one) != g),
+    ):
+        if bad.any():
+            violation = (law, tuple(int(g[i]) for i in _first_bad(bad)))
+            break
+    else:
+        w = _associativity_on(ring, g)
+        violation = None if w is None else ("mul_associative", w)
+    k = len(g)
+    return LawReport(ring.name, "block", k**3 + k**2 + 2 * k, violation)
+
+
+def _verify_tables(ring: TableRing) -> LawReport:
     n = ring.size
     add, mul = ring.add_table, ring.mul_table
     idx = np.arange(n)
 
     def report(law, witness):
-        return LawReport(ring.name, "exhaustive", n**3, (law, tuple(map(int, witness))))
+        return LawReport(ring.name, "generators", 0, (law, tuple(map(int, witness))))
 
     if add.shape != (n, n) or mul.shape != (n, n):
         return report("table_shape", (n,))
@@ -328,76 +379,57 @@ def _verify_exhaustive_tables(ring: TableRing) -> LawReport:
         return report("table_range", (int(add.max()), int(mul.max())))
     if ring.zero == ring.one:
         return report("zero_ne_one", (ring.zero,))
-    bad = add != add.T
-    if bad.any():
-        return report("add_commutative", _first_bad(bad))
-    bad = add[ring.zero] != idx
-    if bad.any():
-        return report("zero_identity", (int(np.argmax(bad)),))
-    bad = ~(add == ring.zero).any(axis=1)
-    if bad.any():
-        return report("negation_exists", (int(np.argmax(bad)),))
-    bad = mul[ring.one] != idx
-    if bad.any():
-        return report("one_left_identity", (int(np.argmax(bad)),))
-    bad = mul[:, ring.one] != idx
-    if bad.any():
-        return report("one_right_identity", (int(np.argmax(bad)),))
-    w = kernels.associativity_witness(add)
-    if w is not None:
-        return report("add_associative", w)
-    w = kernels.associativity_witness(mul)
-    if w is not None:
-        return report("mul_associative", w)
+    for law, bad in (
+        ("add_commutative", add != add.T),
+        ("zero_identity", add[ring.zero] != idx),
+        ("negation_exists", ~(add == ring.zero).any(axis=1)),
+        ("one_left_identity", mul[ring.one] != idx),
+        ("one_right_identity", mul[:, ring.one] != idx),
+    ):
+        if bad.any():
+            return report(law, _first_bad(bad))
+    g = ring.additive_generators
+    violation = _generator_violation(ring, g)
+    if violation and n <= _WITNESS_SWEEP_CAP:
+        violation = _canonical_violation(add, mul) or violation
+    return LawReport(ring.name, "generators", 3 * n * n * len(g) + len(g) ** 3, violation)
+
+
+def _generator_violation(ring: TableRing, gens: np.ndarray):
+    """First (law, witness) that the generators decide, or None.
+
+    Per generator g and all x, y: (x+g)+y = x+(g+y) is Light's test for
+    + associative; with that, x(y+g) = xy+xg and (x+g)y = xy+gy are
+    distributivity; with both, * associative on G^3 is associativity.
+    """
+    add, mul, n = ring.add_table, ring.mul_table, ring.size
+    plus = add.ravel()  # plus[a*n + b] = a+b; flat takes beat 2-d gathers
+    step = max(1, _CHUNK // n)
+    for g in gens:
+        for lo in range(0, n, step):
+            x = np.arange(lo, min(lo + step, n))
+            ax, mx = add[x], mul[x]
+            for law, bad in (
+                ("add_associative", add[ax[:, g]] != ax.take(add[g], axis=1)),
+                ("distributive_left", mx.take(add[:, g], axis=1) != plus.take(mx * n + mx[:, g, None])),
+                ("distributive_right", mul[ax[:, g]] != plus.take(mx * n + mul[g])),
+            ):
+                if bad.any():
+                    i, y = _first_bad(bad)
+                    w = (x[i], y, g) if law == "distributive_left" else (x[i], g, y)
+                    return law, tuple(map(int, w))
+    w = _associativity_on(ring, gens)
+    return None if w is None else ("mul_associative", w)
+
+
+def _canonical_violation(add: np.ndarray, mul: np.ndarray):
+    """First (law, witness) of the full (a, b, c) sweeps, or None."""
+    for law, table in (("add_associative", add), ("mul_associative", mul)):
+        w = kernels.associativity_witness(table)
+        if w is not None:
+            return law, w
     w = kernels.distributivity_witness(add, mul)
-    if w is not None:
-        law, triple = w
-        return report(f"distributive_{law}", triple)
-    return LawReport(ring.name, "exhaustive", n**3, None)
-
-
-def _verify_sampled(ring: FiniteRing, samples: int, seed: int) -> LawReport:
-    rng = np.random.default_rng(seed)
-    n = ring.size
-    a = rng.integers(0, n, size=samples)
-    b = rng.integers(0, n, size=samples)
-    c = rng.integers(0, n, size=samples)
-
-    def report(law, k):
-        return LawReport(
-            ring.name, "sampled", samples, (law, (int(a[k]), int(b[k]), int(c[k])))
-        )
-
-    if ring.zero == ring.one:
-        return LawReport(ring.name, "sampled", samples, ("zero_ne_one", (ring.zero,)))
-    bad = ring.add(a, b) != ring.add(b, a)
-    if bad.any():
-        return report("add_commutative", int(np.argmax(bad)))
-    bad = ring.add(ring.zero, a) != a
-    if bad.any():
-        return report("zero_identity", int(np.argmax(bad)))
-    bad = ring.add(a, ring.neg(a)) != ring.zero
-    if bad.any():
-        return report("negation_exists", int(np.argmax(bad)))
-    bad = ring.mul(ring.one, a) != a
-    if bad.any():
-        return report("one_left_identity", int(np.argmax(bad)))
-    bad = ring.mul(a, ring.one) != a
-    if bad.any():
-        return report("one_right_identity", int(np.argmax(bad)))
-    bad = ring.add(ring.add(a, b), c) != ring.add(a, ring.add(b, c))
-    if bad.any():
-        return report("add_associative", int(np.argmax(bad)))
-    bad = ring.mul(ring.mul(a, b), c) != ring.mul(a, ring.mul(b, c))
-    if bad.any():
-        return report("mul_associative", int(np.argmax(bad)))
-    bad = ring.mul(a, ring.add(b, c)) != ring.add(ring.mul(a, b), ring.mul(a, c))
-    if bad.any():
-        return report("distributive_left", int(np.argmax(bad)))
-    bad = ring.mul(ring.add(a, b), c) != ring.add(ring.mul(a, c), ring.mul(b, c))
-    if bad.any():
-        return report("distributive_right", int(np.argmax(bad)))
-    return LawReport(ring.name, "sampled", samples, None)
+    return None if w is None else (f"distributive_{w[0]}", w[1])
 
 
 # ---------------------------------------------------------------------------

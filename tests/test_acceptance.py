@@ -30,6 +30,7 @@ from skewlab.properties import (
     is_weak_sigma_skew_armendariz,
 )
 from skewlab.rings import (
+    SRing,
     nil_mask_cycle_detect,
     nil_mask_power_bound,
     power_trajectory,
@@ -52,19 +53,22 @@ def test_criterion_01_ring_laws():
     t0 = time.perf_counter()
     ok = True
     detail = []
-    for name in BUILTIN_RINGS:
+    names = BUILTIN_RINGS + ["M2(Z3)", "M2(Z4)"]
+    for name in names:
         ring = get_ring(name)
-        rep = verify_ring_laws(ring, samples=100_000, seed=0)
+        rep = verify_ring_laws(ring)
+        k = len(ring.additive_generators)
         ok = ok and rep.ok
-        if ring.size <= 100:
-            ok = ok and rep.mode == "exhaustive" and rep.triples_checked == ring.size**3
+        if isinstance(ring, SRing):
+            ok = ok and rep.mode == "block" and rep.triples_checked == k**3 + k**2 + 2 * k
         else:
-            ok = ok and rep.mode == "sampled" and rep.triples_checked >= 100_000
+            ok = ok and rep.mode == "generators"
+            ok = ok and rep.triples_checked == 3 * ring.size**2 * k + k**3
         detail.append(f"{name}:{rep.mode[0]}")
     dt = time.perf_counter() - t0
     ok = ok and dt < 10.0
     assert verdict_line(
-        1, ok, f"ring laws on {len(BUILTIN_RINGS)} rings ({', '.join(detail)}) in {dt:.2f}s (< 10s)"
+        1, ok, f"exact ring laws on {len(names)} rings ({', '.join(detail)}) in {dt:.2f}s (< 10s)"
     )
 
 

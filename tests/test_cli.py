@@ -454,15 +454,51 @@ def test_explain_roundtrip_every_check(tmp_path, capsys, check, spec):
     assert code == 0 and row["verified"] is True, row["explanation"]
 
 
-@pytest.mark.parametrize("check,spec,field,value", [
-    ("reduced", "m2", "element", "[1,0;0,1]"),
-    ("weak_sigma_rigid", "m2-inner", "element", "[0,0;0,0]"),
-    ("weak_armendariz", "m2-inner", "b_j", "[0,0;0,0]"),
-], ids=["flag", "rigidity", "search"])
-def test_explain_rejects_tampered_witness(tmp_path, capsys, check, spec, field, value):
-    rec = check_fails(tmp_path, capsys, check, spec)
-    assert rec["witness"][field] != value
-    rec["witness"][field] = value
+def theorem_record(capsys, theorem, instance):
+    from skewlab.theorems import reproduce_counterexamples
+
+    if theorem.startswith("counterexample_"):
+        recs = [r.to_record() for r in reproduce_counterexamples()]
+    else:
+        recs = [json.loads(l) for l in run_cli(
+            capsys, "verify-theorems", "--instance", instance, "--json"
+        )[1].splitlines()]
+    return json.loads(json.dumps(next(r for r in recs if r.get("theorem") == theorem)))
+
+
+TAMPER_CASES = [
+    ("reduced", "m2", ("witness", "element"), "[1,0;0,1]"),
+    ("weak_sigma_rigid", "m2-inner", ("witness", "element"), "[0,0;0,0]"),
+    ("weak_armendariz", "m2-inner", ("witness", "b_j"), "[0,0;0,0]"),
+    # theorem records: one details field each, re-run and compared whole
+    ("catalog_flags", "Z4/id", ("details", "computed", "reduced"), True),
+    ("rigid_iff_weak_reduced", "Z4/id", ("details", "rigid_witness", "element"), "3"),
+    ("nil_transfer", "Z4/id", ("details", "pairs"), 15),
+    ("idempotent_fixed", "Z4/id", ("details", "central_idempotents"), 1),
+    ("ideal_decomposition", "Z4/id", ("details", "all_ideal_pairs_weak_rigid"), False),
+    ("ni_weak_rigid_implies_weak_armendariz", "Z4/id", ("details", "bound", "zero_products"), 175),
+    ("counterexample_weak_not_rigid", "R3(Z2)/id", ("details", "rigid_witness", "element"), "ut3[0,0,1,0]"),
+    ("counterexample_weak_rigid_not_armendariz", "S(Z3)/negate-B", ("details", "witness", "f"), "0"),
+]
+
+
+@pytest.mark.parametrize(
+    "check,spec,path,value", TAMPER_CASES,
+    ids=["flag", "rigidity", "search"] + [f"theorem-{c[0]}" for c in TAMPER_CASES[3:]],
+)
+def test_explain_rejects_tampered_witness(tmp_path, capsys, check, spec, path, value):
+    if "/" in spec:
+        rec = theorem_record(capsys, check, spec)
+        code, row = explain_one(tmp_path, capsys, rec)
+        assert code == 0 and row["verified"] is True, row["explanation"]
+    else:
+        rec = check_fails(tmp_path, capsys, check, spec)
+    *outer, field = path
+    target = rec
+    for key in outer:
+        target = target[key]
+    assert target[field] != value
+    target[field] = value
     code, row = explain_one(tmp_path, capsys, rec)
     assert code == 1 and row["verified"] is False
 

@@ -233,8 +233,13 @@ def test_nil_coefficient_test():
     "sysname", ["untwisted(Z6)", "swap-ore", "quantum-plane(Z3,2)"]
 )
 def test_builtin_systems_pass_axioms(sysname):
-    rep = verify_pbw_axioms(get_system(sysname))
-    assert rep.ok and rep.mode == "exhaustive-r"
+    sys = get_system(sysname)
+    assert verify_pbw_axioms(sys).ok
+    # exact: the sweep over additive generators agrees with every r
+    for i, j in itertools.combinations(range(sys.n), 2):
+        xj, xi = sys.variable(j), sys.variable(i)
+        for r in range(sys.ring.size):
+            assert xj * (xi * sys.constant(r)) == (xj * xi) * sys.constant(r)
 
 
 def test_classification_flags():
@@ -276,6 +281,23 @@ def test_noncentral_c_breaks_overlap():
     sys = CommutationSystem(m2, SigmaFamily(m2, [ident, ident]), c={(0, 1): e11})
     rep = verify_pbw_axioms(sys)
     assert rep.failures and rep.failures[0][0] == "overlap_var_coeff[1,2]"
+
+
+def test_pbw_confluence_exact_over_s_ring():
+    # S(Z3) has 531441 elements; r runs over its 12 additive generators, so a
+    # noncentral c is caught at the least generator that breaks confluence
+    s = get_ring("S(Z3)")
+    ident = identity_map(s)
+    e11 = s.element_index("blk[[1,0;0,0];[0,0;0,0];[0,0;0,0]]")
+    sys = CommutationSystem(s, SigmaFamily(s, [ident, ident]), c={(0, 1): e11})
+    rep = verify_pbw_axioms(sys)
+    assert [f[0] for f in rep.failures] == ["overlap_var_coeff[1,2]"]
+    r = s.element_index(rep.failures[0][1].rsplit("r=", 1)[1])
+    gens = s.additive_generators.tolist()
+    xj, xi = sys.variable(1), sys.variable(0)
+    broken = [g for g in gens if xj * (xi * sys.constant(g)) != (xj * xi) * sys.constant(g)]
+    assert r == broken[0]
+    assert verify_pbw_axioms(CommutationSystem(s, SigmaFamily(s, [ident, ident]))).ok
 
 
 def test_structural_validation():

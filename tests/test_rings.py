@@ -1,6 +1,14 @@
 """Ring construction, law verification, nilradicals, ideals."""
+import ast
+import copy
+import pathlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from skewlab import kernels
 
 from skewlab.rings import (
     DEFAULT_TABLE_BUDGET,
@@ -49,9 +57,162 @@ def test_zn_tables():
     assert z6.element_name(5) == "5" and z6.element_index("5") == 5
 
 
-def test_law_verification_exhaustive_flag():
+def test_law_verification_generators_flag():
     rep = make_zn(7).law_report
-    assert rep.ok and rep.mode == "exhaustive" and rep.triples_checked == 7**3
+    assert make_zn(7).additive_generators.tolist() == [1]
+    assert rep.ok and rep.mode == "generators" and rep.triples_checked == 3 * 7**2 + 1
+
+
+@pytest.mark.parametrize("name,k", [
+    ("Z6", 1), ("Z2xZ2", 2), ("M2(Z2)", 4), ("R3(Z2)", 4), ("M2(Z3)", 4), ("S(Z3)", 12),
+])
+def test_additive_generators_span(name, k):
+    # every element is a sum of generators: closing {0} under +g reaches the carrier
+    ring = get_ring(name)
+    gens = ring.additive_generators
+    assert len(gens) == k and (np.diff(gens) > 0).all()
+    reached = np.zeros(ring.size, dtype=bool)
+    reached[ring.zero] = True
+    frontier = np.array([ring.zero])
+    while len(frontier):
+        nxt = np.unique(ring.add(frontier[:, None], gens[None, :]))
+        frontier = nxt[~reached[nxt]]
+        reached[frontier] = True
+    assert reached.all()
+
+
+def _reference_violation(add, mul, one):
+    """The full-sweep verdict: O(n^2) checks, then the canonical (a, b, c) sweeps."""
+    idx = np.arange(len(add))
+    for law, bad in (
+        ("add_commutative", add != add.T),
+        ("zero_identity", add[0] != idx),
+        ("negation_exists", ~(add == 0).any(axis=1)),
+        ("one_left_identity", mul[one] != idx),
+        ("one_right_identity", mul[:, one] != idx),
+    ):
+        if bad.any():
+            return law, tuple(int(v) for v in np.unravel_index(np.argmax(bad), bad.shape))
+    for law, w in (
+        ("add_associative", kernels.associativity_witness(add)),
+        ("mul_associative", kernels.associativity_witness(mul)),
+    ):
+        if w is not None:
+            return law, tuple(int(v) for v in w)
+    w = kernels.distributivity_witness(add, mul)
+    return None if w is None else (f"distributive_{w[0]}", tuple(int(v) for v in w[1]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_generator_laws_match_full_sweep(data):
+    # single-entry corruptions (mirrored for + so commutativity still holds
+    # and the deeper laws are reached): the generator check must reject
+    # exactly the tables the full sweep rejects, with the same (law, witness)
+    name = data.draw(st.sampled_from(
+        ["Z2", "Z3", "Z4", "Z5", "Z6", "Z2xZ2", "M2(Z2)", "R3(Z2)", "M2(Z3)"]
+    ))
+    ring = get_ring(name)
+    n = ring.size
+    add, mul = ring.add_table.copy(), ring.mul_table.copy()
+    table = data.draw(st.sampled_from(["add", "add-mirrored", "mul"]))
+    i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+    t = mul if table == "mul" else add
+    v = data.draw(st.integers(0, n - 2))
+    t[i, j] = v if v < t[i, j] else v + 1
+    if table == "add-mirrored":
+        t[j, i] = t[i, j]
+    want = _reference_violation(add, mul, ring.one)
+    if want is None:
+        rep = TableRing("c", add, mul, ring.one, ring.names).law_report
+        assert rep.ok and rep.mode == "generators"
+    else:
+        with pytest.raises(RingConstructionError) as e:
+            TableRing("c", add, mul, ring.one, ring.names)
+        assert (e.value.law, e.value.witness) == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_generator_laws_match_full_sweep_on_deformed_products(data):
+    # x*y = A_x y on (Z2)^k, 1 = e_0 a two-sided unit.  A bilinear A keeps
+    # both distributive laws, so only associativity on G^3 can fail; an
+    # arbitrary A keeps x*_ additive but not _*x (the transpose swaps the two)
+    k = data.draw(st.integers(2, 3))
+    n = 1 << k
+
+    def columns(x):  # A_x e_0 = x, so x*1 = x
+        return [x] + [data.draw(st.integers(0, n - 1)) for _ in range(k - 1)]
+
+    unit = [1 << j for j in range(k)]
+    if data.draw(st.booleans()):
+        basis = [unit] + [columns(1 << i) for i in range(1, k)]
+        cols = [
+            [int(np.bitwise_xor.reduce([basis[i][j] for i in range(k) if x >> i & 1] or [0]))
+             for j in range(k)]
+            for x in range(n)
+        ]
+    else:
+        cols = [unit if x == 1 else columns(x) for x in range(n)]
+    mul = np.array([
+        [int(np.bitwise_xor.reduce([cols[x][j] for j in range(k) if y >> j & 1] or [0]))
+         for y in range(n)]
+        for x in range(n)
+    ])
+    if data.draw(st.booleans()):
+        mul = mul.T.copy()
+    add = np.bitwise_xor.outer(np.arange(n), np.arange(n))
+    want = _reference_violation(add, mul, 1)
+    names = [str(i) for i in range(n)]
+    if want is None:
+        assert TableRing("d", add, mul, 1, names).law_report.ok
+    else:
+        with pytest.raises(RingConstructionError) as e:
+            TableRing("d", add, mul, 1, names)
+        assert (e.value.law, e.value.witness) == want
+
+
+def test_z1024_laws_exact():
+    rep = make_zn(1024).law_report
+    assert rep.ok and rep.mode == "generators" and rep.triples_checked == 3 * 1024**2 + 1
+
+
+@pytest.mark.parametrize("table", ["add", "mul"])
+def test_corrupted_z1024_names_a_real_violation(table):
+    # above 256 elements the witness comes from the generator check itself;
+    # recomputed from the tables, it must break the law it names
+    z = make_zn(1024)
+    add, mul = z.add_table.copy(), z.mul_table.copy()
+    if table == "add":
+        add[5, 7] = add[7, 5] = 13
+    else:
+        mul[5, 7] = 36
+    with pytest.raises(RingConstructionError) as e:
+        TableRing("Z1024*", add, mul, 1, z.names)
+    a, b, c = e.value.witness
+    lhs, rhs = {
+        "add_associative": (add[add[a, b], c], add[a, add[b, c]]),
+        "mul_associative": (mul[mul[a, b], c], mul[a, mul[b, c]]),
+        "distributive_left": (mul[a, add[b, c]], add[mul[a, b], mul[a, c]]),
+        "distributive_right": (mul[add[a, b], c], add[mul[a, c], mul[b, c]]),
+    }[e.value.law]
+    assert lhs != rhs
+
+
+def test_sampling_only_in_map_verification():
+    # laws and PBW confluence are exact; seeded sampling is left only where
+    # maps above pair_cap are verified
+    src = pathlib.Path(__file__).resolve().parents[1] / "src" / "skewlab"
+    users = set()
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        fns = [f for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)]
+        for node in ast.walk(tree):
+            if "default_rng" in {getattr(node, k, None) for k in ("id", "attr", "name")}:
+                owners = [f for f in fns if f.lineno <= node.lineno <= f.end_lineno]
+                inner = min(owners, key=lambda f: f.end_lineno - f.lineno, default=None)
+                users.add(f"{path.stem}.{inner.name if inner else '<module>'}")
+    assert users == {"maps._sample_pairs"}
 
 
 def test_broken_mul_table_rejected():
@@ -130,10 +291,12 @@ def test_s_ring_block_rule_and_names():
     assert nm.startswith("blk[") and s.element_index(nm) == a
 
 
-def test_s_ring_sampled_laws():
+def test_s_ring_block_laws():
     s = get_ring("S(Z3)")
-    assert s.law_report.ok and s.law_report.mode == "sampled"
-    assert s.law_report.triples_checked >= 100_000
+    g = s.additive_generators
+    assert len(g) == 12 and set(s.decode(g)[0].tolist()) == {0, 1, 3, 9, 27}
+    assert s.law_report.ok and s.law_report.mode == "block"
+    assert s.law_report.triples_checked == 12**3 + 12**2 + 2 * 12
 
 
 # --- nilpotency ------------------------------------------------------------
@@ -272,10 +435,14 @@ def test_non_ideal_rejected():
         make_ideal(z6, [0, 1], "not-an-ideal")
 
 
-def test_sampled_law_report_structure():
+def test_block_law_report_structure():
     s = get_ring("S(Z4)")
-    rep = verify_ring_laws(s, samples=50_000, seed=3)
-    assert rep.ok and rep.mode == "sampled" and rep.triples_checked == 50_000
+    rep = verify_ring_laws(s)
+    assert rep.ok and rep.mode == "block" and rep.triples_checked == 12**3 + 12**2 + 2 * 12
+    # a wrong unit is caught on the generators
+    bad = copy.copy(s)
+    bad.one = s.encode(s.block.one, 0, 0)
+    assert verify_ring_laws(bad).violation == ("one_left_identity", (1,))
 
 
 def test_make_zn_budget_before_tables():
