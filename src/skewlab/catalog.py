@@ -20,6 +20,7 @@ from .maps import (
     SigmaFamily,
     id_minus_sigma_derivation,
     identity_map,
+    verify_block_endomorphism,
     verify_endomorphism,
     zero_derivation,
 )
@@ -125,13 +126,8 @@ def get_map(ring: R.FiniteRing, name: str) -> RingMap:
     elif name == "negate-B":
         if not isinstance(ring, R.SRing):
             raise UnknownNameError(f"map 'negate-B' needs an S ring, not {ring.name}")
-        neg = ring.block._neg_table
-
-        def images(x):
-            A, B, C = ring.decode(x)
-            return ring.encode(A, neg[B], C)
-
-        mp = verify_endomorphism(ring, images, "negate-B")
+        ident = np.arange(ring.bsize)
+        mp = verify_block_endomorphism(ring, ident, ring.block._neg_table, ident, "negate-B")
     else:
         raise UnknownNameError(
             f"unknown map {name!r} on {ring.name}; available: {', '.join(map_names(ring))}"

@@ -87,6 +87,7 @@ def nilpotent_mask(mul: np.ndarray, zero: int) -> np.ndarray:
 # mode: what each coefficient pair (i, j) of a selected pair must meet:
 #   0 = a_i sigma^(alpha_i)(b_j) nilpotent, 1 = it is zero, 2 = it is zero
 #   for i = 0, 3 = (a_i x^alpha_i)(b_j x^alpha_j) = 0, 4 = a_i b_j nilpotent.
+# nil: elementwise nilpotency of an index array (modes 0 and 4).
 # keep: None selects the pairs with fg = 0; else keep(row of fg) decides,
 #   asked in pair order and never about a row first seen after the witness.
 #
@@ -117,7 +118,7 @@ def _products(add, mul, F, B, moves, stc, zero):
     return acc.reshape(acc.shape[0], -1)
 
 
-def _violations(add, mul, F, B, moves, stc, nil_mask, zero, mode):
+def _violations(add, mul, F, B, moves, stc, nil, zero, mode):
     """bad[k, i, j]: coefficient pair (i, j) of pair (F[k], B[k]) breaks `mode`."""
     M = F.shape[1]
     rows = 1 if mode == 2 else M
@@ -130,11 +131,11 @@ def _violations(add, mul, F, B, moves, stc, nil_mask, zero, mode):
                 _add_term(add, mul, acc, a, b, j, moves[i], stc, zero)
                 bad[:, i, j] = (acc != zero).any(axis=0)
             elif mode == 4:
-                bad[:, i, j] = ~nil_mask[mul(a, b)]
+                bad[:, i, j] = ~nil(mul(a, b))
             else:
                 ((_, tab),) = moves[i]
                 p = mul(a, tab[b])
-                bad[:, i, j] = ~nil_mask[p] if mode == 0 else p != zero
+                bad[:, i, j] = ~nil(p) if mode == 0 else p != zero
     return bad
 
 
@@ -162,7 +163,7 @@ def _kept(rows, hit, keep):
     return sel
 
 
-def _sweep(add, mul, polys, deg_starts, moves, stc, nil_mask, zero, mode, keep=None):
+def _sweep(add, mul, polys, deg_starts, moves, stc, nil, zero, mode, keep=None):
     """Scan poly pairs for a selected fg with a coefficient pair breaking `mode`."""
     nblocks = deg_starts.shape[0] - 1
     M = polys.shape[1]
@@ -185,7 +186,7 @@ def _sweep(add, mul, polys, deg_starts, moves, stc, nil_mask, zero, mode, keep=N
                 else:
                     cand = np.arange(fg.shape[1])
                 bad = _violations(
-                    add, mul, F[cand // ng], B[cand % ng], by_row, stc, nil_mask, zero, mode
+                    add, mul, F[cand // ng], B[cand % ng], by_row, stc, nil, zero, mode
                 )
                 hit = bad.any(axis=(1, 2))
                 if keep is not None:
@@ -210,7 +211,7 @@ def search_zero_products_table(
     """The pair sweep over a table ring, with Cayley-table gathers as ops."""
     return _sweep(
         lambda a, b: add[a, b], lambda a, b: mul[a, b],
-        polys, deg_starts, moves, stc, nil_mask, zero, mode, keep,
+        polys, deg_starts, moves, stc, nil_mask.__getitem__, zero, mode, keep,
     )
 
 
@@ -218,8 +219,11 @@ def search_zero_products_generic(
     ring, polys: np.ndarray, deg_starts: np.ndarray, moves: list, stc: np.ndarray,
     mode: int, keep=None,
 ):
-    """The pair sweep through a ring's vectorized ops; for untabulated rings."""
-    nil_mask = ring.nil_mask() if mode in (0, 4) else None
+    """The pair sweep through a ring's vectorized ops; for untabulated rings.
+
+    Nilpotency is read per element through `ring.nil_at`, so no carrier
+    mask is needed.
+    """
     return _sweep(
-        ring.add, ring.mul, polys, deg_starts, moves, stc, nil_mask, ring.zero, mode, keep
+        ring.add, ring.mul, polys, deg_starts, moves, stc, ring.nil_at, ring.zero, mode, keep
     )

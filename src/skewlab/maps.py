@@ -1,6 +1,10 @@
 """Ring endomorphisms, twisted derivations, and their finite closures.
 
-A map on a ring of size n is stored as a dense image table (n,).  A
+A map on a ring of size n is stored as a dense image table (n,), or, on
+an S ring, as three block tables (phi, psi, chi) acting as
+(A|B|C) -> (phi A | psi B | chi C), so that no carrier-sized table
+exists.  Other modules apply, compose and compare maps through their
+methods; only the block rigidity sweep reads `blocks` itself.  A
 sigma-derivation for an endomorphism sigma satisfies the twisted
 Leibniz rule d(ab) = sigma(a) d(b) + d(a) b.  Families of commuting or
 non-commuting endomorphisms get a finite composition closure so that
@@ -12,7 +16,7 @@ import zlib
 
 import numpy as np
 
-from .rings import BudgetError, FiniteRing, _CHUNK
+from .rings import BudgetError, FiniteRing, SRing, _CHUNK
 
 DEFAULT_CLOSURE_CAP = 4096
 DEFAULT_PAIR_CAP = 2048  # exhaustive pair checks up to this carrier size
@@ -28,74 +32,121 @@ class MapVerificationError(Exception):
         super().__init__(f"{name}: {law} fails at {witness}")
 
 
-def _image_table(ring: FiniteRing, images) -> np.ndarray:
-    if callable(images):
-        out = np.empty(ring.size, dtype=np.int32)
-        for lo in range(0, ring.size, _CHUNK):
-            x = np.arange(lo, min(lo + _CHUNK, ring.size))
-            out[lo : lo + x.size] = images(x)
-        return out
+def _image_table(size: int, images) -> np.ndarray:
     tab = np.asarray(images, dtype=np.int32)
-    if tab.shape != (ring.size,):
-        raise ValueError(f"image table must have shape ({ring.size},)")
-    if tab.min() < 0 or tab.max() >= ring.size:
+    if tab.shape != (size,):
+        raise ValueError(f"image table must have shape ({size},)")
+    if tab.min() < 0 or tab.max() >= size:
         raise ValueError("image table values out of range")
     return tab
 
 
-class RingMap:
-    """A verified unital ring endomorphism given by its image table."""
+def _frozen(tab) -> np.ndarray:
+    out = np.ascontiguousarray(tab, dtype=np.int32)
+    out.setflags(write=False)
+    return out
 
-    def __init__(self, ring: FiniteRing, table: np.ndarray, name: str):
+
+class RingMap:
+    """A verified unital ring endomorphism.
+
+    `table` is the carrier image table, or None when `blocks` holds the
+    block tables (phi, psi, chi) of a block-diagonal map on an S ring.
+    """
+
+    def __init__(self, ring: FiniteRing, table, name: str, blocks=None):
         self.ring = ring
-        self.table = np.ascontiguousarray(table, dtype=np.int32)
-        self.table.setflags(write=False)
         self.name = name
+        self.table = None if table is None else _frozen(table)
+        self.blocks = None if blocks is None else tuple(_frozen(t) for t in blocks)
 
     def __call__(self, a):
-        out = self.table[a]
+        if self.blocks is None:
+            out = self.table[a]
+        else:
+            A, B, C = self.ring.decode(a)
+            phi, psi, chi = self.blocks
+            out = self.ring.encode(phi[A], psi[B], chi[C])
         return int(out) if np.ndim(out) == 0 else out
+
+    # the pair sweep indexes move-past constants as tab[b]
+    __getitem__ = __call__
+
+    def _parts(self) -> tuple:
+        return (self.table,) if self.blocks is None else self.blocks
+
+    def carrier_table(self) -> np.ndarray:
+        """The carrier image table; built in chunks for a block map."""
+        if self.blocks is None:
+            return self.table
+        out = np.empty(self.ring.size, dtype=np.int32)
+        for lo in range(0, self.ring.size, _CHUNK):
+            out[lo : lo + _CHUNK] = self(np.arange(lo, min(lo + _CHUNK, self.ring.size)))
+        return out
 
     @property
     def is_identity(self) -> bool:
-        return bool((self.table == np.arange(self.ring.size)).all())
+        return all((t == np.arange(t.size)).all() for t in self._parts())
 
     @property
     def is_injective(self) -> bool:
-        seen = np.zeros(self.ring.size, dtype=bool)
-        seen[self.table] = True
-        return bool(seen.all())
+        # a block map is injective exactly when each block table is
+        for t in self._parts():
+            seen = np.zeros(t.size, dtype=bool)
+            seen[t] = True
+            if not seen.all():
+                return False
+        return True
 
-    def compose(self, other: "RingMap") -> "RingMap":
+    def compose(self, other: "RingMap", name: str | None = None) -> "RingMap":
         """self after other: (self . other)(x) = self(other(x))."""
         if other.ring is not self.ring:
             raise ValueError("cannot compose maps over different rings")
-        return RingMap(self.ring, self.table[other.table], f"{self.name}*{other.name}")
+        name = name or f"{self.name}*{other.name}"
+        if self.blocks is not None and other.blocks is not None:
+            blocks = tuple(s[o] for s, o in zip(self.blocks, other.blocks))
+            return RingMap(self.ring, None, name, blocks=blocks)
+        return RingMap(self.ring, self.carrier_table()[other.carrier_table()], name)
+
+    def equals(self, other: "RingMap") -> bool:
+        """Exact equality of the maps, whatever their representations."""
+        if self is other:
+            return True
+        if (self.blocks is None) == (other.blocks is None):
+            return all(np.array_equal(s, o) for s, o in zip(self._parts(), other._parts()))
+        return np.array_equal(self.carrier_table(), other.carrier_table())
 
     def key(self) -> bytes:
-        return self.table.tobytes()
+        return b"".join(t.tobytes() for t in self._parts())
 
     def __repr__(self):
         return f"<RingMap {self.name} on {self.ring.name}>"
 
 
 class SigmaDerivation:
-    """A verified sigma-derivation: additive, d(ab) = sigma(a)d(b) + d(a)b."""
+    """A verified sigma-derivation: additive, d(ab) = sigma(a)d(b) + d(a)b.
 
-    def __init__(self, ring: FiniteRing, sigma: RingMap, table: np.ndarray, name: str):
+    `table` is None for the zero derivation, which keeps no table.
+    """
+
+    def __init__(self, ring: FiniteRing, sigma: RingMap, table, name: str):
         self.ring = ring
         self.sigma = sigma
-        self.table = np.ascontiguousarray(table, dtype=np.int32)
-        self.table.setflags(write=False)
+        self.table = None if table is None else _frozen(table)
         self.name = name
 
     def __call__(self, a):
-        out = self.table[a]
+        if self.table is None:
+            if isinstance(a, (int, np.integer)):  # the rewriting engine's hot path
+                return self.ring.zero
+            out = np.full(np.shape(a), self.ring.zero, dtype=np.int32)
+        else:
+            out = self.table[a]
         return int(out) if np.ndim(out) == 0 else out
 
     @property
     def is_zero(self) -> bool:
-        return bool((self.table == self.ring.zero).all())
+        return self.table is None or bool((self.table == self.ring.zero).all())
 
     def __repr__(self):
         return f"<SigmaDerivation {self.name} on {self.ring.name}>"
@@ -128,7 +179,7 @@ def verify_endomorphism(
     Pairs are swept exhaustively for carriers up to pair_cap, sampled
     (seeded) above it.
     """
-    tab = _image_table(ring, images)
+    tab = _image_table(ring.size, images)
     if int(tab[ring.one]) != ring.one:
         raise MapVerificationError(name, "unital", (ring.one, int(tab[ring.one])))
     if int(tab[ring.zero]) != ring.zero:
@@ -156,7 +207,7 @@ def verify_sigma_derivation(
     seed: int = 0,
 ) -> SigmaDerivation:
     """Check additivity and the twisted Leibniz rule; raise on failure."""
-    tab = _image_table(ring, images)
+    tab = _image_table(ring.size, images)
     exhaustive = ring.size <= pair_cap
     a, b = _all_pairs(ring) if exhaustive else _sample_pairs(ring, samples, seed)
     bad = tab[ring.add(a, b)] != ring.add(tab[a], tab[b])
@@ -164,7 +215,7 @@ def verify_sigma_derivation(
         k = int(np.argmax(bad))
         raise MapVerificationError(name, "additive", (int(a[k]), int(b[k])))
     lhs = tab[ring.mul(a, b)]
-    rhs = ring.add(ring.mul(sigma.table[a], tab[b]), ring.mul(tab[a], b))
+    rhs = ring.add(ring.mul(sigma(a), tab[b]), ring.mul(tab[a], b))
     bad = lhs != rhs
     if bad.any():
         k = int(np.argmax(bad))
@@ -172,20 +223,52 @@ def verify_sigma_derivation(
     return SigmaDerivation(ring, sigma, tab, name)
 
 
+def verify_block_endomorphism(ring: SRing, phi, psi, chi, name: str) -> RingMap:
+    """The block-diagonal map (A|B|C) -> (phi A | psi B | chi C); raise on failure.
+
+    It is a unital endomorphism of S exactly when phi and chi are unital
+    endomorphisms of the block ring M, psi is additive, and
+    psi(AB) = phi(A) psi(B), psi(BC) = psi(B) chi(C): the B slot of a
+    product is AB' + BC'.  Each law is checked on every pair of M^2.
+    """
+    blk = ring.block
+    phi, psi, chi = (_image_table(blk.size, t) for t in (phi, psi, chi))
+    for label, tab in (("phi", phi), ("chi", chi)):
+        if int(tab[blk.one]) != blk.one:
+            raise MapVerificationError(name, f"{label}_unital", (blk.one, int(tab[blk.one])))
+    a, b = _all_pairs(blk)
+    for law, lhs, rhs in (
+        ("phi_additive", phi[blk.add(a, b)], blk.add(phi[a], phi[b])),
+        ("phi_multiplicative", phi[blk.mul(a, b)], blk.mul(phi[a], phi[b])),
+        ("chi_additive", chi[blk.add(a, b)], blk.add(chi[a], chi[b])),
+        ("chi_multiplicative", chi[blk.mul(a, b)], blk.mul(chi[a], chi[b])),
+        ("psi_additive", psi[blk.add(a, b)], blk.add(psi[a], psi[b])),
+        ("psi_left_linear", psi[blk.mul(a, b)], blk.mul(phi[a], psi[b])),
+        ("psi_right_linear", psi[blk.mul(a, b)], blk.mul(psi[a], chi[b])),
+    ):
+        bad = lhs != rhs
+        if bad.any():
+            k = int(np.argmax(bad))
+            raise MapVerificationError(name, law, (int(a[k]), int(b[k])))
+    return RingMap(ring, None, name, blocks=(phi, psi, chi))
+
+
 def identity_map(ring: FiniteRing) -> RingMap:
+    """The identity; block-diagonal on an S ring."""
+    if isinstance(ring, SRing):
+        ident = np.arange(ring.bsize)
+        return RingMap(ring, None, "id", blocks=(ident, ident, ident))
     return RingMap(ring, np.arange(ring.size, dtype=np.int32), "id")
 
 
 def zero_derivation(ring: FiniteRing, sigma: RingMap) -> SigmaDerivation:
-    return SigmaDerivation(
-        ring, sigma, np.full(ring.size, ring.zero, dtype=np.int32), "0"
-    )
+    return SigmaDerivation(ring, sigma, None, "0")
 
 
 def id_minus_sigma_derivation(ring: FiniteRing, sigma: RingMap) -> SigmaDerivation:
     """d(a) = a - sigma(a), always a sigma-derivation; verified anyway."""
     idx = np.arange(ring.size)
-    tab = ring.sub(idx, sigma.table[idx])
+    tab = ring.sub(idx, sigma(idx))
     return verify_sigma_derivation(ring, sigma, tab, f"id-{sigma.name}")
 
 
@@ -212,6 +295,16 @@ class SigmaFamily:
         return f"<SigmaFamily [{inner}] on {self.ring.name}>"
 
 
+def _closure_generators(family: SigmaFamily) -> tuple[RingMap, list[RingMap]]:
+    """The identity and the family maps, in one representation: block
+    tables when every map is block-diagonal, carrier tables otherwise."""
+    ident = identity_map(family.ring)
+    if ident.blocks is None or all(m.blocks is not None for m in family.maps):
+        return ident, family.maps
+    ident, *maps = (RingMap(m.ring, m.carrier_table(), m.name) for m in [ident, *family.maps])
+    return ident, maps
+
+
 def sigma_power(family: SigmaFamily, theta) -> RingMap:
     """The nested composite sigma_1^t1 . sigma_2^t2 . ... (last index applied first)."""
     theta = tuple(int(t) for t in theta)
@@ -219,13 +312,12 @@ def sigma_power(family: SigmaFamily, theta) -> RingMap:
         raise ValueError(f"theta must have length {family.n}")
     if any(t < 0 for t in theta):
         raise ValueError("theta entries must be nonnegative")
-    acc = np.arange(family.ring.size, dtype=np.int32)
-    for i in range(family.n - 1, -1, -1):
-        tab = family.maps[i].table
-        for _ in range(theta[i]):
-            acc = tab[acc]
     label = "s^" + "".join(str(t) for t in theta)
-    return RingMap(family.ring, acc, label)
+    acc, maps = _closure_generators(family)
+    for i in range(family.n - 1, -1, -1):
+        for _ in range(theta[i]):
+            acc = maps[i].compose(acc, label)
+    return RingMap(acc.ring, acc.table, label, blocks=acc.blocks)
 
 
 def orbit_closure(family: SigmaFamily, cap: int = DEFAULT_CLOSURE_CAP) -> list[RingMap]:
@@ -235,29 +327,27 @@ def orbit_closure(family: SigmaFamily, cap: int = DEFAULT_CLOSURE_CAP) -> list[R
     canonical: by word length, then by generator index.  Covers every
     sigma^theta (and more, when the maps do not commute).  Raises
     BudgetError past `cap` distinct maps.  The closure is built once per
-    family; later calls return the stored list.
+    family; later calls return the stored list.  Block-diagonal
+    families compose per block.
     """
     ring = family.ring
     if family._closure is not None:
         if len(family._closure) > cap:
             raise BudgetError(f"composition closure exceeded cap {cap} on {ring.name}")
         return family._closure
-    out = [identity_map(ring)]
-    # crc32 of the table -> maps with that digest; an exact compare
+    ident, gens = _closure_generators(family)
+    out = [ident]
+    # crc32 of the tables -> maps with that digest; an exact compare
     # confirms each hit, so no carrier-sized key is kept
-    seen = {zlib.crc32(out[0].table): [out[0]]}
-    frontier = [out[0]]
+    seen = {_digest(ident): [ident]}
+    frontier = [ident]
     while frontier:
         nxt = []
         for w in frontier:
-            for gen in family.maps:
-                comp = RingMap(
-                    ring,
-                    w.table[gen.table],
-                    gen.name if w is out[0] else f"{w.name}*{gen.name}",
-                )
-                bucket = seen.setdefault(zlib.crc32(comp.table), [])
-                if not any(np.array_equal(comp.table, m.table) for m in bucket):
+            for gen in gens:
+                comp = w.compose(gen, gen.name if w is ident else f"{w.name}*{gen.name}")
+                bucket = seen.setdefault(_digest(comp), [])
+                if not any(comp.equals(m) for m in bucket):
                     bucket.append(comp)
                     out.append(comp)
                     nxt.append(comp)
@@ -268,3 +358,7 @@ def orbit_closure(family: SigmaFamily, cap: int = DEFAULT_CLOSURE_CAP) -> list[R
         frontier = nxt
     family._closure = out
     return out
+
+
+def _digest(m: RingMap) -> int:
+    return zlib.crc32(m.table if m.blocks is None else m.key())

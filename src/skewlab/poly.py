@@ -110,7 +110,7 @@ class CommutationSystem:
         for i, dv in enumerate(delta):
             if dv.ring is not ring:
                 raise ValueError("derivation ring mismatch")
-            if not np.array_equal(dv.sigma.table, sigma.maps[i].table):
+            if not dv.sigma.equals(sigma.maps[i]):
                 raise ValueError(f"delta[{i}] twists by a map other than sigma[{i}]")
         self.delta = list(delta)
         self.c = {}
@@ -539,8 +539,8 @@ def e_set(f: SkewPoly) -> set:
 
 def is_in_nil_ra(f: SkewPoly) -> bool:
     """True when every coefficient of f is nilpotent in the base ring."""
-    mask = f.system.ring.nil_mask()
-    return all(bool(mask[c]) for c in f.terms.values())
+    ring = f.system.ring
+    return all(ring.is_nilpotent(c) for c in f.terms.values())
 
 
 # ---------------------------------------------------------------------------
@@ -655,14 +655,10 @@ def monomial_product_table(
     return stc
 
 
-def sigma_power_tables(
-    family: SigmaFamily, exps: list[tuple]
-) -> np.ndarray:
-    """Stacked sigma^alpha image tables, one row per exponent in exps."""
-    out = np.empty((len(exps), family.ring.size), dtype=np.int32)
-    for k, e in enumerate(exps):
-        out[k] = sigma_power(family, e).table
-    return out
+def sigma_power_tables(family: SigmaFamily, exps: list[tuple]) -> list[RingMap]:
+    """The sigma^alpha maps, one per exponent in exps; each is indexed like
+    an image table (m[b]), and a block-diagonal one keeps no carrier table."""
+    return [sigma_power(family, e) for e in exps]
 
 
 def move_past_tables(

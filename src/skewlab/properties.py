@@ -137,29 +137,18 @@ def _rigidity(
     prop: str, ring: FiniteRing, family: SigmaFamily, instance: str,
     ideal: SubsetIdeal | None = None,
 ) -> PropertyVerdict:
-    """The one sweep of the rigidity deciders: least bad a, then closure order.
+    """The rigidity deciders: least bad a, then closure order.
 
     sigma_rigid asks a sigma^theta(a) = 0 to force a = 0; the weak
     properties ask a sigma^theta(a) nilpotent exactly when a is, over the
-    carrier or over the elements of `ideal`.
+    carrier or over the elements of `ideal`.  An S ring whose closure is
+    block-diagonal is decided by its block rule, without a carrier sweep.
     """
     maps = orbit_closure(family)
-    nil = None if prop == "sigma_rigid" else ring.nil_mask()
-    if ideal is None:
-        chunks = (np.arange(lo, min(lo + _CHUNK, ring.size)) for lo in range(0, ring.size, _CHUNK))
+    if ideal is None and isinstance(ring, SRing) and all(m.blocks is not None for m in maps):
+        best = _block_bad(prop, ring, maps)
     else:
-        chunks = [np.asarray(ideal.elements, dtype=np.int64)]
-    best = None
-    for x in chunks:
-        for mi, m in enumerate(maps):
-            prod = np.asarray(ring.mul(x, m.table[x]))
-            bad = (prod == ring.zero) & (x != ring.zero) if nil is None else nil[prod] != nil[x]
-            if bad.any():
-                a = int(x[int(np.argmax(bad))])
-                if best is None or a < best[0]:
-                    best = (a, mi)
-        if best is not None:
-            break
+        best = _carrier_bad(prop, ring, maps, ideal)
     label = (ideal.label or "ideal") if ideal is not None else None
     name = instance or f"{ring.name}/{family_label(family)}" + (f"/{label}" if label else "")
     if best is None:
@@ -169,21 +158,79 @@ def _rigidity(
     m = maps[mi]
     prod = int(ring.mul(a, m(a)))
     el = ring.element_name
-    if nil is None:
+    if prop == "sigma_rigid":
         witness = {"element": el(a), "map": m.name, "twisted": el(int(m(a))), "product": el(prod)}
     else:
         witness = {
             "element": el(a),
-            "element_nilpotent": bool(nil[a]),
+            "element_nilpotent": ring.is_nilpotent(a),
             "map": m.name,
             "product": el(prod),
-            "product_nilpotent": bool(nil[prod]),
+            "product_nilpotent": ring.is_nilpotent(prod),
         }
     if ideal is None:
         witness["maps_swept"] = len(maps)
     else:
         witness = {"ideal": label, **witness}
     return _failed(prop, family, name, witness)
+
+
+def _carrier_bad(prop: str, ring: FiniteRing, maps: list, ideal: SubsetIdeal | None):
+    """(least bad element, first closure index at it) over the carrier or ideal, or None."""
+    if ideal is None:
+        chunks = (np.arange(lo, min(lo + _CHUNK, ring.size)) for lo in range(0, ring.size, _CHUNK))
+    else:
+        chunks = [np.asarray(ideal.elements, dtype=np.int64)]
+    best = None
+    for x in chunks:
+        nil_x = None if prop == "sigma_rigid" else ring.nil_at(x)
+        for mi, m in enumerate(maps):
+            prod = np.asarray(ring.mul(x, m(x)))
+            bad = (prod == ring.zero) & (x != ring.zero) if nil_x is None else ring.nil_at(prod) != nil_x
+            if bad.any():
+                a = int(x[int(np.argmax(bad))])
+                if best is None or a < best[0]:
+                    best = (a, mi)
+        if best is not None:
+            return best
+    return None
+
+
+def _block_bad(prop: str, ring: SRing, maps: list):
+    """`_carrier_bad` by the block rule, for block-diagonal maps (phi, psi, chi).
+
+    a = (A|B|C) and m(a) multiply to (A phiA | A psiB + B chiC | C chiC).
+    Weak rigidity depends on (A, C) alone, so the least bad element is
+    (A|0|C) for the least bad pair; sigma_rigid sweeps A ascending and,
+    per A, (B, C) in M^2.  Each map is |M|^2 work.
+    """
+    blk = ring.block
+    M, bnil, zero = np.arange(ring.bsize), blk.nil_mask(), blk.zero
+    best = None
+    for mi, m in enumerate(maps):
+        phi, psi, chi = m.blocks
+        hit = None
+        if prop == "sigma_rigid":
+            c_ok = blk.mul(M, chi) == zero
+            for A in range(ring.bsize):  # A = 0 always decides, through (0|B|0)
+                if blk.mul(A, phi[A]) != zero:
+                    continue
+                ok = (blk.add(blk.mul(A, psi)[:, None], blk.mul(M[:, None], chi)) == zero) & c_ok
+                ok[0, 0] &= A != zero
+                if ok.any():
+                    hit = (A, *np.unravel_index(int(np.argmax(ok)), ok.shape))
+                    break
+        else:
+            nil_a, nil_c = bnil[blk.mul(M, phi)], bnil[blk.mul(M, chi)]
+            bad = (nil_a[:, None] & nil_c) != (bnil[:, None] & bnil)
+            if bad.any():
+                A, C = np.unravel_index(int(np.argmax(bad)), bad.shape)
+                hit = (A, 0, C)
+        if hit is not None:
+            a = int(ring.encode(*hit))
+            if best is None or a < best[0]:
+                best = (a, mi)
+    return best
 
 
 def is_sigma_rigid(ring: FiniteRing, family: SigmaFamily, instance: str = "") -> PropertyVerdict:
@@ -383,7 +430,6 @@ def _zero_product_search(
 def _witness(sys: CommutationSystem, exps, polys, witness, prop: str, power_bound: int) -> dict:
     """Witness record of a sweep hit; `recheck` then verifies it from these fields."""
     ring = sys.ring
-    nil = ring.nil_mask()
     mode = _MODE_BY_PROP[prop]
     fi, gi, i, j = witness
     f = _row_poly(sys, exps, polys[fi])
@@ -412,7 +458,7 @@ def _witness(sys: CommutationSystem, exps, polys, witness, prop: str, power_boun
     else:
         tw = sigma_power(sys.sigma, exps[i])
         p = int(ring.mul(ai, tw(bj)))
-        wit.update(twist=tw.name, product=ring.element_name(p), product_nilpotent=bool(nil[p]))
+        wit.update(twist=tw.name, product=ring.element_name(p), product_nilpotent=ring.is_nilpotent(p))
     return wit
 
 

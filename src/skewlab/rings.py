@@ -9,7 +9,8 @@ arrays and broadcast.
 Ring axioms are checked exactly on construction, on additive generators
 G: every law is additive in each argument once (R, +) is a group.  G,
 the nil mask and the idempotents are stored on the ring, read-only, at
-first use.
+first use.  An S ring has no carrier nil mask: `nil_at` reads
+nilpotency per index off its block ring.
 """
 from __future__ import annotations
 
@@ -122,8 +123,12 @@ class FiniteRing:
             self._nil_mask.setflags(write=False)
         return self._nil_mask
 
+    def nil_at(self, x):
+        """Nilpotency of the element indices in x, elementwise."""
+        return self.nil_mask()[x]
+
     def is_nilpotent(self, a: int) -> bool:
-        return bool(self.nil_mask()[a])
+        return bool(self.nil_at(a))
 
     def generating_set(self) -> np.ndarray:
         """Elements generating the ring; commuting with them means central.
@@ -235,6 +240,9 @@ class SRing(FiniteRing):
         self.bsize = block_ring.size
         self.size = self.bsize**3
         self.name = name
+        if self.size > np.iinfo(np.int32).max:
+            # element indices, search rows and carrier tables are int32
+            raise BudgetError(f"{name}: {self.size} elements exceed int32 element indices")
         self.one = self.encode(block_ring.one, 0, block_ring.one)
         self.law_report = verify_ring_laws(self)
         if not self.law_report.ok:
@@ -245,10 +253,9 @@ class SRing(FiniteRing):
         return _scalar((np.asarray(A) * self.bsize + B) * self.bsize + C)
 
     def decode(self, x):
-        x = np.asarray(x)
-        C = x % self.bsize
-        AB = x // self.bsize
-        return AB // self.bsize, AB % self.bsize, C
+        AB, C = np.divmod(np.asarray(x), self.bsize)
+        A, B = np.divmod(AB, self.bsize)
+        return A, B, C
 
     def add(self, a, b):
         A1, B1, C1 = self.decode(a)
@@ -295,14 +302,11 @@ class SRing(FiniteRing):
         bi = self.block.element_index
         return self.encode(bi(parts[0]), bi(parts[1]), bi(parts[2]))
 
-    def _compute_nil_mask(self) -> np.ndarray:
+    def nil_at(self, x):
+        """The block rule, per index: no carrier mask is built."""
+        A, _, C = self.decode(x)
         bnil = self.block.nil_mask()
-        out = np.empty(self.size, dtype=bool)
-        for lo in range(0, self.size, _CHUNK):
-            hi = min(lo + _CHUNK, self.size)
-            A, _, C = self.decode(np.arange(lo, hi))
-            out[lo:hi] = bnil[A] & bnil[C]
-        return out
+        return bnil[A] & bnil[C]
 
     def generating_set(self) -> np.ndarray:
         """Single-slot triples (X|0|0), (0|X|0), (0|0|X); every element is
@@ -441,7 +445,7 @@ def nil_mask_power_bound(ring: FiniteRing, cap: int = 1 << 14) -> np.ndarray:
     if ring.size > cap:
         raise BudgetError(
             f"{ring.name}: power-bound sweep over {ring.size} elements "
-            f"exceeds cap {cap}; use ring.nil_mask()"
+            f"exceeds cap {cap}; use ring.nil_at()"
         )
     idx = ring.elements()
     cur = idx.copy()
@@ -459,7 +463,7 @@ def nil_mask_cycle_detect(ring: FiniteRing, cap: int = 1 << 14) -> np.ndarray:
     if ring.size > cap:
         raise BudgetError(
             f"{ring.name}: cycle-detection sweep over {ring.size} elements "
-            f"exceeds cap {cap}; use ring.nil_mask()"
+            f"exceeds cap {cap}; use ring.nil_at()"
         )
     out = np.zeros(ring.size, dtype=bool)
     for a in range(ring.size):
@@ -499,13 +503,19 @@ def power_trajectory(ring: FiniteRing, a: int):
 
 
 def nil_set(ring: FiniteRing) -> np.ndarray:
-    """Ascending indices of the nilpotent elements."""
+    """Ascending indices of the nilpotent elements.
+
+    On an S ring these are nil(M) x M x nil(M), laid out in index order.
+    """
+    if isinstance(ring, SRing):
+        nb, b = nil_set(ring.block), np.arange(ring.bsize)
+        return ring.encode(nb[:, None, None], b[None, :, None], nb[None, None, :]).ravel()
     return np.nonzero(ring.nil_mask())[0].astype(np.int64)
 
 
 def is_reduced(ring: FiniteRing) -> bool:
     """True when 0 is the only nilpotent element."""
-    return int(ring.nil_mask().sum()) == 1
+    return len(nil_set(ring)) == 1
 
 
 def ni_failure(ring: FiniteRing):
@@ -514,21 +524,22 @@ def ni_failure(ring: FiniteRing):
     Violations are ("add", a, b) with a, b nilpotent and a+b not, or
     ("mul", r, a) / ("mul", a, r) with a nilpotent and the product not.
     """
-    mask = ring.nil_mask()
-    nil = np.nonzero(mask)[0]
+    nil = nil_set(ring)
+    step = _CHUNK // 4  # an S-ring sum holds about 50 bytes per element
     for a in nil:
-        s = ring.add(int(a), nil)
-        bad = ~mask[s]
-        if bad.any():
-            return ("add", int(a), int(nil[int(np.argmax(bad))]))
+        for lo in range(0, len(nil), step):
+            b = nil[lo : lo + step]
+            bad = ~ring.nil_at(ring.add(int(a), b))
+            if bad.any():
+                return ("add", int(a), int(b[int(np.argmax(bad))]))
     every = ring.elements()
     for a in nil:
         left = ring.mul(every, int(a))
-        bad = ~mask[left]
+        bad = ~ring.nil_at(left)
         if bad.any():
             return ("mul", int(np.argmax(bad)), int(a))
         right = ring.mul(int(a), every)
-        bad = ~mask[right]
+        bad = ~ring.nil_at(right)
         if bad.any():
             return ("mul", int(a), int(np.argmax(bad)))
     return None
@@ -540,13 +551,25 @@ def is_ni(ring: FiniteRing) -> bool:
 
 
 def idempotents(ring: FiniteRing) -> np.ndarray:
-    """Ascending indices of elements with e*e = e; swept once per ring."""
+    """Ascending indices of elements with e*e = e; found once per ring.
+
+    (A|B|C) in an S ring is idempotent exactly when A and C are and
+    AB + BC = B, so there only idem(M) x M x idem(M) is swept, in index
+    order.
+    """
     if ring._idempotents is None:
-        out = []
-        for lo in range(0, ring.size, _CHUNK):
-            x = np.arange(lo, min(lo + _CHUNK, ring.size))
-            out.append(x[ring.mul(x, x) == x])
-        ring._idempotents = np.concatenate(out).astype(np.int64)
+        if isinstance(ring, SRing):
+            blk, e, b = ring.block, idempotents(ring.block), np.arange(ring.bsize)
+            A, B, C = e[:, None, None], b[None, :, None], e[None, None, :]
+            keep = blk.add(blk.mul(A, B), blk.mul(B, C)) == B
+            out = ring.encode(A, B, C)[keep]
+        else:
+            out = []
+            for lo in range(0, ring.size, _CHUNK):
+                x = np.arange(lo, min(lo + _CHUNK, ring.size))
+                out.append(x[ring.mul(x, x) == x])
+            out = np.concatenate(out)
+        ring._idempotents = out.astype(np.int64)
         ring._idempotents.setflags(write=False)
     return ring._idempotents
 

@@ -237,15 +237,14 @@ def check_nil_transfer(ctx: EntryContext) -> TheoremReport:
             f"nil transfer sweep over {ring.size}^2 pairs exceeds cap"
         )
     maps = orbit_closure(ctx.family)
-    nil = ring.nil_mask()
+    nil = ring.nil_at
     idx = ring.elements()
-    ab = np.asarray(ring.mul(idx[:, None], idx[None, :]))
-    nil_ab = nil[ab]
+    nil_ab = nil(ring.mul(idx[:, None], idx[None, :]))
     nil_ba = nil_ab.T
     for m in maps:
-        ma = m.table[idx]
-        n_amb = nil[np.asarray(ring.mul(idx[:, None], ma[None, :]))]
-        n_mab = nil[np.asarray(ring.mul(ma[:, None], idx[None, :]))]
+        ma = m(idx)
+        n_amb = nil(ring.mul(idx[:, None], ma[None, :]))
+        n_mab = nil(ring.mul(ma[:, None], idx[None, :]))
         parts = [
             ("ab_nil_transfers", nil_ab & ~(n_amb & n_mab)),
             ("ma_b_nil_pulls_back", n_mab & ~(nil_ab & nil_ba)),

@@ -1,0 +1,232 @@
+"""S rings decided at block level, checked against the carrier route.
+
+A block-diagonal twist (phi, psi, chi) of an S ring is compared with a
+carrier-table RingMap of the same map: the carrier table sends every
+decider down its carrier sweep, the block map down the block rule, and
+both must give the same closure, twists, records and witnesses.  The
+ring invariants (idempotents, nilpotents) are compared with plain
+carrier sweeps in the same way.
+"""
+import json
+import os
+import subprocess
+import sys
+import time
+import tracemalloc
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from skewlab.cli import main
+from skewlab.maps import (
+    MapVerificationError,
+    RingMap,
+    SigmaFamily,
+    orbit_closure,
+    sigma_power,
+    verify_block_endomorphism,
+)
+from skewlab.poly import CommutationSystem
+from skewlab.properties import (
+    SearchBudget,
+    block_elementary_subset,
+    is_sigma_rigid,
+    is_weak_sigma_rigid,
+    is_weak_sigma_skew_armendariz,
+)
+from skewlab.rings import _CHUNK, idempotents, nil_set
+
+from conftest import get_map, get_ring
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _units(blk):
+    """(u, u^-1) for every unit of the block ring, ascending in u."""
+    mul, one = blk.mul_table, blk.one
+    out = []
+    for u in range(blk.size):
+        inv = np.flatnonzero((mul[u] == one) & (mul[:, u] == one))
+        if inv.size:
+            out.append((u, int(inv[0])))
+    return out
+
+
+def _conjugation_map(ring, P, Q, u, name):
+    """phi = P . P^-1, chi = Q . Q^-1, psi(B) = u P B Q^-1, verified."""
+    blk = ring.block
+    mul, M = blk.mul_table, np.arange(blk.size)
+    (p, pinv), (q, qinv) = P, Q
+    scalar = blk.element_index(f"[{u},0;0,{u}]")
+    phi = mul[mul[p, M], pinv]
+    chi = mul[mul[q, M], qinv]
+    psi = mul[scalar, mul[mul[p, M], qinv]]
+    return verify_block_endomorphism(ring, phi, psi, chi, name)
+
+
+@st.composite
+def block_families(draw):
+    ring = get_ring(draw(st.sampled_from(["S(Z2)", "S(Z3)"])))
+    units = _units(ring.block)
+    base = round(ring.bsize ** 0.25)
+    maps = []
+    for k in range(draw(st.integers(1, 2))):
+        P, Q = draw(st.sampled_from(units)), draw(st.sampled_from(units))
+        u = draw(st.sampled_from([s for s in range(1, base) if np.gcd(s, base) == 1]))
+        maps.append(_conjugation_map(ring, P, Q, u, f"g{k}"))
+    return ring, maps
+
+
+def _carrier_twin(m):
+    return RingMap(m.ring, m.carrier_table(), m.name)
+
+
+def _records(ring, maps):
+    fam = SigmaFamily(ring, maps)
+    budget = SearchBudget(
+        degree_bound=1, subset=block_elementary_subset(ring), subset_name="block-elementary"
+    )
+    # one variable: two would be 25^6 pairs at D = 1 on S(Z3)
+    sys = CommutationSystem(ring, SigmaFamily(ring, maps[:1]), name="first-map")
+    return {
+        "closure": [m.name for m in orbit_closure(fam)],
+        "sigma_rigid": is_sigma_rigid(ring, fam).to_record(),
+        "weak_sigma_rigid": is_weak_sigma_rigid(ring, fam).to_record(),
+        "armendariz": is_weak_sigma_skew_armendariz(sys, budget).to_record(),
+    }, fam
+
+
+@settings(max_examples=12, deadline=None)
+@given(block_families())
+def test_block_route_matches_carrier_route(drawn):
+    ring, maps = drawn
+    # the carrier route sweeps |closure| * |S| elements; two random twists
+    # of S(Z3) can close over 1,152 maps, past what this oracle can afford
+    assume(len(orbit_closure(SigmaFamily(ring, maps))) * ring.size <= 24 * 3**12)
+    twins = [_carrier_twin(m) for m in maps]
+    assert all(m.blocks is not None and t.blocks is None for m, t in zip(maps, twins))
+    block, bfam = _records(ring, maps)
+    carrier, cfam = _records(ring, twins)
+    assert block == carrier
+    for theta in [(0,) * len(maps), (1,) * len(maps), tuple(range(2, 2 + len(maps)))]:
+        bp, cp = sigma_power(bfam, theta), sigma_power(cfam, theta)
+        assert bp.blocks is not None and cp.blocks is None and bp.name == cp.name
+        assert np.array_equal(bp.carrier_table(), cp.table)
+        assert bp.equals(cp) and cp.equals(bp)
+
+
+def test_mixed_family_closes_over_carrier_tables():
+    s = get_ring("S(Z2)")
+    neg = get_map(s, "negate-B")
+    units = _units(s.block)
+    conj = _conjugation_map(s, units[1], units[2], 1, "c")
+    mixed = orbit_closure(SigmaFamily(s, [neg, _carrier_twin(conj)]))
+    blocks = orbit_closure(SigmaFamily(s, [neg, conj]))
+    assert all(m.blocks is None for m in mixed)
+    assert [m.name for m in mixed] == [m.name for m in blocks]
+    assert all(a.equals(b) for a, b in zip(mixed, blocks))
+
+
+def _carrier_chunks(ring):
+    for lo in range(0, ring.size, _CHUNK):
+        yield np.arange(lo, min(lo + _CHUNK, ring.size), dtype=np.int64)
+
+
+@pytest.mark.parametrize("name", ["S(Z2)", "S(Z3)"])
+def test_block_invariants_match_carrier_sweeps(name):
+    ring = get_ring(name)
+    idem, nil = [], []
+    for x in _carrier_chunks(ring):
+        idem.append(x[ring.mul(x, x) == x])
+        p = x
+        for _ in range(4):  # x^16; every nilpotent of S(Z2), S(Z3) has index <= 8
+            p = ring.mul(p, p)
+        nil.append(x[p == ring.zero])
+        assert np.array_equal(ring.nil_at(x), p == ring.zero)
+    assert np.array_equal(idempotents(ring), np.concatenate(idem))
+    assert np.array_equal(nil_set(ring), np.concatenate(nil))
+
+
+@pytest.mark.parametrize("law", ["phi_unital", "psi_additive", "psi_left_linear"])
+def test_corrupted_block_map_names_its_law(law):
+    s = get_ring("S(Z3)")
+    blk = s.block
+    ident = np.arange(blk.size)
+    phi, psi, chi = ident.copy(), ident.copy(), ident.copy()
+    if law == "phi_unital":
+        phi[blk.one], phi[2] = 2, blk.one
+    elif law == "psi_additive":
+        psi[1], psi[2] = 2, 1
+    else:  # transpose: additive, but psi(AB) = (AB)^T != A B^T
+        psi = np.array([blk.element_index(_transpose(blk.element_name(b))) for b in ident])
+    with pytest.raises(MapVerificationError) as exc:
+        verify_block_endomorphism(s, phi, psi, chi, "bad")
+    assert exc.value.law == law
+    if law != "phi_unital":
+        # the named pair really breaks the law
+        A, B = exc.value.witness
+        if law == "psi_additive":
+            assert psi[blk.add(A, B)] != blk.add(psi[A], psi[B])
+        else:
+            assert psi[blk.mul(A, B)] != blk.mul(phi[A], psi[B])
+
+
+def _transpose(name):
+    (a, b), (c, d) = (row.split(",") for row in name[1:-1].split(";"))
+    return f"[{a},{c};{b},{d}]"
+
+
+# --- scale: no S-ring path touches the carrier ------------------------------------
+
+
+S_Z5_CHECKS = """\
+checks reduced, ni, abelian, sigma_rigid, weak_sigma_rigid
+expect reduced=fails, ni=fails, abelian=fails, sigma_rigid=fails, weak_sigma_rigid=holds
+"""
+
+
+@pytest.mark.parametrize("head", ["system s-negate-b(Z5)", "ring S(Z5)\nmaps negate-B"])
+def test_s_z5_through_check(tmp_path, capsys, head):
+    # S(Z5) has 244,140,625 elements: one int32 carrier table is 977 MB
+    spec = tmp_path / "s5.spec"
+    spec.write_text(f"{head}\n{S_Z5_CHECKS}")
+    tracemalloc.start()
+    t0 = time.perf_counter()
+    try:
+        code = main(["check", str(spec), "--json"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    elapsed = time.perf_counter() - t0
+    recs = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert code == 0 and not any(r.get("mismatch") for r in recs)
+    assert elapsed < 10 and peak < 64 << 20, (elapsed, peak)
+    by = {r["check"]: r for r in recs}
+    assert by["sigma_rigid"]["witness"]["element"] == "blk[[0,0;0,0];[0,0;0,0];[0,0;1,0]]"
+    assert by["ni"]["witness"] == {
+        "kind": "add",
+        "a": "blk[[0,0;0,0];[0,0;0,0];[0,0;1,0]]",
+        "b": "blk[[0,0;0,0];[0,0;0,0];[0,1;0,0]]",
+    }
+
+
+def test_s_z4_theorem_suite_memory_guard():
+    # a fresh process, so no earlier test has warmed the S(Z4) caches; one
+    # int32 carrier table of S(Z4) alone would be 67 MB
+    code = (
+        "import tracemalloc\n"
+        "from skewlab.theorems import run_all\n"
+        "tracemalloc.start()\n"
+        "reports = run_all(instance='S(Z4)/negate-B')\n"
+        "print(tracemalloc.get_traced_memory()[1], all(r.ok for r in reports))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    peak, ok = proc.stdout.split()
+    assert ok == "True" and int(peak) < 64 << 20, peak

@@ -326,9 +326,9 @@ def test_s_ring_nil_mask_block_rule():
     rng = np.random.default_rng(0)
     for a in rng.integers(0, s.size, size=50):
         A, _, C = s.decode(int(a))
-        assert bool(s.nil_mask()[int(a)]) == bool(bnil[int(A)] and bnil[int(C)])
+        assert s.is_nilpotent(int(a)) == bool(bnil[int(A)] and bnil[int(C)])
         powers, reaches_zero = power_trajectory(s, int(a))
-        assert reaches_zero == bool(s.nil_mask()[int(a)])
+        assert reaches_zero == s.is_nilpotent(int(a))
 
 
 def test_power_trajectory():

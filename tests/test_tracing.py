@@ -23,9 +23,18 @@ check skew_pi_armendariz degree_bound=1
 """
 
 
-def test_launch_trace_finds_every_target(tmp_path):
+S_RING_SPEC = """\
+ring S(Z2)
+maps negate-B
+checks sigma_rigid, weak_sigma_rigid, abelian
+check weak_sigma_skew_armendariz degree_bound=1 subset=block-elementary
+"""
+
+
+def _traced_check(tmp_path, text):
+    """Run `check` on a spec under the benchmark's traced launcher."""
     spec = tmp_path / "tiny.spec"
-    spec.write_text(SPEC)
+    spec.write_text(text)
     marks, spans = tmp_path / "marks.json", tmp_path / "spans.json"
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     proc = subprocess.run(
@@ -34,10 +43,15 @@ def test_launch_trace_finds_every_target(tmp_path):
         capture_output=True, text=True, env=env, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
-    assert len(proc.stdout.splitlines()) == 4
     trace = json.loads(spans.read_text())
     assert trace["missing"] == []
     counted = {layer for _, _, layer, _, _, counts in trace["spans"] if counts}
+    return proc.stdout.splitlines(), counted
+
+
+def test_launch_trace_finds_every_target(tmp_path):
+    lines, counted = _traced_check(tmp_path, SPEC)
+    assert len(lines) == 4
     # explicit map, rigidity sweep, closure, table search and the
     # derivation-capable deciders each ran with their counters
     assert {
@@ -47,3 +61,11 @@ def test_launch_trace_finds_every_target(tmp_path):
         "kernels.table_search",
         "properties.engine_search",
     } <= counted
+
+
+def test_launch_trace_s_ring_block_maps(tmp_path):
+    # block-diagonal twists keep no carrier table; every counter still
+    # reads what it expects (a counter that no longer fits raises)
+    lines, counted = _traced_check(tmp_path, S_RING_SPEC)
+    assert [json.loads(line)["status"] for line in lines] == ["fails", "holds", "fails", "fails"]
+    assert {"maps.closure", "properties.rigidity", "kernels.generic_search"} <= counted
