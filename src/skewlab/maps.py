@@ -4,11 +4,13 @@ A map on a ring of size n is stored as a dense image table (n,), or, on
 an S ring, as three block tables (phi, psi, chi) acting as
 (A|B|C) -> (phi A | psi B | chi C), so that no carrier-sized table
 exists.  Other modules apply, compose and compare maps through their
-methods; only the block rigidity sweep reads `blocks` itself.  A
-sigma-derivation for an endomorphism sigma satisfies the twisted
-Leibniz rule d(ab) = sigma(a) d(b) + d(a) b.  Families of commuting or
-non-commuting endomorphisms get a finite composition closure so that
-"for all iterated twists" quantifiers become finite sweeps.
+methods; outside this module `blocks` is read only to ask whether every
+map of a closure is block-diagonal, which lets the rigidity deciders
+sweep a block-rule slice of an S ring.  A sigma-derivation for an
+endomorphism sigma satisfies the twisted Leibniz rule
+d(ab) = sigma(a) d(b) + d(a) b.  Families of commuting or non-commuting
+endomorphisms get a finite composition closure so that "for all iterated
+twists" quantifiers become finite sweeps.
 """
 from __future__ import annotations
 

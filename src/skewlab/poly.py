@@ -10,7 +10,9 @@ always held in normal form (coefficients left, variables ascending).
 Products are computed by a token rewriting engine that applies the
 defining rules leftmost-first until no redex remains.  An independent
 closed-formula route for x^alpha * r is provided as an oracle; the two
-must agree and are never merged.
+must agree and are never merged.  Long power chains (nilpotency
+certificates) use `NormalProducts`, which memoizes products of single
+variables and coefficients instead of rewriting whole words.
 """
 from __future__ import annotations
 
@@ -421,6 +423,72 @@ def mul_var_var(sys: CommutationSystem, j: int, i: int) -> SkewPoly:
     e[i] += 1
     e[j] += 1
     return sys.monomial(tuple(e))
+
+
+class NormalProducts:
+    """Memoized normal forms of words x^e * r * x^g, for long power chains.
+
+    The engine re-derives every rewrite path of a word, and the paths
+    multiply with its degree once rules branch.  Here the last variable
+    of x^e is moved past r and into x^g by one rule, and every smaller
+    word is worked out once.  On a system that passes verify_pbw_axioms
+    the normal form is unique, so the results equal the engine's.
+    Recursion is about one frame per degree of the word.
+    """
+
+    def __init__(self, sys: CommutationSystem):
+        ring = sys.ring
+        self.sys, self.zero, self.one = sys, ring.zero, ring.one
+        if ring.is_table_backed:
+            self.add, self.mul = ring.add_table.item, ring.mul_table.item
+        else:
+            self.add = lambda a, b: int(ring.add(a, b))
+            self.mul = lambda a, b: int(ring.mul(a, b))
+        self.term_products = 0  # term pairs multiplied by `product`
+        self._words: dict = {}
+
+    def _into(self, out: dict, terms: dict, c: int) -> None:
+        """out += c * terms."""
+        for h, t in terms.items():
+            s = self.add(out.get(h, self.zero), self.mul(c, t))
+            if s == self.zero:
+                out.pop(h, None)
+            else:
+                out[h] = s
+
+    def word(self, e: tuple, r: int, g: tuple) -> dict:
+        """x^e * r * x^g as {exponent: coefficient}."""
+        out = self._words.get((e, r, g))
+        if out is not None:
+            return out
+        out = {}
+        u = max((i for i, m in enumerate(e) if m), default=None)
+        if r != self.zero and u is None:
+            out[g] = r
+        elif r != self.zero:
+            # x^e' (x_u r) x^g = x^e' delta_u(r) x^g + x^e' sigma_u(r) (x_u x^g)
+            e1 = e[:u] + (e[u] - 1,) + e[u + 1 :]
+            self._into(out, self.word(e1, int(self.sys.delta[u](r)), g), self.one)
+            s = int(self.sys.sigma.maps[u](r))
+            v = next((i for i, m in enumerate(g) if m), u)
+            if u <= v:
+                self._into(out, self.word(e1, s, g[:u] + (g[u] + 1,) + g[u + 1 :]), self.one)
+            else:  # x_u x^g = (x_u x_v) x^g' with x_u x_v = sum_k t_k x^k
+                g1 = g[:v] + (g[v] - 1,) + g[v + 1 :]
+                for k, t in self.sys.var_var_terms(u, v).items():
+                    for h, c in self.word(e1, self.mul(s, t), k).items():
+                        self._into(out, self.word(h, self.one, g1), c)
+        self._words[e, r, g] = out
+        return out
+
+    def product(self, t1: dict, t2: dict) -> dict:
+        """Normal form of the product of two normal-form term dicts."""
+        self.term_products += len(t1) * len(t2)
+        out: dict = {}
+        for e1, c1 in t1.items():
+            for e2, c2 in t2.items():
+                self._into(out, self.word(e1, c2, e2), c1)
+        return out
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,7 @@ from . import kernels
 from .maps import SigmaFamily, identity_map, orbit_closure, sigma_power
 from .poly import (
     CommutationSystem,
+    NormalProducts,
     SkewPoly,
     monomial_product_table,
     monomials_upto,
@@ -47,6 +48,9 @@ from .rings import (
 DEFAULT_DEGREE_BOUND = 2
 DEFAULT_POWER_BOUND = 4
 DEFAULT_PAIR_CAP = 50_000_000
+# skew_pi_armendariz forms powers of fg up to degree 2 * degree_bound *
+# power_bound; NormalProducts recurses about one frame per degree
+POWER_DEGREE_CAP = 256
 
 
 class NotEndomorphismTypeError(Exception):
@@ -142,13 +146,21 @@ def _rigidity(
     sigma_rigid asks a sigma^theta(a) = 0 to force a = 0; the weak
     properties ask a sigma^theta(a) nilpotent exactly when a is, over the
     carrier or over the elements of `ideal`.  An S ring whose closure is
-    block-diagonal is decided by its block rule, without a carrier sweep.
+    block-diagonal, (A|B|C) -> (phi A | psi B | chi C), is swept over a
+    slice that holds the least bad element: a sigma(a) has diagonal
+    blocks A phi(A) and C chi(C), so weak badness depends on (A, C) alone
+    and the slice is M x 0 x M; every (0|B|0) with B != 0 is sigma_rigid
+    bad, so its slice is 0 x M x M.
     """
     maps = orbit_closure(family)
-    if ideal is None and isinstance(ring, SRing) and all(m.blocks is not None for m in maps):
-        best = _block_bad(prop, ring, maps)
+    if ideal is not None:
+        chunks = [np.asarray(ideal.elements, dtype=np.int64)]
+    elif isinstance(ring, SRing) and all(m.blocks is not None for m in maps):
+        M = np.arange(ring.bsize)
+        chunks = [ring.triples(M[:1], M, M) if prop == "sigma_rigid" else ring.triples(M, M[:1], M)]
     else:
-        best = _carrier_bad(prop, ring, maps, ideal)
+        chunks = (np.arange(lo, min(lo + _CHUNK, ring.size)) for lo in range(0, ring.size, _CHUNK))
+    best = _least_bad(prop, ring, maps, chunks)
     label = (ideal.label or "ideal") if ideal is not None else None
     name = instance or f"{ring.name}/{family_label(family)}" + (f"/{label}" if label else "")
     if best is None:
@@ -175,12 +187,8 @@ def _rigidity(
     return _failed(prop, family, name, witness)
 
 
-def _carrier_bad(prop: str, ring: FiniteRing, maps: list, ideal: SubsetIdeal | None):
-    """(least bad element, first closure index at it) over the carrier or ideal, or None."""
-    if ideal is None:
-        chunks = (np.arange(lo, min(lo + _CHUNK, ring.size)) for lo in range(0, ring.size, _CHUNK))
-    else:
-        chunks = [np.asarray(ideal.elements, dtype=np.int64)]
+def _least_bad(prop: str, ring: FiniteRing, maps: list, chunks):
+    """(least bad element, first closure index at it) over ascending chunks, or None."""
     best = None
     for x in chunks:
         nil_x = None if prop == "sigma_rigid" else ring.nil_at(x)
@@ -194,43 +202,6 @@ def _carrier_bad(prop: str, ring: FiniteRing, maps: list, ideal: SubsetIdeal | N
         if best is not None:
             return best
     return None
-
-
-def _block_bad(prop: str, ring: SRing, maps: list):
-    """`_carrier_bad` by the block rule, for block-diagonal maps (phi, psi, chi).
-
-    a = (A|B|C) and m(a) multiply to (A phiA | A psiB + B chiC | C chiC).
-    Weak rigidity depends on (A, C) alone, so the least bad element is
-    (A|0|C) for the least bad pair; sigma_rigid sweeps A ascending and,
-    per A, (B, C) in M^2.  Each map is |M|^2 work.
-    """
-    blk = ring.block
-    M, bnil, zero = np.arange(ring.bsize), blk.nil_mask(), blk.zero
-    best = None
-    for mi, m in enumerate(maps):
-        phi, psi, chi = m.blocks
-        hit = None
-        if prop == "sigma_rigid":
-            c_ok = blk.mul(M, chi) == zero
-            for A in range(ring.bsize):  # A = 0 always decides, through (0|B|0)
-                if blk.mul(A, phi[A]) != zero:
-                    continue
-                ok = (blk.add(blk.mul(A, psi)[:, None], blk.mul(M[:, None], chi)) == zero) & c_ok
-                ok[0, 0] &= A != zero
-                if ok.any():
-                    hit = (A, *np.unravel_index(int(np.argmax(ok)), ok.shape))
-                    break
-        else:
-            nil_a, nil_c = bnil[blk.mul(M, phi)], bnil[blk.mul(M, chi)]
-            bad = (nil_a[:, None] & nil_c) != (bnil[:, None] & bnil)
-            if bad.any():
-                A, C = np.unravel_index(int(np.argmax(bad)), bad.shape)
-                hit = (A, 0, C)
-        if hit is not None:
-            a = int(ring.encode(*hit))
-            if best is None or a < best[0]:
-                best = (a, mi)
-    return best
 
 
 def is_sigma_rigid(ring: FiniteRing, family: SigmaFamily, instance: str = "") -> PropertyVerdict:
@@ -358,14 +329,54 @@ _MODE_BY_PROP = {
 }
 
 
-def _nilpotent_filter(sys: CommutationSystem, exps_out: list[tuple], power_bound: int):
+def nilpotent_within(
+    products: NormalProducts, terms: dict, power_bound: int, cap: int
+) -> tuple[bool, int]:
+    """`poly_is_nilpotent` of the term dict f, on memoized normal products.
+
+    Rewriting lowers the degree of all but the product of the leading
+    terms (graded lex), so while the powers of f's leading term keep a
+    nonzero coefficient they are the leading terms of the powers of f;
+    if they do up to the bound, no full power is formed.  Raises
+    BudgetError once `products` has multiplied more than `cap` term pairs.
+    """
+    if not terms:
+        return True, 1
+    lead = max(terms, key=lambda e: (sum(e), e))
+    top = q = {lead: terms[lead]}
+    for k in range(2, power_bound + 1):
+        e = tuple(k * m for m in lead)
+        q = {e: products.product(q, top).get(e, products.zero)}
+        if q[e] == products.zero:
+            break
+    else:
+        return False, 0
+    p = terms
+    for k in range(1, power_bound + 1):
+        if not p:
+            return True, k
+        if k < power_bound:
+            if products.term_products > cap:
+                raise BudgetError(
+                    f"nilpotency certificates multiplied more than pair_cap={cap} "
+                    "term pairs; lower the power bound or the degree bound"
+                )
+            p = products.product(p, terms)
+    return False, 0
+
+
+def _nilpotent_filter(sys: CommutationSystem, exps_out: list[tuple], budget: SearchBudget):
     """keep(row) for the sweep: fg nilpotent within the bound, memoized on the row."""
+    products = NormalProducts(sys)
     certified: dict[bytes, bool] = {}
 
     def keep(row: np.ndarray) -> bool:
         key = row.tobytes()
         if key not in certified:
-            certified[key] = poly_is_nilpotent(_row_poly(sys, exps_out, row), power_bound)[0]
+            terms = {e: int(c) for e, c in zip(exps_out, row) if c != sys.ring.zero}
+            certified[key] = nilpotent_within(
+                products, terms, budget.power_bound, budget.pair_cap
+            )[0]
         return certified[key]
 
     return keep
@@ -390,12 +401,17 @@ def _zero_product_search(
     D = budget.degree_bound
     k = ring.size if budget.subset is None else _coeff_subset(ring, budget).size
     _check_pair_cap(k, comb(sys.n + D, sys.n), budget.pair_cap)
+    if mode == 4 and 2 * D * budget.power_bound > POWER_DEGREE_CAP:
+        raise BudgetError(
+            f"power_bound={budget.power_bound} forms powers of degree "
+            f"{2 * D * budget.power_bound}, past {POWER_DEGREE_CAP}; lower the power bound"
+        )
     exps = monomials_upto(sys.n, D, sys.order)
     exps_out = monomials_upto(sys.n, 2 * D, sys.order)
     stc = monomial_product_table(sys, exps, exps_out)
     moves = move_past_tables(sys, exps, _coeff_subset(ring, budget))
     polys, deg_starts = _enumerate_polys(ring, exps, budget)
-    keep = _nilpotent_filter(sys, exps_out, budget.power_bound) if mode == 4 else None
+    keep = _nilpotent_filter(sys, exps_out, budget) if mode == 4 else None
     if ring.is_table_backed:
         witness, pairs, selected = kernels.search_zero_products_table(
             polys, deg_starts, ring.add_table, ring.mul_table,
@@ -632,12 +648,8 @@ def block_elementary_subset(ring: SRing) -> np.ndarray:
     if not isinstance(ring, SRing):
         raise TypeError("block_elementary_subset expects an S ring")
     base_size = round(ring.bsize ** 0.25)
-    out = [ring.zero]
-    for block_pos in range(3):
-        for unit in range(4):
-            for s in range(1, base_size):
-                blk = s * base_size ** (3 - unit)
-                triple = [0, 0, 0]
-                triple[block_pos] = blk
-                out.append(ring.encode(*triple))
-    return np.unique(np.asarray(out, dtype=np.int64))
+    # s * E_ij sits at s * base^(3 - k), k = 2i + j, in the row-major packing
+    units = np.outer(np.arange(1, base_size), base_size ** np.arange(4)).ravel()
+    z = [0]  # the zero block
+    slots = [ring.triples(units, z, z), ring.triples(z, units, z), ring.triples(z, z, units)]
+    return np.unique(np.concatenate([[ring.zero], *slots]))

@@ -257,6 +257,11 @@ class SRing(FiniteRing):
         A, B = np.divmod(AB, self.bsize)
         return A, B, C
 
+    def triples(self, A, B, C) -> np.ndarray:
+        """Indices of A x B x C; ascending when A, B and C are."""
+        A, B, C = (np.asarray(t, dtype=np.int64) for t in (A, B, C))
+        return self.encode(A[:, None, None], B[None, :, None], C[None, None, :]).ravel()
+
     def add(self, a, b):
         A1, B1, C1 = self.decode(a)
         A2, B2, C2 = self.decode(b)
@@ -437,47 +442,7 @@ def _canonical_violation(add: np.ndarray, mul: np.ndarray):
 
 
 # ---------------------------------------------------------------------------
-# nilpotency: two independent routes
-
-
-def nil_mask_power_bound(ring: FiniteRing, cap: int = 1 << 14) -> np.ndarray:
-    """Mask of nilpotents via a^k for k up to |R| (pigeonhole bound)."""
-    if ring.size > cap:
-        raise BudgetError(
-            f"{ring.name}: power-bound sweep over {ring.size} elements "
-            f"exceeds cap {cap}; use ring.nil_at()"
-        )
-    idx = ring.elements()
-    cur = idx.copy()
-    out = np.asarray(cur == ring.zero)
-    for _ in range(ring.size - 1):
-        if out.all():
-            break
-        cur = ring.mul(cur, idx)
-        out = out | (cur == ring.zero)
-    return out
-
-
-def nil_mask_cycle_detect(ring: FiniteRing, cap: int = 1 << 14) -> np.ndarray:
-    """Mask of nilpotents by following each power sequence to 0 or a repeat."""
-    if ring.size > cap:
-        raise BudgetError(
-            f"{ring.name}: cycle-detection sweep over {ring.size} elements "
-            f"exceeds cap {cap}; use ring.nil_at()"
-        )
-    out = np.zeros(ring.size, dtype=bool)
-    for a in range(ring.size):
-        seen = set()
-        p = a
-        while p not in seen:
-            if p == ring.zero:
-                out[a] = True
-                break
-            seen.add(p)
-            p = int(ring.mul(p, a))
-        else:
-            continue
-    return out
+# nilpotency: two independent routes (the power bound is kernels.nilpotent_mask)
 
 
 def power_trajectory(ring: FiniteRing, a: int):
@@ -502,14 +467,24 @@ def power_trajectory(ring: FiniteRing, a: int):
     return powers, False
 
 
+def nil_mask_cycle_detect(ring: FiniteRing, cap: int = 1 << 14) -> np.ndarray:
+    """Mask of nilpotents by following each power sequence to 0 or a repeat."""
+    if ring.size > cap:
+        raise BudgetError(
+            f"{ring.name}: cycle-detection sweep over {ring.size} elements "
+            f"exceeds cap {cap}; use ring.nil_at()"
+        )
+    return np.array([power_trajectory(ring, a)[1] for a in range(ring.size)], dtype=bool)
+
+
 def nil_set(ring: FiniteRing) -> np.ndarray:
     """Ascending indices of the nilpotent elements.
 
-    On an S ring these are nil(M) x M x nil(M), laid out in index order.
+    On an S ring these are nil(M) x M x nil(M), by the block rule.
     """
     if isinstance(ring, SRing):
-        nb, b = nil_set(ring.block), np.arange(ring.bsize)
-        return ring.encode(nb[:, None, None], b[None, :, None], nb[None, None, :]).ravel()
+        nb = nil_set(ring.block)
+        return ring.triples(nb, np.arange(ring.bsize), nb)
     return np.nonzero(ring.nil_mask())[0].astype(np.int64)
 
 
@@ -553,23 +528,16 @@ def is_ni(ring: FiniteRing) -> bool:
 def idempotents(ring: FiniteRing) -> np.ndarray:
     """Ascending indices of elements with e*e = e; found once per ring.
 
-    (A|B|C) in an S ring is idempotent exactly when A and C are and
-    AB + BC = B, so there only idem(M) x M x idem(M) is swept, in index
-    order.
+    (A|B|C)^2 = (A^2 | AB + BC | C^2), so an idempotent of an S ring
+    lies in idem(M) x M x idem(M), and only that slice is swept.
     """
     if ring._idempotents is None:
         if isinstance(ring, SRing):
-            blk, e, b = ring.block, idempotents(ring.block), np.arange(ring.bsize)
-            A, B, C = e[:, None, None], b[None, :, None], e[None, None, :]
-            keep = blk.add(blk.mul(A, B), blk.mul(B, C)) == B
-            out = ring.encode(A, B, C)[keep]
+            e = idempotents(ring.block)
+            chunks = [ring.triples(e, np.arange(ring.bsize), e)]
         else:
-            out = []
-            for lo in range(0, ring.size, _CHUNK):
-                x = np.arange(lo, min(lo + _CHUNK, ring.size))
-                out.append(x[ring.mul(x, x) == x])
-            out = np.concatenate(out)
-        ring._idempotents = out.astype(np.int64)
+            chunks = (np.arange(lo, min(lo + _CHUNK, ring.size)) for lo in range(0, ring.size, _CHUNK))
+        ring._idempotents = np.concatenate([x[ring.mul(x, x) == x] for x in chunks]).astype(np.int64)
         ring._idempotents.setflags(write=False)
     return ring._idempotents
 
@@ -628,7 +596,14 @@ def is_abelian(ring: FiniteRing) -> bool:
 
 
 def is_invertible(ring: FiniteRing, a: int) -> bool:
-    """True when a has a two-sided multiplicative inverse."""
+    """True when a has a two-sided multiplicative inverse.
+
+    (A|B|C) in an S ring is a unit exactly when A and C are units of M:
+    then (A^-1 | -A^-1 B C^-1 | C^-1) is its inverse on both sides.
+    """
+    if isinstance(ring, SRing):
+        A, _, C = ring.decode(a)
+        return is_invertible(ring.block, int(A)) and is_invertible(ring.block, int(C))
     every = ring.elements()
     left = ring.mul(a, every) == ring.one
     right = ring.mul(every, a) == ring.one

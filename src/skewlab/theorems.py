@@ -14,7 +14,7 @@ from functools import cached_property
 import numpy as np
 
 from . import rings as R
-from .catalog import get_map, get_ring, get_system
+from .catalog import get_system
 from .maps import SigmaFamily, orbit_closure
 from .poly import CommutationSystem
 from .properties import (
@@ -49,51 +49,49 @@ PAIR_SWEEP_CAP = 1024  # exhaustive (a, b) nil-transfer sweeps up to this size
 @dataclass(frozen=True)
 class CatalogEntry:
     name: str
-    ring_name: str
-    map_names: tuple[str, ...]
     system_name: str
     expected: dict
 
 
 DEFAULT_ENTRIES: list[CatalogEntry] = [
     CatalogEntry(
-        "Z2/id", "Z2", ("id",), "untwisted(Z2)",
+        "Z2/id", "untwisted(Z2)",
         {"reduced": True, "ni": True, "abelian": True, "sigma_rigid": True, "weak_sigma_rigid": True},
     ),
     CatalogEntry(
-        "Z3/id", "Z3", ("id",), "untwisted(Z3)",
+        "Z3/id", "untwisted(Z3)",
         {"reduced": True, "ni": True, "abelian": True, "sigma_rigid": True, "weak_sigma_rigid": True},
     ),
     CatalogEntry(
-        "Z4/id", "Z4", ("id",), "untwisted(Z4)",
+        "Z4/id", "untwisted(Z4)",
         {"reduced": False, "ni": True, "abelian": True, "sigma_rigid": False, "weak_sigma_rigid": True},
     ),
     CatalogEntry(
-        "Z6/id", "Z6", ("id",), "untwisted(Z6)",
+        "Z6/id", "untwisted(Z6)",
         {"reduced": True, "ni": True, "abelian": True, "sigma_rigid": True, "weak_sigma_rigid": True},
     ),
     CatalogEntry(
-        "Z2xZ2/id", "Z2xZ2", ("id",), "untwisted(Z2xZ2)",
+        "Z2xZ2/id", "untwisted(Z2xZ2)",
         {"reduced": True, "ni": True, "abelian": True, "sigma_rigid": True, "weak_sigma_rigid": True},
     ),
     CatalogEntry(
-        "Z2xZ2/swap", "Z2xZ2", ("swap",), "swap-ore",
+        "Z2xZ2/swap", "swap-ore",
         {"reduced": True, "ni": True, "abelian": True, "sigma_rigid": False, "weak_sigma_rigid": False},
     ),
     CatalogEntry(
-        "M2(Z2)/id", "M2(Z2)", ("id",), "untwisted(M2(Z2))",
+        "M2(Z2)/id", "untwisted(M2(Z2))",
         {"reduced": False, "ni": False, "abelian": False, "sigma_rigid": False, "weak_sigma_rigid": True},
     ),
     CatalogEntry(
-        "R3(Z2)/id", "R3(Z2)", ("id",), "untwisted(R3(Z2))",
+        "R3(Z2)/id", "untwisted(R3(Z2))",
         {"reduced": False, "ni": True, "abelian": True, "sigma_rigid": False, "weak_sigma_rigid": True},
     ),
     CatalogEntry(
-        "S(Z3)/negate-B", "S(Z3)", ("negate-B",), "s-negate-b(Z3)",
+        "S(Z3)/negate-B", "s-negate-b(Z3)",
         {"reduced": False, "ni": False, "abelian": False, "sigma_rigid": False, "weak_sigma_rigid": True},
     ),
     CatalogEntry(
-        "S(Z4)/negate-B", "S(Z4)", ("negate-B",), "s-negate-b(Z4)",
+        "S(Z4)/negate-B", "s-negate-b(Z4)",
         {"reduced": False, "ni": False, "abelian": False, "sigma_rigid": False, "weak_sigma_rigid": True},
     ),
 ]
@@ -149,10 +147,8 @@ def entry_by_name(name: str) -> CatalogEntry:
 def resolve(entry: CatalogEntry) -> EntryContext:
     ctx = _ctx_cache.get(entry.name)
     if ctx is None:
-        ring = get_ring(entry.ring_name)
-        family = SigmaFamily(ring, [get_map(ring, n) for n in entry.map_names])
         system = get_system(entry.system_name)
-        ctx = EntryContext(entry, ring, family, system)
+        ctx = EntryContext(entry, system.ring, system.sigma, system)
         _ctx_cache[entry.name] = ctx
     return ctx
 

@@ -32,7 +32,6 @@ from skewlab.properties import (
 from skewlab.rings import (
     SRing,
     nil_mask_cycle_detect,
-    nil_mask_power_bound,
     power_trajectory,
     verify_ring_laws,
 )
@@ -80,12 +79,12 @@ def test_criterion_02_nilradical_oracle():
     ok = True
     for name, want in expected.items():
         ring = get_ring(name)
-        via_power = nil_mask_power_bound(ring)
+        via_power = ring.nil_mask()
         via_cycle = nil_mask_cycle_detect(ring)
         ok = ok and (via_power == via_cycle).all()
         ok = ok and set(np.nonzero(via_power)[0].tolist()) == want
     r3 = get_ring("R3(Z2)")
-    p, c = nil_mask_power_bound(r3), nil_mask_cycle_detect(r3)
+    p, c = r3.nil_mask(), nil_mask_cycle_detect(r3)
     ok = ok and (p == c).all() and int(p.sum()) == 8
     ok = ok and all(
         r3.element_name(int(a)).startswith("ut3[0,") for a in np.nonzero(p)[0]

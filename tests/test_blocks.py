@@ -9,6 +9,7 @@ carrier sweeps in the same way.
 """
 import json
 import os
+import resource
 import subprocess
 import sys
 import time
@@ -25,6 +26,7 @@ from skewlab.maps import (
     MapVerificationError,
     RingMap,
     SigmaFamily,
+    identity_map,
     orbit_closure,
     sigma_power,
     verify_block_endomorphism,
@@ -37,7 +39,7 @@ from skewlab.properties import (
     is_weak_sigma_rigid,
     is_weak_sigma_skew_armendariz,
 )
-from skewlab.rings import _CHUNK, idempotents, nil_set
+from skewlab.rings import _CHUNK, SRing, idempotents, is_invertible, nil_set
 
 from conftest import get_map, get_ring
 
@@ -118,6 +120,22 @@ def test_block_route_matches_carrier_route(drawn):
         assert bp.equals(cp) and cp.equals(bp)
 
 
+@pytest.mark.parametrize("block", ["Z2", "Z3", "Z4", "Z2xZ2"])
+def test_rigidity_slices_over_commutative_block_rings(block):
+    # over a reduced block ring (Z2, Z3, Z2xZ2) no C != 0 has C chi(C) = 0,
+    # so the least sigma_rigid bad element is (0|B|0): B = 0 would miss it
+    blk = get_ring(block)
+    ring = SRing(blk, f"S[{block}]")
+    maps = [identity_map(ring)]
+    if block == "Z2xZ2":
+        t = get_map(blk, "swap").table
+        maps.append(verify_block_endomorphism(ring, t, t, t, "swap3"))
+    for decide in (is_sigma_rigid, is_weak_sigma_rigid):
+        for m in maps:
+            got = decide(ring, SigmaFamily(ring, [m])).to_record()
+            assert got == decide(ring, SigmaFamily(ring, [_carrier_twin(m)])).to_record()
+
+
 def test_mixed_family_closes_over_carrier_tables():
     s = get_ring("S(Z2)")
     neg = get_map(s, "negate-B")
@@ -148,6 +166,15 @@ def test_block_invariants_match_carrier_sweeps(name):
         assert np.array_equal(ring.nil_at(x), p == ring.zero)
     assert np.array_equal(idempotents(ring), np.concatenate(idem))
     assert np.array_equal(nil_set(ring), np.concatenate(nil))
+
+
+def test_unit_rule_matches_carrier_sweep():
+    s = get_ring("S(Z2)")
+    every = s.elements()
+    for x in np.array_split(every, 16):
+        left = s.mul(x[:, None], every[None, :]) == s.one
+        right = s.mul(every[None, :], x[:, None]) == s.one
+        assert [is_invertible(s, int(a)) for a in x] == (left & right).any(axis=1).tolist()
 
 
 @pytest.mark.parametrize("law", ["phi_unital", "psi_additive", "psi_left_linear"])
@@ -230,3 +257,22 @@ def test_s_z4_theorem_suite_memory_guard():
     assert proc.returncode == 0, proc.stderr
     peak, ok = proc.stdout.split()
     assert ok == "True" and int(peak) < 64 << 20, peak
+
+
+def test_two_variable_s_z5_under_address_space_limit(tmp_path):
+    # two variables make the PBW check ask whether c_12 = 1 is a unit; a
+    # carrier sweep of S(Z5) allocates 1 GB arrays and dies under 3 GB
+    spec = tmp_path / "s5x2.spec"
+    spec.write_text(f"ring S(Z5)\nmaps negate-B, negate-B\n{S_Z5_CHECKS}")
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
+
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-m", "skewlab.cli", "check", str(spec), "--json"],
+        capture_output=True, text=True, env=env, timeout=120, preexec_fn=limit,
+    )
+    assert proc.returncode == 0, proc.stderr
+    recs = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert len(recs) == 5 and not any(r.get("mismatch") for r in recs)

@@ -1,7 +1,9 @@
 """Property deciders: exact verdicts, frozen witnesses, bounded searches."""
+import numpy as np
 import pytest
 
 from skewlab.maps import SigmaFamily, identity_map
+from skewlab.poly import CommutationSystem, NormalProducts, require_pbw
 import skewlab.properties as P
 from skewlab.properties import (
     ConsistencyError,
@@ -19,6 +21,7 @@ from skewlab.properties import (
     is_weak_sigma_rigid,
     is_weak_sigma_rigid_ideal,
     is_weak_sigma_skew_armendariz,
+    nilpotent_within,
     poly_is_nilpotent,
 )
 from skewlab.rings import BudgetError, make_ideal, principal_right_set
@@ -315,6 +318,70 @@ def test_poly_is_nilpotent():
     assert poly_is_nilpotent(s4.constant(1), 4) == (False, 0)
     # power bound too small: no nilpotency certificate
     assert poly_is_nilpotent(f, 1) == (False, 0)
+
+
+def _untwisted(ring_name, n=2, **rules):
+    ring = get_ring(ring_name)
+    sys = CommutationSystem(ring, SigmaFamily(ring, [identity_map(ring)] * n), **rules)
+    require_pbw(sys)
+    return sys
+
+
+def _power_chain_systems():
+    return [
+        get_system("quantum-plane(Z3,2)"),
+        get_system("swap-ore"),
+        get_system("untwisted(M2(Z2))"),
+        get_system("untwisted(Z4)"),
+        _untwisted("Z4"),
+        # x2 x1 = x1 x2 + x2 + 1: every swap branches into lower terms
+        _untwisted("Z5", d={(0, 1): (1, (0, 1))}),
+        # x3 x2 = x2 x3 + x1: a lower term past the leading one in lex order
+        _untwisted("Z3", n=3, d={(1, 2): (0, (1, 0, 0))}),
+    ]
+
+
+def _random_poly(sys, rng, degree):
+    exps = [e for e in np.ndindex(*(degree + 1,) * sys.n) if sum(e) <= degree]
+    return sys.poly({tuple(int(x) for x in e): int(rng.integers(sys.ring.size)) for e in exps})
+
+
+@pytest.mark.parametrize("at", range(7))
+def test_normal_products_match_engine(at):
+    sys = _power_chain_systems()[at]
+    rng = np.random.default_rng(at)
+    products = NormalProducts(sys)
+    for _ in range(12):
+        f, g = _random_poly(sys, rng, 3), _random_poly(sys, rng, 2)
+        assert products.product(f.terms, g.terms) == (f * g).terms
+
+
+@pytest.mark.parametrize("at", range(7))
+def test_nilpotent_within_matches_engine(at):
+    sys = _power_chain_systems()[at]
+    rng = np.random.default_rng(10 + at)
+    products = NormalProducts(sys)
+    for _ in range(12):
+        fg = _random_poly(sys, rng, 1) * _random_poly(sys, rng, 1)
+        for bound in (1, 2, 4):
+            got = nilpotent_within(products, fg.terms, bound, 10**9)
+            assert got == poly_is_nilpotent(fg, bound)
+
+
+def test_skew_pi_power_chains_are_bounded():
+    # powers up to degree 34 of every product: the rewrite engine took
+    # minutes here, the leading-term certificate settles each in a few
+    # products
+    qp = get_system("quantum-plane(Z3,2)")
+    v = is_skew_pi_armendariz(qp, SearchBudget(degree_bound=1, power_bound=17))
+    assert v.status == "holds_up_to_bound"
+    assert (v.bound["pairs_checked"], v.bound["nilpotent_products"]) == (729, 53)
+    # over Z4 leading coefficients 2 die, and full powers are formed
+    z4 = _untwisted("Z4")
+    with pytest.raises(BudgetError, match="^nilpotency certificates multiplied more than pair_cap=200000"):
+        is_skew_pi_armendariz(z4, SearchBudget(degree_bound=1, power_bound=17, pair_cap=200_000))
+    with pytest.raises(BudgetError, match="^power_bound=129 forms powers of degree 258, past 256"):
+        is_skew_pi_armendariz(qp, SearchBudget(degree_bound=1, power_bound=129))
 
 
 # --- determinism ----------------------------------------------------------------

@@ -34,7 +34,6 @@ from skewlab.rings import (
     make_zn,
     ni_failure,
     nil_mask_cycle_detect,
-    nil_mask_power_bound,
     nil_set,
     noncommuting_witness,
     power_trajectory,
@@ -314,10 +313,7 @@ def test_nil_sets_frozen():
 @pytest.mark.parametrize("name", ["Z4", "Z6", "Z2xZ2", "M2(Z2)", "R3(Z2)"])
 def test_nil_dual_routes_agree(name):
     ring = get_ring(name)
-    via_power = nil_mask_power_bound(ring)
-    via_cycle = nil_mask_cycle_detect(ring)
-    assert (via_power == via_cycle).all()
-    assert (via_power == ring.nil_mask()).all()
+    assert (ring.nil_mask() == nil_mask_cycle_detect(ring)).all()
 
 
 def test_s_ring_nil_mask_block_rule():
