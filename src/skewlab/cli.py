@@ -721,9 +721,6 @@ def cmd_verify_theorems(args) -> int:
 
 
 def cmd_catalog(args) -> int:
-    if args.what != "list":
-        print("error: only `catalog list` is supported", file=sys.stderr)
-        return 2
     listing = catalog_listing()
     listing["instances"] = [e.name for e in theorem_suite.DEFAULT_ENTRIES]
     if args.json:
@@ -747,10 +744,6 @@ def cmd_catalog(args) -> int:
 def _rebuild_system(context: dict) -> CommutationSystem:
     if context.get("source") == "spec":
         return parse_spec(context["spec_text"]).system
-    if context.get("source") == "catalog":
-        return theorem_suite.resolve(
-            theorem_suite.entry_by_name(context["entry"])
-        ).system
     raise ValueError(f"record context {context!r} is not reconstructible")
 
 

@@ -286,12 +286,6 @@ class SigmaFamily:
         self.n = len(self.maps)
         self._closure: list[RingMap] | None = None
 
-    def __iter__(self):
-        return iter(self.maps)
-
-    def __len__(self):
-        return self.n
-
     def __repr__(self):
         inner = ",".join(m.name for m in self.maps)
         return f"<SigmaFamily [{inner}] on {self.ring.name}>"

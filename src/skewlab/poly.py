@@ -7,6 +7,8 @@ x_j x_i = c_ij x_i x_j + sum_k d_k x_k + d_0 with c_ij nonzero.
 
 Polynomials are dicts mapping exponent tuples to coefficient indices,
 always held in normal form (coefficients left, variables ascending).
+Terms are listed in the one monomial order used throughout, deglex
+(`deglex_key`), as in the paper's setting of skew PBW extensions.
 Products are computed by a token rewriting engine that applies the
 defining rules leftmost-first until no redex remains.  An independent
 closed-formula route for x^alpha * r is provided as an oracle; the two
@@ -34,48 +36,20 @@ class PbwAxiomError(Exception):
         super().__init__(f"{report.system}: {first[0]}: {first[1]}")
 
 
-class MonomialOrder:
-    """Total order on exponent tuples: deglex, lex, or degrevlex.
-
-    Variables are ranked x1 < x2 < ... < xn; all three orders are
-    admissible for normal-form leading terms (deglex is the default
-    everywhere).
-    """
-
-    KINDS = ("deglex", "lex", "degrevlex")
-
-    def __init__(self, kind: str = "deglex"):
-        if kind not in self.KINDS:
-            raise ValueError(f"unknown order {kind!r}, expected one of {self.KINDS}")
-        self.kind = kind
-
-    def key(self, alpha: tuple):
-        if self.kind == "deglex":
-            return (sum(alpha), tuple(reversed(alpha)))
-        if self.kind == "lex":
-            return tuple(reversed(alpha))
-        # degrevlex: by degree, ties broken by the rightmost differing
-        # exponent with the smaller entry winning
-        return (sum(alpha), tuple(-a for a in reversed(alpha)))
-
-    def max(self, exps):
-        return max(exps, key=self.key)
-
-    def sorted(self, exps, reverse: bool = False):
-        return sorted(exps, key=self.key, reverse=reverse)
-
-    def __repr__(self):
-        return f"MonomialOrder({self.kind!r})"
+def deglex_key(e: tuple) -> tuple:
+    """Sort key of deglex: total degree, then the exponents read from x_n
+    down (variables are ranked x1 < x2 < ... < xn)."""
+    return (sum(e), tuple(reversed(e)))
 
 
-def monomials_upto(n: int, bound: int, order: MonomialOrder) -> list[tuple]:
-    """All exponent tuples of total degree <= bound, ascending in `order`."""
+def monomials_upto(n: int, bound: int) -> list[tuple]:
+    """All exponent tuples of total degree <= bound, ascending in deglex."""
     exps = [
         e
         for e in itertools.product(range(bound + 1), repeat=n)
         if sum(e) <= bound
     ]
-    return order.sorted(exps)
+    return sorted(exps, key=deglex_key)
 
 
 class CommutationSystem:
@@ -86,6 +60,7 @@ class CommutationSystem:
     (d_const, d_linear) with d_linear a length-n tuple.  Missing entries
     default to c = 1 and no lower-order terms.  Structural shape is
     validated here; the extension axioms live in verify_pbw_axioms.
+    Monomials are ordered by deglex (`deglex_key`).
     """
 
     def __init__(
@@ -95,7 +70,6 @@ class CommutationSystem:
         delta: list[SigmaDerivation] | None = None,
         c: dict | None = None,
         d: dict | None = None,
-        order: MonomialOrder | None = None,
         name: str = "",
     ):
         from .maps import zero_derivation
@@ -128,7 +102,6 @@ class CommutationSystem:
             if len(dlin) != self.n:
                 raise ValueError("d linear part must have one entry per variable")
             self.d[(i, j)] = (int(d0), dlin)
-        self.order = order or MonomialOrder("deglex")
         self.name = name or f"ext({ring.name},n={self.n})"
 
     # rewrite data ----------------------------------------------------
@@ -157,32 +130,9 @@ class CommutationSystem:
             _accum(self.ring, out, (0,) * self.n, d0)
         return out
 
-    # classification ----------------------------------------------------
     @property
     def endomorphism_type(self) -> bool:
         return all(dv.is_zero for dv in self.delta)
-
-    @property
-    def has_lower_order_terms(self) -> bool:
-        zero = self.ring.zero
-        return any(
-            d0 != zero or any(v != zero for v in dlin)
-            for d0, dlin in self.d.values()
-        )
-
-    @property
-    def quasi_commutative(self) -> bool:
-        return self.endomorphism_type and not self.has_lower_order_terms
-
-    @property
-    def bijective(self) -> bool:
-        sig_ok = all(m.is_injective for m in self.sigma.maps)
-        c_ok = all(
-            is_invertible(self.ring, self.c_of(i, j))
-            for i in range(self.n)
-            for j in range(i + 1, self.n)
-        )
-        return sig_ok and c_ok
 
     def c_central_invertible(self) -> bool:
         """True when every c_ij is central and invertible."""
@@ -244,7 +194,7 @@ class SkewPoly:
         return not self.terms
 
     def support(self) -> list[tuple]:
-        return self.system.order.sorted(self.terms.keys())
+        return sorted(self.terms, key=deglex_key)
 
     def coeff(self, exp) -> int:
         return self.terms.get(tuple(exp), self.system.ring.zero)
@@ -294,7 +244,7 @@ class SkewPoly:
             return "0"
         ring = self.system.ring
         parts = []
-        for e in self.system.order.sorted(self.terms.keys(), reverse=True):
+        for e in sorted(self.terms, key=deglex_key, reverse=True):
             c = self.terms[e]
             vars_part = "*".join(
                 f"x{i + 1}" + (f"^{m}" if m > 1 else "")
@@ -395,34 +345,6 @@ def _mul_terms(sys: CommutationSystem, t1: dict, t2: dict) -> dict:
             for e, c in _normalize_tokens(sys, toks).items():
                 _accum(ring, out, e, c)
     return out
-
-
-def mul_var_coeff(sys: CommutationSystem, i: int, r: int) -> SkewPoly:
-    """x_i * r = sigma_i(r) x_i + delta_i(r), straight from the rule."""
-    if not 0 <= i < sys.n:
-        raise ValueError(f"variable index {i} out of range")
-    e = [0] * sys.n
-    e[i] = 1
-    out: dict = {}
-    s = sys.sigma.maps[i](int(r))
-    if s != sys.ring.zero:
-        out[tuple(e)] = s
-    d = sys.delta[i](int(r))
-    if d != sys.ring.zero:
-        _accum(sys.ring, out, (0,) * sys.n, d)
-    return SkewPoly(sys, out)
-
-
-def mul_var_var(sys: CommutationSystem, j: int, i: int) -> SkewPoly:
-    """Normal form of the product x_j * x_i for any pair of variables."""
-    if not (0 <= i < sys.n and 0 <= j < sys.n):
-        raise ValueError("variable index out of range")
-    if j > i:
-        return SkewPoly(sys, sys.var_var_terms(j, i))
-    e = [0] * sys.n
-    e[i] += 1
-    e[j] += 1
-    return sys.monomial(tuple(e))
 
 
 class NormalProducts:
@@ -566,52 +488,6 @@ def mono_times_coeff_engine(sys: CommutationSystem, alpha, r: int) -> SkewPoly:
 
 
 # ---------------------------------------------------------------------------
-# degree data
-
-
-def exp_of(f: SkewPoly, order: MonomialOrder | None = None):
-    """Leading exponent, or None for the zero polynomial."""
-    if f.is_zero:
-        return None
-    order = order or f.system.order
-    return order.max(f.terms.keys())
-
-
-def lc(f: SkewPoly, order: MonomialOrder | None = None) -> int:
-    """Leading coefficient (ring zero for the zero polynomial)."""
-    e = exp_of(f, order)
-    return f.system.ring.zero if e is None else f.terms[e]
-
-
-def lm(f: SkewPoly, order: MonomialOrder | None = None) -> SkewPoly:
-    """Leading monomial with coefficient one (zero poly for zero input)."""
-    e = exp_of(f, order)
-    return f.system.zero_poly() if e is None else f.system.monomial(e)
-
-
-def lt(f: SkewPoly, order: MonomialOrder | None = None) -> SkewPoly:
-    """Leading term (zero poly for zero input)."""
-    e = exp_of(f, order)
-    return f.system.zero_poly() if e is None else f.system.monomial(e, f.terms[e])
-
-
-def deg(f: SkewPoly) -> int:
-    """Total degree; 0 for nonzero constants, -1 for the zero polynomial."""
-    return max((sum(e) for e in f.terms), default=-1)
-
-
-def e_set(f: SkewPoly) -> set:
-    """The set of exponents appearing in f with nonzero coefficient."""
-    return set(f.terms.keys())
-
-
-def is_in_nil_ra(f: SkewPoly) -> bool:
-    """True when every coefficient of f is nilpotent in the base ring."""
-    ring = f.system.ring
-    return all(ring.is_nilpotent(c) for c in f.terms.values())
-
-
-# ---------------------------------------------------------------------------
 # axiom verification
 
 
@@ -619,7 +495,6 @@ def is_in_nil_ra(f: SkewPoly) -> bool:
 class PbwReport:
     system: str
     failures: list = field(default_factory=list)  # (check, detail) strings
-    classification: dict = field(default_factory=dict)
 
     @property
     def ok(self) -> bool:
@@ -683,11 +558,6 @@ def verify_pbw_axioms(sys: CommutationSystem) -> PbwReport:
                                 "variable triple reassociation disagrees",
                             )
                         )
-    rep.classification = {
-        "endomorphism_type": sys.endomorphism_type,
-        "quasi_commutative": sys.quasi_commutative,
-        "bijective": sys.bijective if not rep.failures else False,
-    }
     return rep
 
 

@@ -293,10 +293,8 @@ def _mono_str(exp: tuple) -> str:
 def poly_terms_record(f: SkewPoly) -> list[dict]:
     """JSON-friendly term list (ascending monomial order) for witnesses."""
     ring = f.system.ring
-    key = f.system.order.key
     return [
-        {"exp": list(e), "coeff": ring.element_name(c)}
-        for e, c in sorted(f.terms.items(), key=lambda kv: key(kv[0]))
+        {"exp": list(e), "coeff": ring.element_name(f.terms[e])} for e in f.support()
     ]
 
 
@@ -406,8 +404,8 @@ def _zero_product_search(
             f"power_bound={budget.power_bound} forms powers of degree "
             f"{2 * D * budget.power_bound}, past {POWER_DEGREE_CAP}; lower the power bound"
         )
-    exps = monomials_upto(sys.n, D, sys.order)
-    exps_out = monomials_upto(sys.n, 2 * D, sys.order)
+    exps = monomials_upto(sys.n, D)
+    exps_out = monomials_upto(sys.n, 2 * D)
     stc = monomial_product_table(sys, exps, exps_out)
     moves = move_past_tables(sys, exps, _coeff_subset(ring, budget))
     polys, deg_starts = _enumerate_polys(ring, exps, budget)

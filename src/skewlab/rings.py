@@ -90,15 +90,6 @@ class FiniteRing:
     def sub(self, a, b):
         return self.add(a, self.neg(b))
 
-    def power(self, a: int, k: int) -> int:
-        """a**k for k >= 1 by repeated multiplication."""
-        if k < 1:
-            raise ValueError("power expects k >= 1")
-        p = a
-        for _ in range(k - 1):
-            p = self.mul(p, a)
-        return _scalar(p)
-
     # carrier ---------------------------------------------------------
     def elements(self) -> np.ndarray:
         return np.arange(self.size, dtype=np.int32)

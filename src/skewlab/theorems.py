@@ -121,7 +121,7 @@ class EntryContext:
 
     @cached_property
     def flags(self) -> dict:
-        """The classification flags the catalog entry declares."""
+        """The ring property flags the catalog entry declares."""
         # both rigidity verdicts first: the sweep order sets peak memory
         rigid, weak = self.rigid, self.weak
         return {
@@ -175,7 +175,7 @@ class TheoremReport:
 
 
 def check_catalog_flags(ctx: EntryContext) -> TheoremReport:
-    """Computed classification flags must match the catalog expectations."""
+    """Computed ring property flags must match the catalog expectations."""
     computed = dict(ctx.flags)
     mismatches = {
         k: {"expected": ctx.entry.expected[k], "computed": computed[k]}

@@ -231,6 +231,36 @@ def test_derivation_spec_matches_builtin_ore(tmp_path, capsys):
     assert (w["pairs_checked"], w["zero_products"]) == (78, 30)
 
 
+def test_explicit_derivation_images_match_id_minus(tmp_path, capsys):
+    # id - swap on Z2xZ2 written out as images gives the same verdicts
+    def run(decl):
+        spec = f"ring Z2xZ2\nmap s = swap\n{decl}\nmaps s\ndeltas dd\n" + (
+            "checks sigma_delta_skew_armendariz, skew_pi_armendariz, weak_sigma_rigid\n"
+        )
+        code, out, err = run_cli(capsys, "check", write(tmp_path, "ore.spec", spec), "--json")
+        assert code == 0, err
+        return [
+            (r["check"], r["status"], r.get("witness"), r.get("bound"))
+            for r in map(json.loads, out.splitlines())
+            if r.get("record") != "summary"
+        ]
+
+    explicit = run("derivation dd = images=[0, 3, 3, 0] sigma=s")
+    assert [r[1] for r in explicit] == ["fails"] * 3 and all(r[2] for r in explicit)
+    assert explicit == run("derivation dd = id-minus s")
+
+
+def test_explicit_derivation_breaking_leibniz_rejected(tmp_path, capsys):
+    spec = (
+        "ring Z2xZ2\nmap s = swap\nderivation dd = images=[0, 1, 2, 3] sigma=s\n"
+        "maps s\ndeltas dd\ncheck sigma_rigid\n"
+    )
+    path = write(tmp_path, "bad.spec", spec)
+    code, out, err = run_cli(capsys, "check", path)
+    assert code == 2 and out == ""
+    assert err.startswith(f"{path}:line 3, col 1: ") and "twisted_leibniz" in err
+
+
 def test_builtin_system_spec(tmp_path, capsys):
     spec = (
         "system quantum-plane(Z3,2)\n"

@@ -41,8 +41,18 @@ def test_swap_is_endomorphism():
 
 
 def test_non_multiplicative_rejected():
+    # transpose on M2(Z2) is additive and unital but reverses products:
+    # (E22 E21)^T = E12 while E22^T E21^T = E22 E12 = 0
+    m2 = get_ring("M2(Z2)")
+    transpose = [0, 1, 4, 5, 2, 3, 6, 7, 8, 9, 12, 13, 10, 11, 14, 15]
+    with pytest.raises(MapVerificationError) as exc:
+        verify_endomorphism(m2, np.array(transpose), "transpose")
+    assert (exc.value.law, exc.value.witness) == ("multiplicative", (1, 2))
+
+
+def test_non_unital_rejected():
+    # x -> 3x on Z4 is additive, but 3*1 = 3 != 1
     z4 = make_zn(4)
-    # x -> 3x is additive and unital-failing? 3*1=3 != 1, so unitality trips first
     with pytest.raises(MapVerificationError) as exc:
         verify_endomorphism(z4, np.array([0, 3, 2, 1]), "neg")
     assert exc.value.law == "unital"
@@ -53,7 +63,7 @@ def test_non_additive_rejected():
     tab = np.array([0, 1, 3, 2])  # unital, breaks additivity at 1+1
     with pytest.raises(MapVerificationError) as exc:
         verify_endomorphism(z4, tab, "bad")
-    assert exc.value.law in ("additive", "multiplicative")
+    assert (exc.value.law, exc.value.witness) == ("additive", (1, 1))
 
 
 def test_frobenius_on_z2xz2():
@@ -77,7 +87,11 @@ def test_broken_derivation_rejected():
     ident = identity_map(z4)
     with pytest.raises(MapVerificationError) as exc:
         verify_sigma_derivation(z4, ident, np.array([0, 1, 1, 1]), "bad")
-    assert exc.value.law in ("additive", "twisted_leibniz")
+    assert (exc.value.law, exc.value.witness) == ("additive", (1, 1))
+    # d(x) = x is additive, but d(1*1) = 1 != sigma(1) d(1) + d(1) 1 = 2
+    with pytest.raises(MapVerificationError) as exc:
+        verify_sigma_derivation(z4, ident, np.arange(4), "ident")
+    assert (exc.value.law, exc.value.witness) == ("twisted_leibniz", (1, 1))
 
 
 def test_constant_one_derivation_rejected():

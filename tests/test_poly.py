@@ -15,28 +15,16 @@ from skewlab.maps import (
 )
 from skewlab.poly import (
     CommutationSystem,
-    MonomialOrder,
     PbwAxiomError,
-    deg,
-    e_set,
-    exp_of,
-    is_in_nil_ra,
-    lc,
-    lm,
-    lt,
     mono_times_coeff_closed,
     mono_times_coeff_engine,
     monomial_product_table,
     monomials_upto,
-    mul_var_coeff,
-    mul_var_var,
     require_pbw,
     verify_pbw_axioms,
 )
 
 from conftest import get_map, get_ring, get_system
-
-DEGLEX = MonomialOrder("deglex")
 
 
 def double_swap_system():
@@ -52,11 +40,11 @@ def double_swap_system():
     )
 
 
-# --- monomial orders -------------------------------------------------------
+# --- monomial order ---------------------------------------------------------
 
 
 def test_deglex_frozen():
-    assert monomials_upto(2, 2, DEGLEX) == [
+    assert monomials_upto(2, 2) == [
         (0, 0),
         (1, 0),
         (0, 1),
@@ -64,16 +52,7 @@ def test_deglex_frozen():
         (1, 1),
         (0, 2),
     ]
-    assert monomials_upto(1, 3, DEGLEX) == [(0,), (1,), (2,), (3,)]
-
-
-def test_order_kinds():
-    exps = [(2, 0), (0, 2), (1, 1), (0, 0)]
-    assert MonomialOrder("lex").max(exps) == (0, 2)
-    assert MonomialOrder("deglex").max(exps) == (0, 2)
-    assert MonomialOrder("degrevlex").max(exps) == (2, 0)
-    with pytest.raises(ValueError):
-        MonomialOrder("grevlex")
+    assert monomials_upto(1, 3) == [(0,), (1,), (2,), (3,)]
 
 
 # --- single rewrite rules --------------------------------------------------
@@ -83,18 +62,20 @@ def test_var_times_coeff_rule():
     so = get_system("swap-ore")
     r = so.ring
     a = r.element_index("(0|1)")
-    p = mul_var_coeff(so, 0, a)
+    p = so.variable(0) * so.constant(a)
     sw = so.sigma.maps[0]
     d = so.delta[0]
     assert p.coeff((1,)) == sw(a)
     assert p.coeff((0,)) == d(a)
+    assert not so.endomorphism_type
 
 
 def test_var_times_var_rule():
     qp = get_system("quantum-plane(Z3,2)")
-    p = mul_var_var(qp, 1, 0)
-    assert p.terms == {(1, 1): 2}
-    assert mul_var_var(qp, 0, 1).terms == {(1, 1): 1}
+    x1, x2 = qp.variable(0), qp.variable(1)
+    assert (x2 * x1).terms == {(1, 1): 2}
+    assert (x1 * x2).terms == {(1, 1): 1}
+    assert qp.endomorphism_type
 
 
 def test_quantum_plane_products_frozen():
@@ -129,7 +110,7 @@ def test_closed_formula_matches_engine_one_var(sysname):
 
 def test_closed_formula_matches_engine_quantum_plane():
     qp = get_system("quantum-plane(Z3,2)")
-    for alpha in monomials_upto(2, 4, DEGLEX):
+    for alpha in monomials_upto(2, 4):
         for r in range(3):
             assert mono_times_coeff_closed(qp, alpha, r) == mono_times_coeff_engine(
                 qp, alpha, r
@@ -139,7 +120,7 @@ def test_closed_formula_matches_engine_quantum_plane():
 def test_closed_formula_matches_engine_with_derivations():
     sys = double_swap_system()
     require_pbw(sys)
-    for alpha in monomials_upto(2, 4, DEGLEX):
+    for alpha in monomials_upto(2, 4):
         for r in range(sys.ring.size):
             assert mono_times_coeff_closed(sys, alpha, r) == mono_times_coeff_engine(
                 sys, alpha, r
@@ -158,7 +139,7 @@ def test_closed_formula_rejects_bad_exponent():
 
 
 def poly_strategy(sys, max_deg=2, max_terms=3):
-    exps = monomials_upto(sys.n, max_deg, sys.order)
+    exps = monomials_upto(sys.n, max_deg)
     term = st.tuples(st.sampled_from(exps), st.integers(0, sys.ring.size - 1))
     return st.lists(term, max_size=max_terms).map(
         lambda ts: sys.poly({e: c for e, c in ts})
@@ -204,28 +185,6 @@ def test_unit_polynomial():
     assert one * f == f and f * one == f
 
 
-# --- degree data ------------------------------------------------------------
-
-
-def test_leading_data():
-    qp = get_system("quantum-plane(Z3,2)")
-    f = qp.poly({(2, 0): 2, (1, 1): 1, (0, 0): 1})
-    assert exp_of(f) == (1, 1)
-    assert lc(f) == 1
-    assert lm(f).terms == {(1, 1): 1}
-    assert lt(f).terms == {(1, 1): 1}
-    assert deg(f) == 2
-    assert e_set(f) == {(2, 0), (1, 1), (0, 0)}
-    z = qp.zero_poly()
-    assert exp_of(z) is None and deg(z) == -1 and lc(z) == 0
-
-
-def test_nil_coefficient_test():
-    s4 = get_system("untwisted(Z4)")
-    assert is_in_nil_ra(s4.poly({(1,): 2, (0,): 2}))
-    assert not is_in_nil_ra(s4.poly({(1,): 2, (0,): 1}))
-
-
 # --- axiom verification ------------------------------------------------------
 
 
@@ -240,19 +199,6 @@ def test_builtin_systems_pass_axioms(sysname):
         xj, xi = sys.variable(j), sys.variable(i)
         for r in range(sys.ring.size):
             assert xj * (xi * sys.constant(r)) == (xj * xi) * sys.constant(r)
-
-
-def test_classification_flags():
-    rep = verify_pbw_axioms(get_system("quantum-plane(Z3,2)"))
-    assert rep.classification == {
-        "endomorphism_type": True,
-        "quasi_commutative": True,
-        "bijective": True,
-    }
-    so_rep = verify_pbw_axioms(get_system("swap-ore"))
-    assert not so_rep.classification["endomorphism_type"]
-    assert not so_rep.classification["quasi_commutative"]
-    assert so_rep.classification["bijective"]
 
 
 def test_zero_c_rejected():
@@ -327,7 +273,6 @@ def test_d_terms_enter_products():
     assert require_pbw(sys).ok
     x1, x2 = sys.variable(0), sys.variable(1)
     assert (x2 * x1).terms == {(1, 1): 2, (1, 0): 1, (0, 1): 2, (0, 0): 1}
-    assert sys.has_lower_order_terms and not sys.quasi_commutative
     # engine associativity with d-terms in play
     f = x2 * x1 + sys.constant(2)
     assert (f * f) * f == f * (f * f)
@@ -335,8 +280,8 @@ def test_d_terms_enter_products():
 
 def test_monomial_product_table():
     qp = get_system("quantum-plane(Z3,2)")
-    exps1 = monomials_upto(2, 1, DEGLEX)
-    exps2 = monomials_upto(2, 2, DEGLEX)
+    exps1 = monomials_upto(2, 1)
+    exps2 = monomials_upto(2, 2)
     stc = monomial_product_table(qp, exps1, exps2)
     i_x1 = exps1.index((1, 0))
     i_x2 = exps1.index((0, 1))

@@ -338,6 +338,8 @@ def _power_chain_systems():
         _untwisted("Z5", d={(0, 1): (1, (0, 1))}),
         # x3 x2 = x2 x3 + x1: a lower term past the leading one in lex order
         _untwisted("Z3", n=3, d={(1, 2): (0, (1, 0, 0))}),
+        # an S ring keeps no Cayley tables: products go through ring.add/ring.mul
+        get_system("s-negate-b(Z2)"),
     ]
 
 
@@ -346,7 +348,7 @@ def _random_poly(sys, rng, degree):
     return sys.poly({tuple(int(x) for x in e): int(rng.integers(sys.ring.size)) for e in exps})
 
 
-@pytest.mark.parametrize("at", range(7))
+@pytest.mark.parametrize("at", range(8))
 def test_normal_products_match_engine(at):
     sys = _power_chain_systems()[at]
     rng = np.random.default_rng(at)
@@ -356,7 +358,7 @@ def test_normal_products_match_engine(at):
         assert products.product(f.terms, g.terms) == (f * g).terms
 
 
-@pytest.mark.parametrize("at", range(7))
+@pytest.mark.parametrize("at", range(8))
 def test_nilpotent_within_matches_engine(at):
     sys = _power_chain_systems()[at]
     rng = np.random.default_rng(10 + at)
