@@ -9,6 +9,7 @@ zero-product search is one sweep over any pair of vectorized add/mul
 operations: table gathers for tabulated rings, or a ring's own add/mul
 for rings too large to tabulate.  Move-past constants carry the twists
 and derivations, so the same sweep serves every zero-product property.
+It forms fg one coefficient at a time, each on the pairs still zero.
 """
 from __future__ import annotations
 
@@ -94,46 +95,94 @@ def nilpotent_mask(mul: np.ndarray, zero: int) -> np.ndarray:
 # Returns (witness, pairs_checked, selected); witness is (fi, gi, i, j)
 # or None.  Counters cover the pairs enumerated up to and including the
 # witness pair, in (deg f, deg g, f, g) order.
+#
+# Products are read off one term list per output coefficient g, built once
+# per sweep: (a x^alpha_i)(b x^alpha_j) adds a * table[b] * s to coefficient
+# g for each move (i, k, table) with s = stc[k, j, g] nonzero; s = one skips
+# its multiply.  Selecting fg = 0 forms one coefficient at a time, on the
+# pairs still zero; only a `keep` sweep forms every coefficient of every pair.
 
 
-def _add_term(add, mul, acc, a, b, j, row_moves, stc, zero):
-    """acc[g] += coefficients of (a x^alpha_i)(b x^alpha_j), i owning row_moves."""
-    for k, tab in row_moves:
-        t = mul(a, tab[b])
-        for g in range(stc.shape[2]):
-            s = int(stc[k, j, g])
-            if s != zero:
-                acc[g] = add(acc[g], mul(t, s))
+def _term_lists(moves, stc, zero):
+    """terms[g] = [(i, j, table, s)] for each output coefficient g."""
+    M = stc.shape[1]
+    return [
+        [(i, j, tab, s) for i, k, tab in moves for j in range(M)
+         if (s := int(stc[k, j, g])) != zero]
+        for g in range(stc.shape[2])
+    ]
 
 
-def _products(add, mul, F, B, moves, stc, zero):
-    """acc[g, f * len(B) + b]: coefficient g of the product F[f] * B[b]."""
-    acc = np.full((stc.shape[2], F.shape[0], B.shape[0]), zero, dtype=F.dtype)
-    for i, row_moves in enumerate(moves):
-        fcol = F[:, i]
-        if not (fcol != zero).any():
-            continue
-        for j in range(F.shape[1]):
-            _add_term(add, mul, acc, fcol[:, None], B[:, j][None, :], j, row_moves, stc, zero)
-    return acc.reshape(acc.shape[0], -1)
+def _live(terms, F, B, zero):
+    """The term lists without terms on an all-zero column of F or B: those add zero."""
+    fl, bl = (F != zero).any(axis=0), (B != zero).any(axis=0)
+    return [[t for t in tg if fl[t[0]] and bl[t[1]]] for tg in terms]
 
 
-def _violations(add, mul, F, B, moves, stc, nil, zero, mode):
+def _coeff(add, mul, a, b, terms, one):
+    """Sum over `terms` of a(i) * table[b(j)] * s; a(i), b(j) are coefficient columns."""
+    acc = None
+    for i, j, tab, s in terms:
+        t = mul(a(i), tab[b(j)])
+        if s != one:
+            t = mul(t, s)
+        acc = t if acc is None else add(acc, t)
+    return acc
+
+
+def _products(add, mul, F, B, terms, zero, one):
+    """fg[g, f * len(B) + b]: coefficient g of the product F[f] * B[b]."""
+    fg = np.full((len(terms), F.shape[0] * B.shape[0]), zero, dtype=F.dtype)
+    a, b = (lambda i: F[:, i, None]), (lambda j: B[None, :, j])
+    for g, tg in enumerate(_live(terms, F, B, zero)):
+        if tg:
+            fg[g] = _coeff(add, mul, a, b, tg, one).reshape(-1)
+    return fg
+
+
+def _zero_pairs(add, mul, F, B, terms, zero, one):
+    """Ascending flat indices f * len(B) + b of the pairs with F[f] * B[b] = 0.
+
+    The coefficient with the fewest terms is formed on the outer product;
+    each later one only on the pairs still zero, until none are left.  Ties
+    go to the later coefficient: in one variable the last one multiplies
+    the leading coefficients, which are nonzero on a degree block.
+    """
+    live = _live(terms, F, B, zero)
+    stages = sorted((g for g in range(len(live)) if live[g]), key=lambda g: (len(live[g]), -g))
+    if not stages:
+        return np.arange(F.shape[0] * B.shape[0])
+    fi, bi = np.nonzero(
+        _coeff(add, mul, lambda i: F[:, i, None], lambda j: B[None, :, j], live[stages[0]], one)
+        == zero
+    )
+    for g in stages[1:]:
+        if not fi.size:
+            break
+        z = _coeff(add, mul, lambda i: F[:, i][fi], lambda j: B[:, j][bi], live[g], one) == zero
+        fi, bi = fi[z], bi[z]
+    return fi * B.shape[0] + bi
+
+
+def _violations(add, mul, F, B, moves, terms, nil, zero, one, mode):
     """bad[k, i, j]: coefficient pair (i, j) of pair (F[k], B[k]) breaks `mode`."""
     M = F.shape[1]
+    if mode == 3:
+        bad = np.zeros((F.shape[0], M, M), dtype=bool)
+        for tg in terms:
+            for i, j in dict.fromkeys(t[:2] for t in tg):
+                ts = [t for t in tg if t[:2] == (i, j)]
+                bad[:, i, j] |= _coeff(add, mul, F.T.__getitem__, B.T.__getitem__, ts, one) != zero
+        return bad
     rows = 1 if mode == 2 else M
     bad = np.empty((F.shape[0], rows, M), dtype=bool)
     for i in range(rows):
         for j in range(M):
             a, b = F[:, i], B[:, j]
-            if mode == 3:
-                acc = np.full((stc.shape[2], a.shape[0]), zero, dtype=F.dtype)
-                _add_term(add, mul, acc, a, b, j, moves[i], stc, zero)
-                bad[:, i, j] = (acc != zero).any(axis=0)
-            elif mode == 4:
+            if mode == 4:
                 bad[:, i, j] = ~nil(mul(a, b))
             else:
-                ((_, tab),) = moves[i]
+                _, _, tab = moves[i]  # endomorphism type: moves[i] = (i, i, sigma^alpha_i)
                 p = mul(a, tab[b])
                 bad[:, i, j] = ~nil(p) if mode == 0 else p != zero
     return bad
@@ -163,11 +212,11 @@ def _kept(rows, hit, keep):
     return sel
 
 
-def _sweep(add, mul, polys, deg_starts, moves, stc, nil, zero, mode, keep=None):
+def _sweep(add, mul, polys, deg_starts, moves, stc, nil, zero, one, mode, keep=None):
     """Scan poly pairs for a selected fg with a coefficient pair breaking `mode`."""
     nblocks = deg_starts.shape[0] - 1
     M = polys.shape[1]
-    by_row = [[(k, tab) for i2, k, tab in moves if i2 == i] for i in range(M)]
+    terms = _term_lists(moves, stc, zero)
     pairs = selected = 0
     for df in range(nblocks):
         f0, f1 = int(deg_starts[df]), int(deg_starts[df + 1])
@@ -180,19 +229,19 @@ def _sweep(add, mul, polys, deg_starts, moves, stc, nil, zero, mode, keep=None):
             step = max(1, _CHUNK_ELEMS // ng)
             for fc in range(f0, f1, step):
                 F = polys[fc : min(fc + step, f1)]
-                fg = _products(add, mul, F, B, by_row, stc, zero)
                 if keep is None:
-                    cand = np.flatnonzero((fg == zero).all(axis=0))
+                    cand = _zero_pairs(add, mul, F, B, terms, zero, one)
                 else:
+                    fg = _products(add, mul, F, B, terms, zero, one)
                     cand = np.arange(fg.shape[1])
                 bad = _violations(
-                    add, mul, F[cand // ng], B[cand % ng], by_row, stc, nil, zero, mode
+                    add, mul, F[cand // ng], B[cand % ng], moves, terms, nil, zero, one, mode
                 )
                 hit = bad.any(axis=(1, 2))
                 if keep is not None:
                     sel = _kept(fg.T, hit, keep)
                     cand, bad, hit = cand[sel], bad[sel], hit[sel]
-                del fg  # one product block alive at a time
+                    del fg  # one product block alive at a time
                 if hit.any():
                     k = int(np.argmax(hit))
                     i, j = divmod(int(np.argmax(bad[k])), M)
@@ -206,12 +255,12 @@ def _sweep(add, mul, polys, deg_starts, moves, stc, nil, zero, mode, keep=None):
 
 def search_zero_products_table(
     polys: np.ndarray, deg_starts: np.ndarray, add: np.ndarray, mul: np.ndarray,
-    moves: list, stc: np.ndarray, nil_mask: np.ndarray, zero: int, mode: int, keep=None,
+    moves: list, stc: np.ndarray, nil_mask: np.ndarray, zero: int, one: int, mode: int, keep=None,
 ):
     """The pair sweep over a table ring, with Cayley-table gathers as ops."""
     return _sweep(
         lambda a, b: add[a, b], lambda a, b: mul[a, b],
-        polys, deg_starts, moves, stc, nil_mask.__getitem__, zero, mode, keep,
+        polys, deg_starts, moves, stc, nil_mask.__getitem__, zero, one, mode, keep,
     )
 
 
@@ -225,5 +274,6 @@ def search_zero_products_generic(
     mask is needed.
     """
     return _sweep(
-        ring.add, ring.mul, polys, deg_starts, moves, stc, ring.nil_at, ring.zero, mode, keep
+        ring.add, ring.mul, polys, deg_starts, moves, stc, ring.nil_at,
+        ring.zero, ring.one, mode, keep,
     )

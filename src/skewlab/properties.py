@@ -413,7 +413,7 @@ def _zero_product_search(
     if ring.is_table_backed:
         witness, pairs, selected = kernels.search_zero_products_table(
             polys, deg_starts, ring.add_table, ring.mul_table,
-            moves, stc, ring.nil_mask(), ring.zero, mode, keep,
+            moves, stc, ring.nil_mask(), ring.zero, ring.one, mode, keep,
         )
     else:
         witness, pairs, selected = kernels.search_zero_products_generic(

@@ -127,7 +127,7 @@ def _table_search(sysname, mode):
     ring = sys.ring
     return kernels.search_zero_products_table(
         polys, deg_starts, ring.add_table, ring.mul_table,
-        moves, stc, ring.nil_mask(), ring.zero, mode,
+        moves, stc, ring.nil_mask(), ring.zero, ring.one, mode,
     )
 
 
@@ -168,6 +168,7 @@ _PROPS = {
     0: "weak_sigma_skew_armendariz",
     1: "sigma_skew_armendariz",
     2: "skew_armendariz",
+    3: "sigma_delta_skew_armendariz",
 }
 
 
@@ -284,6 +285,84 @@ def test_generic_search_matches_engine_oracle_s_ring(mode):
         subset_name="block-elementary",
     )
     assert kernel_sweep(sys, budget, mode) == engine_sweep(sys, budget, mode)
+
+
+# --- the staged zero-pair filter ------------------------------------------------
+
+
+def _staged_system(name):
+    if name == "Z2xZ2/swap":
+        ring = get_ring("Z2xZ2")
+        return CommutationSystem(ring, SigmaFamily(ring, [get_map(ring, "swap")]))
+    return get_system(name)
+
+
+@st.composite
+def product_blocks(draw):
+    """A system, its term lists and random F/B coefficient row blocks."""
+    sys = _staged_system(draw(st.sampled_from([
+        "untwisted(Z4)", "untwisted(M2(Z2))", "Z2xZ2/swap",
+        "quantum-plane(Z3,2)",  # x2 x1 = 2 x1 x2: structure constants s != one
+        "swap-ore",  # derivation moves x b = sigma(b) x + delta(b) land on k != i
+        "s-negate-b(Z2)",  # untabulated: ring.add/ring.mul
+    ])))
+    ring = sys.ring
+    elements = (
+        range(ring.size) if ring.is_table_backed else block_elementary_subset(ring).tolist()
+    )
+    # a few elements and zero, so that zero products are common
+    pool = draw(st.lists(st.sampled_from(elements), min_size=1, max_size=3, unique=True))
+    pool = np.asarray(sorted(set(pool) | {ring.zero}))
+    degree_bound = draw(st.sampled_from([1, 2] if sys.n == 1 else [1]))
+    exps = monomials_upto(sys.n, degree_bound)
+    exps_out = monomials_upto(sys.n, 2 * degree_bound)
+    moves = move_past_tables(sys, exps, pool)
+    terms = kernels._term_lists(moves, monomial_product_table(sys, exps, exps_out), ring.zero)
+
+    def block():
+        rows = draw(st.integers(1, 6))
+        picks = draw(st.lists(
+            st.integers(0, pool.size - 1), min_size=rows * len(exps), max_size=rows * len(exps)
+        ))
+        return pool[np.asarray(picks)].reshape(rows, len(exps)).astype(np.int32)
+
+    return sys, exps, exps_out, terms, block(), block()
+
+
+@settings(max_examples=150, deadline=None)
+@given(product_blocks())
+def test_staged_filter_matches_full_products(drawn):
+    sys, exps, exps_out, terms, F, B = drawn
+    ring = sys.ring
+    if ring.is_table_backed:
+        add, mul = (lambda a, b: ring.add_table[a, b]), (lambda a, b: ring.mul_table[a, b])
+    else:
+        add, mul = ring.add, ring.mul
+    fg = kernels._products(add, mul, F, B, terms, ring.zero, ring.one)
+    # the full rows are the engine's products ...
+    for f in range(F.shape[0]):
+        for b in range(B.shape[0]):
+            prod = _row_poly(sys, exps, F[f]) * _row_poly(sys, exps, B[b])
+            assert fg[:, f * B.shape[0] + b].tolist() == [prod.coeff(e) for e in exps_out]
+    # ... and the staged filter keeps exactly the all-zero ones
+    staged = kernels._zero_pairs(add, mul, F, B, terms, ring.zero, ring.one)
+    assert staged.tolist() == np.flatnonzero((fg == ring.zero).all(axis=0)).tolist()
+
+
+@pytest.mark.parametrize("sysname,mode", [
+    ("untwisted(M2(Z2))", 0),
+    ("untwisted(M2(Z2))", 1),
+    ("untwisted(M2(Z2))", 2),
+    ("swap-ore", 3),
+])
+def test_chunk_boundaries_change_nothing(sysname, mode, monkeypatch):
+    # one f row per chunk: the witnesses here sit past the first row of
+    # their degree block, so the counters must carry across chunks
+    sys = get_system(sysname)
+    budget = SearchBudget(degree_bound=1)
+    default = kernel_sweep(sys, budget, mode)
+    monkeypatch.setattr(kernels, "_CHUNK_ELEMS", 1)
+    assert kernel_sweep(sys, budget, mode) == default
 
 
 # --- derivations: the engine deciders as brute-force oracles ---------------------

@@ -17,7 +17,7 @@ from skewlab.theorems import (
     run_all,
 )
 
-REPORTS = run_all()  # shared by the whole module; ~13 s, warms all caches
+REPORTS = run_all()  # shared by the whole module; under 1 s, warms all caches
 
 
 def by(theorem, instance):
@@ -30,6 +30,18 @@ def test_full_run_counts():
     assert len(REPORTS) == 62
     assert Counter(r.status for r in REPORTS) == {"pass": 46, "vacuous": 16}
     assert all(r.ok for r in REPORTS)
+
+
+@pytest.mark.parametrize("instance,record,pairs,zeros,polys", [
+    ("R3(Z2)/id", "bound", 16_777_216, 68_608, 4096),
+    ("S(Z3)/negate-B", "conclusion_fails_too", 46_347, 29_242, None),
+    ("S(Z4)/negate-B", "conclusion_fails_too", 152_140, 100_720, None),
+])
+def test_weak_armendariz_sweep_counters(instance, record, pairs, zeros, polys):
+    # the pair sweep's counters, read off the module's one run
+    got = by("ni_weak_rigid_implies_weak_armendariz", instance).details[record]
+    assert (got["pairs_checked"], got["zero_products"]) == (pairs, zeros)
+    assert got.get("polys") == polys
 
 
 def test_theorem_major_order():
