@@ -9,7 +9,9 @@ zero-product search is one sweep over any pair of vectorized add/mul
 operations: table gathers for tabulated rings, or a ring's own add/mul
 for rings too large to tabulate.  Move-past constants carry the twists
 and derivations, so the same sweep serves every zero-product property.
-It forms fg one coefficient at a time, each on the pairs still zero.
+`mul` builds one term table per move over the sweep's distinct
+coefficients; the sweep reads products off those tables and forms fg
+one coefficient at a time, each on the pairs still zero.
 """
 from __future__ import annotations
 
@@ -96,51 +98,70 @@ def nilpotent_mask(mul: np.ndarray, zero: int) -> np.ndarray:
 # or None.  Counters cover the pairs enumerated up to and including the
 # witness pair, in (deg f, deg g, f, g) order.
 #
-# Products are read off one term list per output coefficient g, built once
-# per sweep: (a x^alpha_i)(b x^alpha_j) adds a * table[b] * s to coefficient
-# g for each move (i, k, table) with s = stc[k, j, g] nonzero; s = one skips
-# its multiply.  Selecting fg = 0 forms one coefficient at a time, on the
-# pairs still zero; only a `keep` sweep forms every coefficient of every pair.
+# The sweep runs on local indices into K, the distinct coefficients of
+# polys (and zero).  (a x^alpha_i)(b x^alpha_j) adds a * table[b] * s to
+# coefficient g for each move (i, k, table) with s = stc[k, j, g] nonzero;
+# each distinct (move, s) gets one |K| x |K| term table of those values,
+# built once per sweep through `mul`, so a pair's coefficient is a sum of
+# table gathers.  The coefficient conditions of modes 0-2 and 4 are
+# boolean |K| x |K| tables in the same way.  Selecting fg = 0 forms one
+# coefficient at a time, on the pairs still zero; only a `keep` sweep
+# forms every coefficient of every pair.  A term table has at most as
+# many entries as the pairs swept: |K|^2 <= k^(2M).
 
 
-def _term_lists(moves, stc, zero):
-    """terms[g] = [(i, j, table, s)] for each output coefficient g."""
-    M = stc.shape[1]
-    return [
-        [(i, j, tab, s) for i, k, tab in moves for j in range(M)
-         if (s := int(stc[k, j, g])) != zero]
-        for g in range(stc.shape[2])
-    ]
+def _term_tables(mul, K, moves, stc, zero, one):
+    """terms[g] = [(i, j, T)], T[ka, kb] = K[ka] * table[K[kb]] * s, per coefficient g."""
+    tables = {}
+    terms = [[] for _ in range(stc.shape[2])]
+    for m, (i, k, tab) in enumerate(moves):
+        for j in range(stc.shape[1]):
+            for g in range(stc.shape[2]):
+                s = int(stc[k, j, g])
+                if s == zero:
+                    continue
+                if (m, s) not in tables:
+                    t = mul(K[:, None], tab[K][None, :])
+                    tables[m, s] = np.asarray(t if s == one else mul(t, s), dtype=np.int32)
+                terms[g].append((i, j, tables[m, s]))
+    return terms
 
 
-def _live(terms, F, B, zero):
+def _violation_tables(mul, nil, K, moves, zero, mode, M):
+    """V[i][ka, kb]: coefficients (K[ka], K[kb]) at row i break `mode` (not mode 3)."""
+    if mode == 4:
+        return [~nil(mul(K[:, None], K[None, :]))] * M
+    # endomorphism type: moves[i] = (i, i, sigma^alpha_i)
+    prods = [mul(K[:, None], tab[K][None, :]) for _, _, tab in moves[: 1 if mode == 2 else M]]
+    return [~nil(p) if mode == 0 else p != zero for p in prods]
+
+
+def _live(terms, F, B, zk):
     """The term lists without terms on an all-zero column of F or B: those add zero."""
-    fl, bl = (F != zero).any(axis=0), (B != zero).any(axis=0)
+    fl, bl = (F != zk).any(axis=0), (B != zk).any(axis=0)
     return [[t for t in tg if fl[t[0]] and bl[t[1]]] for tg in terms]
 
 
-def _coeff(add, mul, a, b, terms, one):
-    """Sum over `terms` of a(i) * table[b(j)] * s; a(i), b(j) are coefficient columns."""
+def _coeff(add, a, b, terms):
+    """Sum over `terms` of T[a(i), b(j)]; a(i), b(j) are coefficient columns."""
     acc = None
-    for i, j, tab, s in terms:
-        t = mul(a(i), tab[b(j)])
-        if s != one:
-            t = mul(t, s)
+    for i, j, T in terms:
+        t = T[a(i), b(j)]
         acc = t if acc is None else add(acc, t)
     return acc
 
 
-def _products(add, mul, F, B, terms, zero, one):
+def _products(add, F, B, terms, zk, zero):
     """fg[g, f * len(B) + b]: coefficient g of the product F[f] * B[b]."""
-    fg = np.full((len(terms), F.shape[0] * B.shape[0]), zero, dtype=F.dtype)
+    fg = np.full((len(terms), F.shape[0] * B.shape[0]), zero, dtype=np.int32)
     a, b = (lambda i: F[:, i, None]), (lambda j: B[None, :, j])
-    for g, tg in enumerate(_live(terms, F, B, zero)):
+    for g, tg in enumerate(_live(terms, F, B, zk)):
         if tg:
-            fg[g] = _coeff(add, mul, a, b, tg, one).reshape(-1)
+            fg[g] = _coeff(add, a, b, tg).reshape(-1)
     return fg
 
 
-def _zero_pairs(add, mul, F, B, terms, zero, one):
+def _zero_pairs(add, F, B, terms, zk, zero):
     """Ascending flat indices f * len(B) + b of the pairs with F[f] * B[b] = 0.
 
     The coefficient with the fewest terms is formed on the outer product;
@@ -148,43 +169,38 @@ def _zero_pairs(add, mul, F, B, terms, zero, one):
     go to the later coefficient: in one variable the last one multiplies
     the leading coefficients, which are nonzero on a degree block.
     """
-    live = _live(terms, F, B, zero)
+    live = _live(terms, F, B, zk)
     stages = sorted((g for g in range(len(live)) if live[g]), key=lambda g: (len(live[g]), -g))
     if not stages:
         return np.arange(F.shape[0] * B.shape[0])
     fi, bi = np.nonzero(
-        _coeff(add, mul, lambda i: F[:, i, None], lambda j: B[None, :, j], live[stages[0]], one)
-        == zero
+        _coeff(add, lambda i: F[:, i, None], lambda j: B[None, :, j], live[stages[0]]) == zero
     )
     for g in stages[1:]:
         if not fi.size:
             break
-        z = _coeff(add, mul, lambda i: F[:, i][fi], lambda j: B[:, j][bi], live[g], one) == zero
+        z = _coeff(add, lambda i: F[:, i][fi], lambda j: B[:, j][bi], live[g]) == zero
         fi, bi = fi[z], bi[z]
     return fi * B.shape[0] + bi
 
 
-def _violations(add, mul, F, B, moves, terms, nil, zero, one, mode):
-    """bad[k, i, j]: coefficient pair (i, j) of pair (F[k], B[k]) breaks `mode`."""
+def _violations(add, F, B, terms, V, zero):
+    """bad[k, i, j]: coefficient pair (i, j) of pair (F[k], B[k]) breaks the mode.
+
+    V is None in mode 3: there the term product itself must be zero.
+    """
     M = F.shape[1]
-    if mode == 3:
+    if V is None:
         bad = np.zeros((F.shape[0], M, M), dtype=bool)
         for tg in terms:
             for i, j in dict.fromkeys(t[:2] for t in tg):
                 ts = [t for t in tg if t[:2] == (i, j)]
-                bad[:, i, j] |= _coeff(add, mul, F.T.__getitem__, B.T.__getitem__, ts, one) != zero
+                bad[:, i, j] |= _coeff(add, F.T.__getitem__, B.T.__getitem__, ts) != zero
         return bad
-    rows = 1 if mode == 2 else M
-    bad = np.empty((F.shape[0], rows, M), dtype=bool)
-    for i in range(rows):
+    bad = np.empty((F.shape[0], len(V), M), dtype=bool)
+    for i, v in enumerate(V):
         for j in range(M):
-            a, b = F[:, i], B[:, j]
-            if mode == 4:
-                bad[:, i, j] = ~nil(mul(a, b))
-            else:
-                _, _, tab = moves[i]  # endomorphism type: moves[i] = (i, i, sigma^alpha_i)
-                p = mul(a, tab[b])
-                bad[:, i, j] = ~nil(p) if mode == 0 else p != zero
+            bad[:, i, j] = v[F[:, i], B[:, j]]
     return bad
 
 
@@ -216,7 +232,12 @@ def _sweep(add, mul, polys, deg_starts, moves, stc, nil, zero, one, mode, keep=N
     """Scan poly pairs for a selected fg with a coefficient pair breaking `mode`."""
     nblocks = deg_starts.shape[0] - 1
     M = polys.shape[1]
-    terms = _term_lists(moves, stc, zero)
+    K = np.sort(np.append(polys, zero))
+    K = K[np.append(True, K[1:] != K[:-1])]  # np.unique would import numpy.ma
+    zk = int(np.searchsorted(K, zero))
+    polys = np.searchsorted(K, polys).astype(np.uint8 if K.size <= 256 else np.int32)
+    terms = _term_tables(mul, K, moves, stc, zero, one)
+    V = None if mode == 3 else _violation_tables(mul, nil, K, moves, zero, mode, M)
     pairs = selected = 0
     for df in range(nblocks):
         f0, f1 = int(deg_starts[df]), int(deg_starts[df + 1])
@@ -230,13 +251,11 @@ def _sweep(add, mul, polys, deg_starts, moves, stc, nil, zero, one, mode, keep=N
             for fc in range(f0, f1, step):
                 F = polys[fc : min(fc + step, f1)]
                 if keep is None:
-                    cand = _zero_pairs(add, mul, F, B, terms, zero, one)
+                    cand = _zero_pairs(add, F, B, terms, zk, zero)
                 else:
-                    fg = _products(add, mul, F, B, terms, zero, one)
+                    fg = _products(add, F, B, terms, zk, zero)
                     cand = np.arange(fg.shape[1])
-                bad = _violations(
-                    add, mul, F[cand // ng], B[cand % ng], moves, terms, nil, zero, one, mode
-                )
+                bad = _violations(add, F[cand // ng], B[cand % ng], terms, V, zero)
                 hit = bad.any(axis=(1, 2))
                 if keep is not None:
                     sel = _kept(fg.T, hit, keep)

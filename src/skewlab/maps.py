@@ -71,7 +71,7 @@ class RingMap:
             out = self.ring.encode(phi[A], psi[B], chi[C])
         return int(out) if np.ndim(out) == 0 else out
 
-    # the pair sweep indexes move-past constants as tab[b]
+    # the pair sweep reads move-past constants as tab[K] when it builds term tables
     __getitem__ = __call__
 
     def _parts(self) -> tuple:

@@ -125,8 +125,9 @@ class FiniteRing:
         """Elements generating the ring; commuting with them means central.
 
         The default is the whole carrier; structured rings override this
-        with a small set so centrality checks stay cheap.  This is not
-        `additive_generators`: its order fixes the `abelian` witness r.
+        with a small set.  Its order fixes the witness r of
+        `noncommuting_witness` and `abelian`; `central_mask` tests the
+        `additive_generators` instead, whose centralizer is also the center.
         """
         return self.elements()
 
@@ -306,7 +307,9 @@ class SRing(FiniteRing):
 
     def generating_set(self) -> np.ndarray:
         """Single-slot triples (X|0|0), (0|X|0), (0|0|X); every element is
-        a sum of three of these, so their centralizer is the center."""
+        a sum of three of these, so their centralizer is the center.  The
+        order fixes the noncommuting witness; masks use the additive
+        generators."""
         x = np.arange(1, self.bsize, dtype=np.int64)
         b = self.bsize
         return np.concatenate([x * b * b, x * b, x])
@@ -488,16 +491,25 @@ def ni_failure(ring: FiniteRing):
     """None if nil(R) is a two-sided ideal, else a closure violation.
 
     Violations are ("add", a, b) with a, b nilpotent and a+b not, or
-    ("mul", r, a) / ("mul", a, r) with a nilpotent and the product not.
+    ("mul", r, a) / ("mul", a, r) with a nilpotent and the product not;
+    the first one met with a ascending, add before mul, left before right.
+
+    An S ring over M gives its block ring's answer, each element x placed
+    as (0|0|x), which encodes as x.  nil(S) = nil(M) x M x nil(M), whose
+    elements (0|0|c) come first.  For a = (0|0|c) and b = (A|B|C) in
+    nil(S), a+b is nilpotent iff c+C is; (A|B|C)a = (0|Bc|Cc) and
+    a(A|B|C) = (0|cC|cC) are nilpotent iff Cc, resp. cC, are.  So a
+    fails iff c fails in M, and its first witness b or r is (0|0|x) with
+    x the first witness in M.  If M is NI, nil(S) is an ideal: the
+    diagonal blocks of a sum or product stay in nil(M).
     """
+    if isinstance(ring, SRing):
+        return ni_failure(ring.block)
     nil = nil_set(ring)
-    step = _CHUNK // 4  # an S-ring sum holds about 50 bytes per element
     for a in nil:
-        for lo in range(0, len(nil), step):
-            b = nil[lo : lo + step]
-            bad = ~ring.nil_at(ring.add(int(a), b))
-            if bad.any():
-                return ("add", int(a), int(b[int(np.argmax(bad))]))
+        bad = ~ring.nil_at(ring.add(int(a), nil))
+        if bad.any():
+            return ("add", int(a), int(nil[int(np.argmax(bad))]))
     every = ring.elements()
     for a in nil:
         left = ring.mul(every, int(a))
@@ -549,11 +561,15 @@ def is_central(ring: FiniteRing, a: int) -> bool:
 
 
 def central_mask(ring: FiniteRing, candidates: np.ndarray) -> np.ndarray:
-    """Boolean mask over candidates marking the central ones."""
+    """Boolean mask over candidates marking the central ones.
+
+    Candidates are tested against the additive generators: ring
+    multiplication is biadditive, so their centralizer is the center.
+    """
     cand = np.asarray(candidates, dtype=np.int64)
     mask = np.ones(len(cand), dtype=bool)
     alive = np.arange(len(cand))
-    gens = ring.generating_set()
+    gens = ring.additive_generators
     step = max(1, _CHUNK // max(len(cand), 1))
     for lo in range(0, len(gens), step):
         if not len(alive):

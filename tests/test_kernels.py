@@ -299,7 +299,8 @@ def _staged_system(name):
 
 @st.composite
 def product_blocks(draw):
-    """A system, its term lists and random F/B coefficient row blocks."""
+    """A system, its coefficient pool, move tables, structure constants and
+    random F/B coefficient row blocks over the pool."""
     sys = _staged_system(draw(st.sampled_from([
         "untwisted(Z4)", "untwisted(M2(Z2))", "Z2xZ2/swap",
         "quantum-plane(Z3,2)",  # x2 x1 = 2 x1 x2: structure constants s != one
@@ -317,7 +318,7 @@ def product_blocks(draw):
     exps = monomials_upto(sys.n, degree_bound)
     exps_out = monomials_upto(sys.n, 2 * degree_bound)
     moves = move_past_tables(sys, exps, pool)
-    terms = kernels._term_lists(moves, monomial_product_table(sys, exps, exps_out), ring.zero)
+    stc = monomial_product_table(sys, exps, exps_out)
 
     def block():
         rows = draw(st.integers(1, 6))
@@ -326,26 +327,30 @@ def product_blocks(draw):
         ))
         return pool[np.asarray(picks)].reshape(rows, len(exps)).astype(np.int32)
 
-    return sys, exps, exps_out, terms, block(), block()
+    return sys, exps, exps_out, pool, moves, stc, block(), block()
 
 
 @settings(max_examples=150, deadline=None)
 @given(product_blocks())
 def test_staged_filter_matches_full_products(drawn):
-    sys, exps, exps_out, terms, F, B = drawn
+    sys, exps, exps_out, pool, moves, stc, F, B = drawn
     ring = sys.ring
     if ring.is_table_backed:
         add, mul = (lambda a, b: ring.add_table[a, b]), (lambda a, b: ring.mul_table[a, b])
     else:
         add, mul = ring.add, ring.mul
-    fg = kernels._products(add, mul, F, B, terms, ring.zero, ring.one)
+    # the term tables index the pool, as the sweep indexes K, its distinct coefficients
+    terms = kernels._term_tables(mul, pool, moves, stc, ring.zero, ring.one)
+    zk = int(np.searchsorted(pool, ring.zero))
+    Fk, Bk = np.searchsorted(pool, F), np.searchsorted(pool, B)
+    fg = kernels._products(add, Fk, Bk, terms, zk, ring.zero)
     # the full rows are the engine's products ...
     for f in range(F.shape[0]):
         for b in range(B.shape[0]):
             prod = _row_poly(sys, exps, F[f]) * _row_poly(sys, exps, B[b])
             assert fg[:, f * B.shape[0] + b].tolist() == [prod.coeff(e) for e in exps_out]
     # ... and the staged filter keeps exactly the all-zero ones
-    staged = kernels._zero_pairs(add, mul, F, B, terms, ring.zero, ring.one)
+    staged = kernels._zero_pairs(add, Fk, Bk, terms, zk, ring.zero)
     assert staged.tolist() == np.flatnonzero((fg == ring.zero).all(axis=0)).tolist()
 
 

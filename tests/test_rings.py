@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from skewlab import kernels
+from skewlab.catalog import BUILTIN_RINGS
 
 from skewlab.rings import (
     DEFAULT_TABLE_BUDGET,
@@ -393,20 +394,37 @@ def test_central_idempotents_m2():
 
 def test_s_ring_generating_set_sound():
     # commuting with the generating set must equal commuting with everything,
-    # spot-checked against random elements
-    s = get_ring("S(Z3)")
-    rng = np.random.default_rng(1)
-    probe = rng.integers(0, s.size, size=40)
-    one = s.one
-    assert noncommuting_witness(s, s.zero) is None
-    assert noncommuting_witness(s, one) is None
-    for a in probe:
-        w = noncommuting_witness(s, int(a))
-        if w is None:
-            sample = rng.integers(0, s.size, size=2000)
-            assert (s.mul(int(a), sample) == s.mul(sample, int(a))).all()
-        else:
-            assert int(s.mul(int(a), w)) != int(s.mul(w, int(a)))
+    # checked on every element of S(Z2)
+    # and so must commuting with the additive generators (`central_mask`)
+    s = get_ring("S(Z2)")
+    every = s.elements()
+    for x in np.array_split(every, 16):
+        central = (s.mul(x[:, None], every[None, :]) == s.mul(every[None, :], x[:, None])).all(axis=1)
+        assert np.array_equal(central_mask(s, x), central)
+        for a, c in zip(x.tolist(), central.tolist()):
+            w = noncommuting_witness(s, a)
+            assert (w is None) == c
+            if w is not None:
+                assert int(s.mul(a, w)) != int(s.mul(w, a))
+
+
+def _mask_over(ring, cand, gens):
+    """Centrality of each candidate, tested against `gens` one at a time."""
+    alive = np.arange(len(cand))
+    for g in gens.tolist():
+        c = cand[alive]
+        alive = alive[ring.mul(c, g) == ring.mul(g, c)]
+    mask = np.zeros(len(cand), dtype=bool)
+    mask[alive] = True
+    return mask
+
+
+@pytest.mark.parametrize("name", BUILTIN_RINGS)
+def test_central_mask_additive_generators_match_generating_set(name):
+    # the additive generators' centralizer is the center, as the generating set's is
+    ring = get_ring(name)
+    idem = idempotents(ring)
+    assert np.array_equal(central_mask(ring, idem), _mask_over(ring, idem, ring.generating_set()))
 
 
 def test_invertibility():
