@@ -10,8 +10,9 @@ operations: table gathers for tabulated rings, or a ring's own add/mul
 for rings too large to tabulate.  Move-past constants carry the twists
 and derivations, so the same sweep serves every zero-product property.
 `mul` builds one term table per move over the sweep's distinct
-coefficients; the sweep reads products off those tables and forms fg
-one coefficient at a time, each on the pairs still zero.
+coefficients, and `neg` its negation; the sweep reads products off those
+tables and forms fg one coefficient at a time, each on the pairs still
+zero, the first ones once per degree block pair on distinct f keys.
 """
 from __future__ import annotations
 
@@ -19,6 +20,18 @@ import numpy as np
 
 # chunk cap for the pair sweep, in (f, g) pairs per block
 _CHUNK_ELEMS = 1 << 18
+
+
+def dedupe(a: np.ndarray):
+    """(u, first, inv): a's distinct entries (rows, when 2-D) ascending, the
+    index of each one's first occurrence, and each entry's index into u.
+    np.unique of a 1-D array would import numpy.ma on its first call."""
+    r = a[:, None] if a.ndim == 1 else a
+    order = np.lexsort(r.T[::-1])
+    new = np.append(True, (r[order[1:]] != r[order[:-1]]).any(axis=1))
+    inv = np.empty_like(order)
+    inv[order] = np.cumsum(new) - 1
+    return a[order[new]], order[new], inv
 
 
 # ---------------------------------------------------------------------------
@@ -79,7 +92,7 @@ def nilpotent_mask(mul: np.ndarray, zero: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # zero-product pair search
 #
-# add, mul: vectorized ring operations on element-index arrays.
+# add, mul, neg: vectorized ring operations on element-index arrays.
 # polys: (P, M) int32, rows = coefficient vectors over the monomial list,
 #   sorted by (degree, enumeration index), column 0 = constant monomial.
 # deg_starts: (D+2,) row offsets of the degree blocks.
@@ -102,16 +115,20 @@ def nilpotent_mask(mul: np.ndarray, zero: int) -> np.ndarray:
 # polys (and zero).  (a x^alpha_i)(b x^alpha_j) adds a * table[b] * s to
 # coefficient g for each move (i, k, table) with s = stc[k, j, g] nonzero;
 # each distinct (move, s) gets one |K| x |K| term table of those values,
-# built once per sweep through `mul`, so a pair's coefficient is a sum of
-# table gathers.  The coefficient conditions of modes 0-2 and 4 are
-# boolean |K| x |K| tables in the same way.  Selecting fg = 0 forms one
-# coefficient at a time, on the pairs still zero; only a `keep` sweep
-# forms every coefficient of every pair.  A term table has at most as
-# many entries as the pairs swept: |K|^2 <= k^(2M).
+# and its negation, built once per sweep through `mul` and `neg`, so a
+# pair's coefficient is a sum of table gathers.  The coefficient
+# conditions of modes 0-2 and 4 are boolean |K| x |K| tables in the same
+# way.  A term table has at most as many entries as the pairs swept:
+# |K|^2 <= k^(2M).
+#
+# Selecting fg = 0 forms one coefficient (a stage) at a time, on the
+# pairs still zero, the leading ones once per degree block pair on the
+# distinct f keys (`_key_zeros`); only a `keep` sweep forms every
+# coefficient of every pair.
 
 
-def _term_tables(mul, K, moves, stc, zero, one):
-    """terms[g] = [(i, j, T)], T[ka, kb] = K[ka] * table[K[kb]] * s, per coefficient g."""
+def _term_tables(mul, neg, K, moves, stc, zero, one):
+    """terms[g] = [(i, j, T, -T)], T[ka, kb] = K[ka] * table[K[kb]] * s, per coefficient g."""
     tables = {}
     terms = [[] for _ in range(stc.shape[2])]
     for m, (i, k, tab) in enumerate(moves):
@@ -122,8 +139,9 @@ def _term_tables(mul, K, moves, stc, zero, one):
                     continue
                 if (m, s) not in tables:
                     t = mul(K[:, None], tab[K][None, :])
-                    tables[m, s] = np.asarray(t if s == one else mul(t, s), dtype=np.int32)
-                terms[g].append((i, j, tables[m, s]))
+                    t = np.asarray(t if s == one else mul(t, s), dtype=np.int32)
+                    tables[m, s] = (t, np.asarray(neg(t), dtype=np.int32))
+                terms[g].append((i, j, *tables[m, s]))
     return terms
 
 
@@ -142,45 +160,92 @@ def _live(terms, F, B, zk):
     return [[t for t in tg if fl[t[0]] and bl[t[1]]] for tg in terms]
 
 
-def _coeff(add, a, b, terms):
-    """Sum over `terms` of T[a(i), b(j)]; a(i), b(j) are coefficient columns."""
+def _coeff(add, at, terms):
+    """Sum over `terms` of at(T, i, j): T read at coefficient i of f and j of g."""
     acc = None
-    for i, j, T in terms:
-        t = T[a(i), b(j)]
+    for i, j, T, _ in terms:
+        t = at(T, i, j)
         acc = t if acc is None else add(acc, t)
     return acc
+
+
+def _is_zero(add, at, terms, zero):
+    """Mask of sum over `terms` = 0: all but the last term against the negated last one."""
+    i, j, _, N = terms[-1]
+    head = _coeff(add, at, terms[:-1])
+    return at(N, i, j) == (zero if head is None else head)
+
+
+def _outer(F, B):
+    """at(T, i, j) on every pair (F[f], B[b]), shaped (len(F), len(B))."""
+    return lambda T, i, j: T[F[:, i, None], B[None, :, j]]
 
 
 def _products(add, F, B, terms, zk, zero):
     """fg[g, f * len(B) + b]: coefficient g of the product F[f] * B[b]."""
     fg = np.full((len(terms), F.shape[0] * B.shape[0]), zero, dtype=np.int32)
-    a, b = (lambda i: F[:, i, None]), (lambda j: B[None, :, j])
     for g, tg in enumerate(_live(terms, F, B, zk)):
         if tg:
-            fg[g] = _coeff(add, a, b, tg).reshape(-1)
+            fg[g] = _coeff(add, _outer(F, B), tg).reshape(-1)
     return fg
 
 
-def _zero_pairs(add, F, B, terms, zk, zero):
-    """Ascending flat indices f * len(B) + b of the pairs with F[f] * B[b] = 0.
+def _still_zero(add, F, B, fi, bi, stages, zero):
+    """The pairs (F[fi], B[bi]) zeroing every stage, each run on the pairs left."""
 
-    The coefficient with the fewest terms is formed on the outer product;
-    each later one only on the pairs still zero, until none are left.  Ties
-    go to the later coefficient: in one variable the last one multiplies
-    the leading coefficients, which are nonzero on a degree block.
-    """
-    live = _live(terms, F, B, zk)
-    stages = sorted((g for g in range(len(live)) if live[g]), key=lambda g: (len(live[g]), -g))
-    if not stages:
-        return np.arange(F.shape[0] * B.shape[0])
-    fi, bi = np.nonzero(
-        _coeff(add, lambda i: F[:, i, None], lambda j: B[None, :, j], live[stages[0]]) == zero
-    )
-    for g in stages[1:]:
+    def at(T, i, j):
+        flat = (F[:, i].astype(np.intp) * T.shape[1]).take(fi)
+        flat += B[:, j].take(bi)
+        return T.ravel().take(flat)
+
+    for tg in stages:
         if not fi.size:
             break
-        z = _coeff(add, lambda i: F[:, i][fi], lambda j: B[:, j][bi], live[g]) == zero
-        fi, bi = fi[z], bi[z]
+        z = np.flatnonzero(_is_zero(add, at, tg, zero))
+        fi, bi = fi.take(z), bi.take(z)
+    return fi, bi
+
+
+def _key_zeros(add, F, B, terms, zk, zero):
+    """The zero-pair filter of a degree block pair F x B: (kf, ptr, zb, rest).
+
+    Stages: live coefficients, fewest terms first, ties to the later one (in
+    one variable, the leading coefficients' product).  The key run: the
+    first stage and each next while it reads a proper subset of F's live
+    columns.  Row f has key kf[f], its row on those; key k zeroes the run on
+    B rows zb[ptr[k]:ptr[k+1]], ascending.  rest: the later stages.
+    """
+    live, ng = _live(terms, F, B, zk), B.shape[0]
+    stages = [tg for *_, tg in sorted((len(tg), -g, tg) for g, tg in enumerate(live) if tg)]
+    if not stages:  # no live term: every pair is zero
+        return np.zeros(F.shape[0], dtype=np.intp), np.array([0, ng]), np.arange(ng), []
+    reads = [{t[0] for tg in stages[: r + 1] for t in tg} for r in range(len(stages))]
+    width = (F != zk).any(axis=0).sum()
+    run = max(1, sum(len(c) < width for c in reads))
+    _, first, kf = dedupe(F[:, sorted(reads[run - 1])])
+    keys, step, parts = F[first], max(1, _CHUNK_ELEMS // 4 // ng), []
+    for k0 in range(0, keys.shape[0], step):
+        ki, bi = np.nonzero(_is_zero(add, _outer(keys[k0 : k0 + step], B), stages[0], zero))
+        ki, bi = _still_zero(add, keys, B, ki + k0, bi, stages[1:run], zero)
+        parts.append((ki, bi.astype(np.int32)))
+    ki, zb = (np.concatenate(p) for p in zip(*parts))
+    return kf, np.searchsorted(ki, np.arange(keys.shape[0] + 1)), zb, stages[run:]
+
+
+def _zero_pairs(add, F, B, plan, f0, zero):
+    """Ascending flat indices f * len(B) + b of the pairs with F[f] * B[b] = 0.
+
+    F is rows f0, f0 + 1, ... of the block of `plan` (`_key_zeros`): each
+    row takes its key's zero B rows, and the later stages filter them.
+    """
+    kf, ptr, zb, rest = plan
+    kf = kf[f0 : f0 + F.shape[0]]
+    cnt = ptr[kf + 1] - ptr[kf]
+    fi = np.repeat(np.arange(F.shape[0]), cnt)
+    bi = np.repeat(ptr[kf] - np.cumsum(cnt) + cnt, cnt)
+    bi += np.arange(bi.size)
+    bi = zb.take(bi)
+    fi, bi = _still_zero(add, F, B, fi, bi, rest, zero)
     return fi * B.shape[0] + bi
 
 
@@ -195,7 +260,7 @@ def _violations(add, F, B, terms, V, zero):
         for tg in terms:
             for i, j in dict.fromkeys(t[:2] for t in tg):
                 ts = [t for t in tg if t[:2] == (i, j)]
-                bad[:, i, j] |= _coeff(add, F.T.__getitem__, B.T.__getitem__, ts) != zero
+                bad[:, i, j] |= _coeff(add, lambda T, p, q: T[F[:, p], B[:, q]], ts) != zero
         return bad
     bad = np.empty((F.shape[0], len(V), M), dtype=bool)
     for i, v in enumerate(V):
@@ -210,8 +275,7 @@ def _kept(rows, hit, keep):
     Pairs after that one read False: their rows are not asked about
     unless an earlier pair shares them.
     """
-    uniq, first, inv = np.unique(rows, axis=0, return_index=True, return_inverse=True)
-    inv = inv.reshape(-1)
+    uniq, first, inv = dedupe(rows)
     first_hit = np.full(uniq.shape[0], rows.shape[0])
     at = np.flatnonzero(hit)
     np.minimum.at(first_hit, inv[at], at)
@@ -228,15 +292,14 @@ def _kept(rows, hit, keep):
     return sel
 
 
-def _sweep(add, mul, polys, deg_starts, moves, stc, nil, zero, one, mode, keep=None):
+def _sweep(add, mul, neg, polys, deg_starts, moves, stc, nil, zero, one, mode, keep=None):
     """Scan poly pairs for a selected fg with a coefficient pair breaking `mode`."""
     nblocks = deg_starts.shape[0] - 1
     M = polys.shape[1]
-    K = np.sort(np.append(polys, zero))
-    K = K[np.append(True, K[1:] != K[:-1])]  # np.unique would import numpy.ma
+    K = dedupe(np.append(polys, zero))[0]
     zk = int(np.searchsorted(K, zero))
     polys = np.searchsorted(K, polys).astype(np.uint8 if K.size <= 256 else np.int32)
-    terms = _term_tables(mul, K, moves, stc, zero, one)
+    terms = _term_tables(mul, neg, K, moves, stc, zero, one)
     V = None if mode == 3 else _violation_tables(mul, nil, K, moves, zero, mode, M)
     pairs = selected = 0
     for df in range(nblocks):
@@ -248,10 +311,12 @@ def _sweep(add, mul, polys, deg_starts, moves, stc, nil, zero, one, mode, keep=N
                 continue
             B = polys[g0:g1]
             step = max(1, _CHUNK_ELEMS // ng)
+            if keep is None:
+                plan = _key_zeros(add, polys[f0:f1], B, terms, zk, zero)
             for fc in range(f0, f1, step):
                 F = polys[fc : min(fc + step, f1)]
                 if keep is None:
-                    cand = _zero_pairs(add, F, B, terms, zk, zero)
+                    cand = _zero_pairs(add, F, B, plan, fc - f0, zero)
                 else:
                     fg = _products(add, F, B, terms, zk, zero)
                     cand = np.arange(fg.shape[1])
@@ -277,8 +342,9 @@ def search_zero_products_table(
     moves: list, stc: np.ndarray, nil_mask: np.ndarray, zero: int, one: int, mode: int, keep=None,
 ):
     """The pair sweep over a table ring, with Cayley-table gathers as ops."""
+    neg = np.argmax(add == zero, axis=1)
     return _sweep(
-        lambda a, b: add[a, b], lambda a, b: mul[a, b],
+        lambda a, b: add[a, b], lambda a, b: mul[a, b], neg.__getitem__,
         polys, deg_starts, moves, stc, nil_mask.__getitem__, zero, one, mode, keep,
     )
 
@@ -293,6 +359,6 @@ def search_zero_products_generic(
     mask is needed.
     """
     return _sweep(
-        ring.add, ring.mul, polys, deg_starts, moves, stc, ring.nil_at,
+        ring.add, ring.mul, ring.neg, polys, deg_starts, moves, stc, ring.nil_at,
         ring.zero, ring.one, mode, keep,
     )

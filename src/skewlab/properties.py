@@ -242,10 +242,7 @@ def _coeff_subset(ring: FiniteRing, budget: SearchBudget) -> np.ndarray:
     """The searched coefficients, ascending, zero always included."""
     if budget.subset is None:
         return np.arange(ring.size, dtype=np.int64)
-    subset = np.unique(np.asarray(budget.subset, dtype=np.int64))
-    if ring.zero not in subset:
-        subset = np.unique(np.concatenate([[ring.zero], subset]))
-    return subset
+    return kernels.dedupe(np.append(np.asarray(budget.subset, dtype=np.int64), ring.zero))[0]
 
 
 def _check_pair_cap(k: int, M: int, cap: int) -> None:
@@ -650,4 +647,4 @@ def block_elementary_subset(ring: SRing) -> np.ndarray:
     units = np.outer(np.arange(1, base_size), base_size ** np.arange(4)).ravel()
     z = [0]  # the zero block
     slots = [ring.triples(units, z, z), ring.triples(z, units, z), ring.triples(z, z, units)]
-    return np.unique(np.concatenate([[ring.zero], *slots]))
+    return kernels.dedupe(np.concatenate([[ring.zero], *slots]))[0]

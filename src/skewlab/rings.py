@@ -646,7 +646,7 @@ class NotAnIdealError(RingError):
 
 def make_ideal(ring: FiniteRing, elems, label: str = "") -> SubsetIdeal:
     """Wrap a subset after verifying ideal closure (raises if it fails)."""
-    elems = np.unique(np.asarray(list(elems), dtype=np.int64))
+    elems = kernels.dedupe(np.asarray(list(elems), dtype=np.int64))[0]
     sset = set(int(x) for x in elems)
     if ring.zero not in sset:
         raise NotAnIdealError(label or "subset", "missing zero", (ring.zero,))
@@ -658,7 +658,7 @@ def make_ideal(ring: FiniteRing, elems, label: str = "") -> SubsetIdeal:
     every = ring.elements()
     for a in elems:
         for prod in (ring.mul(every, int(a)), ring.mul(int(a), every)):
-            for v in np.unique(np.asarray(prod)):
+            for v in kernels.dedupe(np.asarray(prod))[0]:
                 if int(v) not in sset:
                     raise NotAnIdealError(label or "subset", "mul absorption", (int(a),))
     return SubsetIdeal(ring, tuple(int(x) for x in elems), label)
@@ -666,7 +666,7 @@ def make_ideal(ring: FiniteRing, elems, label: str = "") -> SubsetIdeal:
 
 def principal_right_set(ring: FiniteRing, e: int) -> np.ndarray:
     """The set e*R as ascending indices (not verified as two-sided)."""
-    return np.unique(np.asarray(ring.mul(int(e), ring.elements())))
+    return kernels.dedupe(np.asarray(ring.mul(int(e), ring.elements())))[0]
 
 
 # ---------------------------------------------------------------------------

@@ -105,6 +105,7 @@ class EntryContext:
     ring: FiniteRing
     family: SigmaFamily
     system: CommutationSystem
+    _counterexamples: dict = field(default_factory=dict, repr=False)
 
     @cached_property
     def rigid(self) -> PropertyVerdict:
@@ -131,6 +132,14 @@ class EntryContext:
             "sigma_rigid": rigid.holds,
             "weak_sigma_rigid": weak.holds,
         }
+
+    def counterexample_search(self, degree_bound: int, pair_cap: int) -> PropertyVerdict:
+        """The weak Armendariz search of `_counterexample_budget`, once per bounds searched."""
+        budget = _counterexample_budget(self.ring, degree_bound, pair_cap)
+        memo, key = self._counterexamples, (budget.degree_bound, pair_cap)
+        if key not in memo:
+            memo[key] = is_weak_sigma_skew_armendariz(self.system, budget, instance=self.entry.name)
+        return memo[key]
 
 
 _ctx_cache: dict[str, EntryContext] = {}
@@ -421,8 +430,7 @@ def check_weak_armendariz_implication(
         and sys.endomorphism_type
         and flags["weak_sigma_rigid"]
     ):
-        budget = _counterexample_budget(ctx.ring, degree_bound, pair_cap)
-        verdict = is_weak_sigma_skew_armendariz(sys, budget, instance=ctx.entry.name)
+        verdict = ctx.counterexample_search(degree_bound, pair_cap)
         if verdict.fails:
             details["conclusion_fails_too"] = verdict.witness
             details["note"] = (
@@ -461,8 +469,7 @@ def reproduce_counterexamples(pair_cap: int = DEFAULT_PAIR_CAP) -> list[TheoremR
     # block ring S: weak rigid, not weak twisted Armendariz
     s = resolve(entry_by_name("S(Z3)/negate-B"))
     weak_s = s.weak
-    budget = _counterexample_budget(s.ring, 1, pair_cap)
-    arm = is_weak_sigma_skew_armendariz(s.system, budget, instance=s.entry.name)
+    arm = s.counterexample_search(1, pair_cap)
     details: dict = {
         "weak_sigma_rigid": weak_s.status,
         "weak_sigma_skew_armendariz": arm.status,

@@ -1,5 +1,9 @@
 """CLI contract: spec parsing, NDJSON records, exit codes, explain."""
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -22,6 +26,16 @@ def write(tmp_path, name, text):
     p = tmp_path / name
     p.write_text(text)
     return str(p)
+
+
+def fresh_process(code):
+    """stdout words of `code` run in a new interpreter, which no test has warmed."""
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.split()
 
 
 # --- parsing ------------------------------------------------------------------
@@ -568,3 +582,41 @@ def test_invalid_backend_rejected(capsys):
             main(argv)
         assert e.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+
+# --- process cost -------------------------------------------------------------------
+
+
+def test_commands_leave_numpy_ma_unimported(tmp_path):
+    # the first np.unique of a 1-D array in a process imports numpy.ma
+    # (8-20 ms, about 1.3 MB); the program dedupes by sorting instead
+    spec = write(tmp_path, "m2.spec", "system untwisted(M2(Z2))\ncheck skew_pi_armendariz\n")
+    code = (
+        "import contextlib, io, sys\n"
+        "from skewlab.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    codes = main(['verify-theorems', '--json']), main(['check', {spec!r}, '--json'])\n"
+        "print(*codes, 'numpy.ma' in sys.modules)\n"
+    )
+    assert fresh_process(code) == ["0", "0", "False"]
+
+
+def test_r3_weak_armendariz_memory_guard(tmp_path):
+    # the degree-2 R3(Z2) sweep covers 16,777,216 pairs; its key tables
+    # are chunked at a quarter of the pair chunk, and the check peaks at
+    # 1.78 MiB of traced memory
+    spec = write(
+        tmp_path, "r3.spec",
+        "system untwisted(R3(Z2))\ncheck weak_armendariz degree_bound=2\n"
+        "expect weak_armendariz=holds_up_to_bound\n",
+    )
+    code = (
+        "import contextlib, io, tracemalloc\n"
+        "from skewlab.cli import main\n"
+        "tracemalloc.start()\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = main(['check', {spec!r}, '--json'])\n"
+        "print(code, tracemalloc.get_traced_memory()[1])\n"
+    )
+    code, peak = fresh_process(code)
+    assert code == "0" and int(peak) <= 2 << 20, peak

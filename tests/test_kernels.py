@@ -299,8 +299,9 @@ def _staged_system(name):
 
 @st.composite
 def product_blocks(draw):
-    """A system, its coefficient pool, move tables, structure constants and
-    random F/B coefficient row blocks over the pool."""
+    """A system, its coefficient pool, move tables, structure constants,
+    random F/B coefficient row blocks over the pool, and the coefficients
+    whose zero set is filtered."""
     sys = _staged_system(draw(st.sampled_from([
         "untwisted(Z4)", "untwisted(M2(Z2))", "Z2xZ2/swap",
         "quantum-plane(Z3,2)",  # x2 x1 = 2 x1 x2: structure constants s != one
@@ -319,28 +320,44 @@ def product_blocks(draw):
     exps_out = monomials_upto(sys.n, 2 * degree_bound)
     moves = move_past_tables(sys, exps, pool)
     stc = monomial_product_table(sys, exps, exps_out)
+    # dense: every column of F and B is live, so in one variable at degree
+    # 2 the key run is the two one-term stages c4 (reads a2) and c0 (a0)
+    dense = pool.size > 1 and draw(st.booleans())
 
     def block():
         rows = draw(st.integers(1, 6))
         picks = draw(st.lists(
             st.integers(0, pool.size - 1), min_size=rows * len(exps), max_size=rows * len(exps)
         ))
-        return pool[np.asarray(picks)].reshape(rows, len(exps)).astype(np.int32)
+        out = pool[np.asarray(picks)].reshape(rows, len(exps)).astype(np.int32)
+        if dense:
+            out[0] = pool[draw(st.lists(
+                st.integers(1, pool.size - 1), min_size=len(exps), max_size=len(exps)
+            ))]
+        return out
 
-    return sys, exps, exps_out, pool, moves, stc, block(), block()
+    F, B = block(), block()
+    if draw(st.booleans()):  # every key repeats
+        F = np.concatenate([F, F[::-1]])
+    # two variables: without the one-term coefficients the first stage has
+    # several terms, so the key run opens with a sum against a negated term
+    coeffs = list(range(len(exps_out)))
+    if sys.n == 2 and draw(st.booleans()):
+        coeffs = [g for g in coeffs if np.count_nonzero(stc[:, :, g] != ring.zero) > 1]
+    return sys, exps, exps_out, pool, moves, stc, F, B, coeffs, dense
 
 
-@settings(max_examples=150, deadline=None)
-@given(product_blocks())
-def test_staged_filter_matches_full_products(drawn):
-    sys, exps, exps_out, pool, moves, stc, F, B = drawn
+@settings(max_examples=200, deadline=None)
+@given(product_blocks(), st.data())
+def test_staged_filter_matches_full_products(drawn, data):
+    sys, exps, exps_out, pool, moves, stc, F, B, coeffs, dense = drawn
     ring = sys.ring
     if ring.is_table_backed:
         add, mul = (lambda a, b: ring.add_table[a, b]), (lambda a, b: ring.mul_table[a, b])
     else:
         add, mul = ring.add, ring.mul
     # the term tables index the pool, as the sweep indexes K, its distinct coefficients
-    terms = kernels._term_tables(mul, pool, moves, stc, ring.zero, ring.one)
+    terms = kernels._term_tables(mul, ring.neg, pool, moves, stc, ring.zero, ring.one)
     zk = int(np.searchsorted(pool, ring.zero))
     Fk, Bk = np.searchsorted(pool, F), np.searchsorted(pool, B)
     fg = kernels._products(add, Fk, Bk, terms, zk, ring.zero)
@@ -349,9 +366,18 @@ def test_staged_filter_matches_full_products(drawn):
         for b in range(B.shape[0]):
             prod = _row_poly(sys, exps, F[f]) * _row_poly(sys, exps, B[b])
             assert fg[:, f * B.shape[0] + b].tolist() == [prod.coeff(e) for e in exps_out]
-    # ... and the staged filter keeps exactly the all-zero ones
-    staged = kernels._zero_pairs(add, Fk, Bk, terms, zk, ring.zero)
-    assert staged.tolist() == np.flatnonzero((fg == ring.zero).all(axis=0)).tolist()
+    # ... and the staged filter keeps exactly the all-zero ones (on the
+    # drawn coefficients), also when F is swept in two chunks
+    terms = [tg if g in coeffs else [] for g, tg in enumerate(terms)]
+    plan = kernels._key_zeros(add, Fk, Bk, terms, zk, ring.zero)
+    cut = data.draw(st.integers(1, F.shape[0]))
+    staged = np.concatenate([
+        kernels._zero_pairs(add, Fk[:cut], Bk, plan, 0, ring.zero),
+        kernels._zero_pairs(add, Fk[cut:], Bk, plan, cut, ring.zero) + cut * B.shape[0],
+    ]) if cut < F.shape[0] else kernels._zero_pairs(add, Fk, Bk, plan, 0, ring.zero)
+    assert staged.tolist() == np.flatnonzero((fg[coeffs] == ring.zero).all(axis=0)).tolist()
+    if dense and sys.n == 1 and len(exps) == 3:
+        assert len(plan[3]) == 3  # c3, c1 and c2 follow the key run
 
 
 @pytest.mark.parametrize("sysname,mode", [
@@ -359,12 +385,18 @@ def test_staged_filter_matches_full_products(drawn):
     ("untwisted(M2(Z2))", 1),
     ("untwisted(M2(Z2))", 2),
     ("swap-ore", 3),
+    ("untwisted(R3(Z2))", 0),  # degree 2: the (2, 2) block's key run is c4, c0
 ])
 def test_chunk_boundaries_change_nothing(sysname, mode, monkeypatch):
-    # one f row per chunk: the witnesses here sit past the first row of
-    # their degree block, so the counters must carry across chunks
+    # one f row and one key per chunk: the witnesses here sit past the
+    # first row of their degree block, and the R3 search holds, so the
+    # counters must carry across chunks
     sys = get_system(sysname)
-    budget = SearchBudget(degree_bound=1)
+    if sysname == "untwisted(R3(Z2))":
+        budget = SearchBudget(degree_bound=2, subset=np.asarray([1, 2, 4, 8]))
+        assert kernel_sweep(sys, budget, mode) == (None, 15625, 2849)
+    else:
+        budget = SearchBudget(degree_bound=1)
     default = kernel_sweep(sys, budget, mode)
     monkeypatch.setattr(kernels, "_CHUNK_ELEMS", 1)
     assert kernel_sweep(sys, budget, mode) == default

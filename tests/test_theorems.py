@@ -123,6 +123,24 @@ def test_entry_verdicts_computed_once(monkeypatch):
     assert list(ctx.flags) == ["reduced", "ni", "abelian", "sigma_rigid", "weak_sigma_rigid"]
 
 
+def test_run_all_sweeps_each_search_once(monkeypatch):
+    # the implication check and reproduce_counterexamples share the
+    # S(Z3)/negate-B weak Armendariz search through its EntryContext
+    import skewlab.kernels as K
+    import skewlab.theorems as T
+
+    sweeps = []
+
+    def counted(*args, _fn=K._sweep, **kw):
+        sweeps.append(1)
+        return _fn(*args, **kw)
+
+    monkeypatch.setattr(K, "_sweep", counted)
+    monkeypatch.setattr(T, "_ctx_cache", {})
+    assert [r.to_record() for r in run_all()] == [r.to_record() for r in REPORTS]
+    assert len(sweeps) == 9
+
+
 def test_rigid_iff_weak_reduced_all_pass():
     for e in DEFAULT_ENTRIES:
         r = by("rigid_iff_weak_reduced", e.name)
