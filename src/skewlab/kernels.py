@@ -124,7 +124,8 @@ def nilpotent_mask(mul: np.ndarray, zero: int) -> np.ndarray:
 # Selecting fg = 0 forms one coefficient (a stage) at a time, on the
 # pairs still zero, the leading ones once per degree block pair on the
 # distinct f keys (`_key_zeros`); only a `keep` sweep forms every
-# coefficient of every pair.
+# coefficient of every pair.  The selected pairs are tested one cell (i, j)
+# at a time into one hit mask; only the first hit pair finds its cell.
 
 
 def _term_tables(mul, neg, K, moves, stc, zero, one):
@@ -190,18 +191,28 @@ def _products(add, F, B, terms, zk, zero):
     return fg
 
 
-def _still_zero(add, F, B, fi, bi, stages, zero):
-    """The pairs (F[fi], B[bi]) zeroing every stage, each run on the pairs left."""
+def _pairs_at(F, B, fi, bi):
+    """at(T, i, j) on the pairs (F[fi], B[bi]); each column is gathered once."""
+    rows, cols = {}, {}
 
     def at(T, i, j):
-        flat = (F[:, i].astype(np.intp) * T.shape[1]).take(fi)
-        flat += B[:, j].take(bi)
+        if i not in rows:
+            rows[i] = F[:, i].take(fi)
+        if j not in cols:
+            cols[j] = B[:, j].take(bi)
+        flat = rows[i] * np.intp(T.shape[1])
+        flat += cols[j]
         return T.ravel().take(flat)
 
+    return at
+
+
+def _still_zero(add, F, B, fi, bi, stages, zero):
+    """The pairs (F[fi], B[bi]) zeroing every stage, each run on the pairs left."""
     for tg in stages:
         if not fi.size:
             break
-        z = np.flatnonzero(_is_zero(add, at, tg, zero))
+        z = np.flatnonzero(_is_zero(add, _pairs_at(F, B, fi, bi), tg, zero))
         fi, bi = fi.take(z), bi.take(z)
     return fi, bi
 
@@ -249,24 +260,28 @@ def _zero_pairs(add, F, B, plan, f0, zero):
     return fi * B.shape[0] + bi
 
 
-def _violations(add, F, B, terms, V, zero):
-    """bad[k, i, j]: coefficient pair (i, j) of pair (F[k], B[k]) breaks the mode.
+def _violations(add, F, B, fi, bi, terms, V, zero):
+    """((i, j), mask) per coefficient cell: where pair (F[fi], B[bi]) breaks the mode.
 
     V is None in mode 3: there the term product itself must be zero.
     """
-    M = F.shape[1]
+    at = _pairs_at(F, B, fi, bi)
     if V is None:
-        bad = np.zeros((F.shape[0], M, M), dtype=bool)
         for tg in terms:
             for i, j in dict.fromkeys(t[:2] for t in tg):
-                ts = [t for t in tg if t[:2] == (i, j)]
-                bad[:, i, j] |= _coeff(add, lambda T, p, q: T[F[:, p], B[:, q]], ts) != zero
-        return bad
-    bad = np.empty((F.shape[0], len(V), M), dtype=bool)
-    for i, v in enumerate(V):
-        for j in range(M):
-            bad[:, i, j] = v[F[:, i], B[:, j]]
-    return bad
+                yield (i, j), _coeff(add, at, [t for t in tg if t[:2] == (i, j)]) != zero
+    else:
+        for i, v in enumerate(V):
+            for j in range(F.shape[1]):
+                yield (i, j), at(v, i, j)
+
+
+def _first_cell(add, F, B, fi, bi, terms, V, zero):
+    """The first (i, j), row-major, that pair (F[fi], B[bi]) breaks."""
+    bad = np.zeros((F.shape[1], F.shape[1]), dtype=bool)
+    for cell, mask in _violations(add, F, B, np.array([fi]), np.array([bi]), terms, V, zero):
+        bad[cell] |= mask[0]
+    return divmod(int(np.argmax(bad)), F.shape[1])
 
 
 def _kept(rows, hit, keep):
@@ -320,17 +335,17 @@ def _sweep(add, mul, neg, polys, deg_starts, moves, stc, nil, zero, one, mode, k
                 else:
                     fg = _products(add, F, B, terms, zk, zero)
                     cand = np.arange(fg.shape[1])
-                bad = _violations(add, F[cand // ng], B[cand % ng], terms, V, zero)
-                hit = bad.any(axis=(1, 2))
+                hit = np.zeros(cand.size, dtype=bool)
+                for _, mask in _violations(add, F, B, cand // ng, cand % ng, terms, V, zero):
+                    hit |= mask
                 if keep is not None:
                     sel = _kept(fg.T, hit, keep)
-                    cand, bad, hit = cand[sel], bad[sel], hit[sel]
+                    cand, hit = cand[sel], hit[sel]
                     del fg  # one product block alive at a time
                 if hit.any():
                     k = int(np.argmax(hit))
-                    i, j = divmod(int(np.argmax(bad[k])), M)
                     fl, gl = divmod(int(cand[k]), ng)
-                    witness = (fc + fl, g0 + gl, i, j)
+                    witness = (fc + fl, g0 + gl, *_first_cell(add, F, B, fl, gl, terms, V, zero))
                     return witness, pairs + fl * ng + gl + 1, selected + k + 1
                 pairs += F.shape[0] * ng
                 selected += int(cand.size)

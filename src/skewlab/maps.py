@@ -6,8 +6,8 @@ an S ring, as three block tables (phi, psi, chi) acting as
 exists.  Other modules apply, compose and compare maps through their
 methods; outside this module `blocks` is read only to ask whether every
 map of a closure is block-diagonal, which lets the rigidity deciders
-sweep a block-rule slice of an S ring.  A sigma-derivation for an
-endomorphism sigma satisfies the twisted Leibniz rule
+sweep a block-rule slice of an S ring on decoded triples (`on_blocks`).
+A sigma-derivation for an endomorphism sigma satisfies the twisted Leibniz rule
 d(ab) = sigma(a) d(b) + d(a) b.  Families of commuting or non-commuting
 endomorphisms get a finite composition closure so that "for all iterated
 twists" quantifiers become finite sweeps.
@@ -66,10 +66,12 @@ class RingMap:
         if self.blocks is None:
             out = self.table[a]
         else:
-            A, B, C = self.ring.decode(a)
-            phi, psi, chi = self.blocks
-            out = self.ring.encode(phi[A], psi[B], chi[C])
+            out = self.ring.encode(*self.on_blocks(self.ring.decode(a)))
         return int(out) if np.ndim(out) == 0 else out
+
+    def on_blocks(self, x) -> tuple:
+        """A block map on decoded triples x = (A, B, C), slot by slot."""
+        return tuple(t[s] for t, s in zip(self.blocks, x))
 
     # the pair sweep reads move-past constants as tab[K] when it builds term tables
     __getitem__ = __call__

@@ -147,20 +147,14 @@ def _rigidity(
     properties ask a sigma^theta(a) nilpotent exactly when a is, over the
     carrier or over the elements of `ideal`.  An S ring whose closure is
     block-diagonal, (A|B|C) -> (phi A | psi B | chi C), is swept over a
-    slice that holds the least bad element: a sigma(a) has diagonal
-    blocks A phi(A) and C chi(C), so weak badness depends on (A, C) alone
-    and the slice is M x 0 x M; every (0|B|0) with B != 0 is sigma_rigid
-    bad, so its slice is 0 x M x M.
+    slice that holds the least bad element (`_least_bad_blocks`).
     """
     maps = orbit_closure(family)
-    if ideal is not None:
-        chunks = [np.asarray(ideal.elements, dtype=np.int64)]
-    elif isinstance(ring, SRing) and all(m.blocks is not None for m in maps):
-        M = np.arange(ring.bsize)
-        chunks = [ring.triples(M[:1], M, M) if prop == "sigma_rigid" else ring.triples(M, M[:1], M)]
+    if ideal is None and isinstance(ring, SRing) and all(m.blocks is not None for m in maps):
+        best = _least_bad_blocks(prop, ring, maps)
     else:
         chunks = (np.arange(lo, min(lo + _CHUNK, ring.size)) for lo in range(0, ring.size, _CHUNK))
-    best = _least_bad(prop, ring, maps, chunks)
+        best = _least_bad(prop, ring, maps, chunks if ideal is None else [np.asarray(ideal.elements)])
     label = (ideal.label or "ideal") if ideal is not None else None
     name = instance or f"{ring.name}/{family_label(family)}" + (f"/{label}" if label else "")
     if best is None:
@@ -202,6 +196,32 @@ def _least_bad(prop: str, ring: FiniteRing, maps: list, chunks):
         if best is not None:
             return best
     return None
+
+
+def _least_bad_blocks(prop: str, ring: SRing, maps: list):
+    """`_least_bad` on a block-rule slice of S, as a grid of decoded triples.
+
+    a sigma(a) has diagonal blocks A phi(A) and C chi(C), so weak badness
+    depends on (A, C) alone and the slice is M x 0 x M; every (0|B|0) with
+    B != 0 is sigma_rigid bad, so its slice is 0 x M x M.  Either grid is
+    ascending in C order; only the least bad element is encoded.
+    """
+    M, z = np.arange(ring.bsize)[:, None], np.zeros((1, 1), dtype=np.int64)
+    x = (z, M, M.T) if prop == "sigma_rigid" else (M, z, M.T)
+    nil_x = None if prop == "sigma_rigid" else ring.nil_blocks(x)
+    hits = []  # (first bad grid cell, map index)
+    for mi, m in enumerate(maps):
+        p = ring.mul_blocks(x, m.on_blocks(x))
+        if nil_x is None:
+            bad = (p[0] == 0) & (p[1] == 0) & (p[2] == 0) & ((x[1] != 0) | (x[2] != 0))
+        else:
+            bad = ring.nil_blocks(p) != nil_x
+        if bad.any():
+            hits.append((int(np.argmax(bad)), mi))
+    if not hits:
+        return None
+    k, mi = min(hits)
+    return int(ring.encode(*(np.broadcast_to(t, (ring.bsize,) * 2).flat[k] for t in x))), mi
 
 
 def is_sigma_rigid(ring: FiniteRing, family: SigmaFamily, instance: str = "") -> PropertyVerdict:

@@ -260,13 +260,14 @@ class SRing(FiniteRing):
         t = self.block.add_table
         return self.encode(t[A1, A2], t[B1, B2], t[C1, C2])
 
-    def mul(self, a, b):
-        A1, B1, C1 = self.decode(a)
-        A2, B2, C2 = self.decode(b)
+    def mul_blocks(self, x, y):
+        """The block rule on decoded triples x = (A, B, C), y = (A', B', C'); broadcasts."""
+        (A1, B1, C1), (A2, B2, C2) = x, y
         ta, tm = self.block.add_table, self.block.mul_table
-        return self.encode(
-            tm[A1, A2], ta[tm[A1, B2], tm[B1, C2]], tm[C1, C2]
-        )
+        return tm[A1, A2], ta[tm[A1, B2], tm[B1, C2]], tm[C1, C2]
+
+    def mul(self, a, b):
+        return self.encode(*self.mul_blocks(self.decode(a), self.decode(b)))
 
     def neg(self, a):
         A, B, C = self.decode(a)
@@ -299,11 +300,14 @@ class SRing(FiniteRing):
         bi = self.block.element_index
         return self.encode(bi(parts[0]), bi(parts[1]), bi(parts[2]))
 
+    def nil_blocks(self, x):
+        """Nilpotency of decoded triples: both diagonal blocks are nilpotent."""
+        bnil = self.block.nil_mask()
+        return bnil[x[0]] & bnil[x[2]]
+
     def nil_at(self, x):
         """The block rule, per index: no carrier mask is built."""
-        A, _, C = self.decode(x)
-        bnil = self.block.nil_mask()
-        return bnil[A] & bnil[C]
+        return self.nil_blocks(self.decode(x))
 
     def generating_set(self) -> np.ndarray:
         """Single-slot triples (X|0|0), (0|X|0), (0|0|X); every element is
@@ -483,8 +487,10 @@ def nil_set(ring: FiniteRing) -> np.ndarray:
 
 
 def is_reduced(ring: FiniteRing) -> bool:
-    """True when 0 is the only nilpotent element."""
-    return len(nil_set(ring)) == 1
+    """True when 0 is the only nilpotent; |nil(S)| = |nil(M)|^2 |M| is counted, not built."""
+    if isinstance(ring, SRing):
+        return int(ring.block.nil_mask().sum()) ** 2 * ring.bsize == 1
+    return int(ring.nil_mask().sum()) == 1
 
 
 def ni_failure(ring: FiniteRing):
@@ -532,15 +538,20 @@ def idempotents(ring: FiniteRing) -> np.ndarray:
     """Ascending indices of elements with e*e = e; found once per ring.
 
     (A|B|C)^2 = (A^2 | AB + BC | C^2), so an idempotent of an S ring
-    lies in idem(M) x M x idem(M), and only that slice is swept.
+    lies in idem(M) x M x idem(M), and only that slice is swept, as a
+    grid of decoded triples; only the idempotents are encoded.
     """
     if ring._idempotents is None:
         if isinstance(ring, SRing):
-            e = idempotents(ring.block)
-            chunks = [ring.triples(e, np.arange(ring.bsize), e)]
+            e, M = idempotents(ring.block), np.arange(ring.bsize)
+            x = (e[:, None, None], M[None, :, None], e[None, None, :])
+            (A, B, C), sq = x, ring.mul_blocks(x, x)
+            i, j, k = np.nonzero((sq[0] == A) & (sq[1] == B) & (sq[2] == C))
+            out = ring.encode(e[i], j, e[k])
         else:
             chunks = (np.arange(lo, min(lo + _CHUNK, ring.size)) for lo in range(0, ring.size, _CHUNK))
-        ring._idempotents = np.concatenate([x[ring.mul(x, x) == x] for x in chunks]).astype(np.int64)
+            out = np.concatenate([x[ring.mul(x, x) == x] for x in chunks])
+        ring._idempotents = out.astype(np.int64)
         ring._idempotents.setflags(write=False)
     return ring._idempotents
 
@@ -563,22 +574,26 @@ def is_central(ring: FiniteRing, a: int) -> bool:
 def central_mask(ring: FiniteRing, candidates: np.ndarray) -> np.ndarray:
     """Boolean mask over candidates marking the central ones.
 
-    Candidates are tested against the additive generators: ring
-    multiplication is biadditive, so their centralizer is the center.
+    Candidates are tested against the additive generators, one at a
+    time on the candidates still alive: ring multiplication is
+    biadditive, so their centralizer is the center.  On an S ring both
+    are decoded once and multiplied by the block rule.
     """
     cand = np.asarray(candidates, dtype=np.int64)
-    mask = np.ones(len(cand), dtype=bool)
-    alive = np.arange(len(cand))
     gens = ring.additive_generators
-    step = max(1, _CHUNK // max(len(cand), 1))
-    for lo in range(0, len(gens), step):
-        if not len(alive):
-            break
-        g = gens[lo : lo + step]
-        cur = cand[alive][:, None]
-        bad = (ring.mul(cur, g[None, :]) != ring.mul(g[None, :], cur)).any(axis=1)
-        mask[alive[bad]] = False
+    if isinstance(ring, SRing):
+        x, g, mul = ring.decode(cand), ring.decode(gens), ring.mul_blocks
+    else:
+        x, g, mul = (cand,), (gens,), lambda a, b: (ring.mul(a[0], b[0]),)
+    alive = np.arange(len(cand))
+    for k in range(len(gens)):
+        cur, gen = tuple(t[alive] for t in x), tuple(t[k] for t in g)
+        bad = np.zeros(len(alive), dtype=bool)
+        for left, right in zip(mul(cur, gen), mul(gen, cur)):
+            bad |= left != right
         alive = alive[~bad]
+    mask = np.zeros(len(cand), dtype=bool)
+    mask[alive] = True
     return mask
 
 
@@ -710,10 +725,11 @@ def _digits(idx: np.ndarray, base: int, width: int) -> np.ndarray:
     return out
 
 
-def _undigits(dig: np.ndarray, base: int) -> np.ndarray:
-    out = np.zeros(dig.shape[:-1], dtype=np.int64)
-    for k in range(dig.shape[-1]):
-        out = out * base + dig[..., k]
+def _pack(digits, base: int):
+    """Big-endian digits (ints or equal-shape arrays) packed into indices."""
+    out = 0
+    for d in digits:
+        out = out * base + d
     return out
 
 
@@ -722,25 +738,20 @@ def make_matrix_ring(base: TableRing, k: int = 2) -> TableRing:
     m = base.size**(k * k)
     if m > DEFAULT_TABLE_BUDGET:
         raise BudgetError(f"M{k}({base.name}) has size {m} > {DEFAULT_TABLE_BUDGET}")
-    idx = np.arange(m)
-    dig = _digits(idx, base.size, k * k)  # (m, k*k)
-    A = dig[:, None, :, ]  # broadcast over pairs
-    B = dig[None, :, :]
-    add = _undigits(base.add_table[A, B], base.size)
+    n, ta, tm = base.size, base.add_table, base.mul_table
+    dig = _digits(np.arange(m), n, k * k)  # (m, k*k)
     ent = dig.reshape(m, k, k)
-    prod = np.zeros((m, m, k, k), dtype=np.int64)
-    for r in range(k):
-        for c in range(k):
-            acc = np.zeros((m, m), dtype=np.int64)
-            for t in range(k):
-                term = base.mul_table[ent[:, None, r, t], ent[None, :, t, c]]
-                acc = base.add_table[acc, term]
-            prod[:, :, r, c] = acc
-    mul = _undigits(prod.reshape(m, m, k * k), base.size)
-    eye = np.zeros((k, k), dtype=np.int64)
-    for t in range(k):
-        eye[t, t] = base.one
-    one = int(_undigits(eye.reshape(k * k), base.size))
+
+    def entry(r, c):  # entry (r, c) of every product x * y, shape (m, m)
+        acc = tm[ent[:, None, r, 0], ent[None, :, 0, c]]
+        for t in range(1, k):
+            acc = ta[acc, tm[ent[:, None, r, t], ent[None, :, t, c]]]
+        return acc
+
+    # both tables are packed one entry at a time, row-major
+    add = _pack((ta[dig[:, None, d], dig[None, :, d]] for d in range(k * k)), n)
+    mul = _pack((entry(r, c) for r in range(k) for c in range(k)), n)
+    one = _pack((base.one if r == c else 0 for r in range(k) for c in range(k)), n)
     names = []
     for i in range(m):
         rows = [
@@ -760,20 +771,17 @@ def make_r3(base: TableRing) -> TableRing:
     m = base.size**4
     if m > DEFAULT_TABLE_BUDGET:
         raise BudgetError(f"R3({base.name}) has size {m} > {DEFAULT_TABLE_BUDGET}")
-    idx = np.arange(m)
-    dig = _digits(idx, base.size, 4)
-    X = dig[:, None, :]
-    Y = dig[None, :, :]
-    add = _undigits(base.add_table[X, Y], base.size)
+    dig = _digits(np.arange(m), base.size, 4)
     am, aa = base.mul_table, base.add_table
+    add = _pack((aa[dig[:, None, d], dig[None, :, d]] for d in range(4)), base.size)
     a1, b1, c1, d1 = dig[:, 0][:, None], dig[:, 1][:, None], dig[:, 2][:, None], dig[:, 3][:, None]
     a2, b2, c2, d2 = dig[:, 0][None, :], dig[:, 1][None, :], dig[:, 2][None, :], dig[:, 3][None, :]
     pa = am[a1, a2]
     pb = aa[am[a1, b2], am[b1, a2]]
     pc = aa[aa[am[a1, c2], am[b1, d2]], am[c1, a2]]
     pd = aa[am[a1, d2], am[d1, a2]]
-    mul = _undigits(np.stack([pa, pb, pc, pd], axis=-1), base.size)
-    one = int(_undigits(np.array([base.one, 0, 0, 0]), base.size))
+    mul = _pack((pa, pb, pc, pd), base.size)
+    one = _pack((base.one, 0, 0, 0), base.size)
     names = [
         "ut3[{},{},{},{}]".format(*(base.element_name(int(v)) for v in dig[i]))
         for i in range(m)

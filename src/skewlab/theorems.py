@@ -275,12 +275,13 @@ def check_nil_transfer(ctx: EntryContext) -> TheoremReport:
 
 def _first_moved(ctx: EntryContext, elems: list[int]) -> dict | None:
     """The first e in `elems` (then family map m) with m(e) != e, named; else None."""
-    name = ctx.ring.element_name
-    for e in elems:
-        for m in ctx.family.maps:
-            if int(m(e)) != e:
-                return {"e": name(e), "map": m.name, "image": name(int(m(e)))}
-    return None
+    x, maps = np.asarray(elems, dtype=np.int64), ctx.family.maps
+    moved = np.stack([m(x) != x for m in maps], axis=1)  # (element, map)
+    if not moved.any():
+        return None
+    k, mi = divmod(int(np.argmax(moved)), len(maps))
+    e, m, name = int(x[k]), maps[mi], ctx.ring.element_name
+    return {"e": name(e), "map": m.name, "image": name(int(m(e)))}
 
 
 def check_idempotent_fixed(ctx: EntryContext) -> TheoremReport:

@@ -4,8 +4,9 @@ A block-diagonal twist (phi, psi, chi) of an S ring is compared with a
 carrier-table RingMap of the same map: the carrier table sends every
 decider down its carrier sweep, the block map down the block rule, and
 both must give the same closure, twists, records and witnesses.  The
-ring invariants (idempotents, nilpotents) are compared with plain
-carrier sweeps in the same way.
+ring invariants (idempotents, nilpotents, reducedness, central
+idempotents) and `_first_moved` are compared with plain carrier sweeps
+in the same way.
 """
 import json
 import os
@@ -15,6 +16,7 @@ import sys
 import time
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -39,7 +41,17 @@ from skewlab.properties import (
     is_weak_sigma_rigid,
     is_weak_sigma_skew_armendariz,
 )
-from skewlab.rings import _CHUNK, SRing, idempotents, is_invertible, ni_failure, nil_set
+from skewlab.rings import (
+    _CHUNK,
+    SRing,
+    central_idempotents,
+    idempotents,
+    is_invertible,
+    is_reduced,
+    ni_failure,
+    nil_set,
+)
+from skewlab.theorems import _first_moved
 
 from conftest import get_map, get_ring
 
@@ -153,19 +165,84 @@ def _carrier_chunks(ring):
         yield np.arange(lo, min(lo + _CHUNK, ring.size), dtype=np.int64)
 
 
-@pytest.mark.parametrize("name", ["S(Z2)", "S(Z3)"])
+def _s_ring(name):
+    """A catalog S ring, or S[R]: the block ring of triples over R itself."""
+    return get_ring(name) if name.startswith("S(") else SRing(get_ring(name[2:-1]), name)
+
+
+# S[Z3] and S[Z2xZ2]: reduced block rings, whose S rings are still not reduced
+@pytest.mark.parametrize("name", ["S(Z2)", "S(Z3)", "S[Z3]", "S[Z2xZ2]"])
 def test_block_invariants_match_carrier_sweeps(name):
-    ring = get_ring(name)
+    ring = _s_ring(name)
     idem, nil = [], []
     for x in _carrier_chunks(ring):
         idem.append(x[ring.mul(x, x) == x])
         p = x
-        for _ in range(4):  # x^16; every nilpotent of S(Z2), S(Z3) has index <= 8
+        for _ in range(4):  # x^16; every nilpotent of these S rings has index <= 8
             p = ring.mul(p, p)
         nil.append(x[p == ring.zero])
         assert np.array_equal(ring.nil_at(x), p == ring.zero)
-    assert np.array_equal(idempotents(ring), np.concatenate(idem))
-    assert np.array_equal(nil_set(ring), np.concatenate(nil))
+    idem, nil = np.concatenate(idem), np.concatenate(nil)
+    assert np.array_equal(idempotents(ring), idem)
+    assert np.array_equal(nil_set(ring), nil)
+    assert is_reduced(ring) == (len(nil) == 1)
+    # centrality by carrier products: with all of S(Z2), or with the
+    # single-slot generating set of S(Z3), whose centralizer is the center
+    every = ring.elements() if ring.size <= 4096 else ring.generating_set()
+    central = [e for e in idem.tolist() if (ring.mul(e, every) == ring.mul(every, e)).all()]
+    assert central_idempotents(ring).tolist() == central
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(["S(Z2)", "S(Z3)", "S(Z4)"]), st.data())
+def test_mul_is_the_block_rule_on_decoded_triples(name, data):
+    ring = get_ring(name)
+    blk = ring.block
+    n = data.draw(st.integers(1, 20))
+    a, b = (
+        np.asarray(data.draw(st.lists(st.integers(0, ring.size - 1), min_size=n, max_size=n)))
+        for _ in range(2)
+    )
+    got = ring.mul(a, b)
+    assert np.array_equal(got, ring.encode(*ring.mul_blocks(ring.decode(a), ring.decode(b))))
+    for x, y, p in zip(a.tolist(), b.tolist(), got.tolist()):
+        # the block rule on the block ring's own scalar ops, and the scalar path
+        (A, B, C), (A2, B2, C2) = ((int(t) for t in ring.decode(v)) for v in (x, y))
+        rule = blk.mul(A, A2), blk.add(blk.mul(A, B2), blk.mul(B, C2)), blk.mul(C, C2)
+        assert p == ring.encode(*rule) == ring.mul(x, y)
+
+
+def _scalar_first_moved(ctx, elems):
+    """The per-element, per-map loop that `_first_moved` replaces."""
+    name = ctx.ring.element_name
+    for e in elems:
+        for m in ctx.family.maps:
+            if int(m(e)) != e:
+                return {"e": name(e), "map": m.name, "image": name(int(m(e)))}
+    return None
+
+
+def _assert_first_moved_matches(ring, maps, extra):
+    ctx = SimpleNamespace(ring=ring, family=SigmaFamily(ring, maps))
+    for elems in (idempotents(ring).tolist(), central_idempotents(ring).tolist(), extra, []):
+        assert _first_moved(ctx, elems) == _scalar_first_moved(ctx, elems)
+
+
+@pytest.mark.parametrize("name", ["S(Z2)", "S(Z3)"])
+def test_first_moved_matches_scalar_loop_negate_b(name):
+    ring = get_ring(name)
+    neg = get_map(ring, "negate-B")
+    # negate-B moves (A|B|C) exactly when B != -B: never over Z2
+    _assert_first_moved_matches(ring, [neg], [0, ring.one, 5, 7, 1000])
+    _assert_first_moved_matches(ring, [identity_map(ring), neg, _carrier_twin(neg)], [3, 2, 1])
+
+
+@settings(max_examples=12, deadline=None)
+@given(block_families(), st.data())
+def test_first_moved_matches_scalar_loop_drawn_maps(drawn, data):
+    ring, maps = drawn
+    extra = data.draw(st.lists(st.integers(0, ring.size - 1), max_size=12))
+    _assert_first_moved_matches(ring, maps, extra)
 
 
 def _carrier_ni_failure(ring):
@@ -194,7 +271,7 @@ def _carrier_ni_failure(ring):
     ("S[Z2xZ2]", None),
 ])
 def test_block_ni_matches_carrier_loop(name, expected):
-    ring = get_ring(name) if name.startswith("S(") else SRing(get_ring(name[2:-1]), name)
+    ring = _s_ring(name)
     got = ni_failure(ring)
     assert got == _carrier_ni_failure(ring)
     assert (got and got[0]) == expected
@@ -278,7 +355,8 @@ def test_s_z5_through_check(tmp_path, capsys, head):
 def test_s_z4_theorem_suite_memory_guard():
     # a fresh process, so no earlier test has warmed the S(Z4) caches; one
     # int32 carrier table of S(Z4) alone would be 67 MB.  The suite peaks at
-    # 14.3 MiB; the bound leaves 5.7 MiB of margin
+    # 10.7 MiB, in the block-elementary pair sweep; the bound leaves 2.3 MiB
+    # of margin
     code = (
         "import tracemalloc\n"
         "from skewlab.theorems import run_all\n"
@@ -292,7 +370,7 @@ def test_s_z4_theorem_suite_memory_guard():
     )
     assert proc.returncode == 0, proc.stderr
     peak, ok = proc.stdout.split()
-    assert ok == "True" and int(peak) < 20 << 20, peak
+    assert ok == "True" and int(peak) < 13 << 20, peak
 
 
 def test_two_variable_s_z5_under_address_space_limit(tmp_path):

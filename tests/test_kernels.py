@@ -380,6 +380,71 @@ def test_staged_filter_matches_full_products(drawn, data):
         assert len(plan[3]) == 3  # c3, c1 and c2 follow the key run
 
 
+def _cell_array(add, F, B, terms, V, zero):
+    """bad[k, i, j]: the (k, M, M) violation array the sweep built before it
+    tested zero pairs one row at a time, kept here as the oracle."""
+    M = F.shape[1]
+    if V is None:
+        bad = np.zeros((F.shape[0], M, M), dtype=bool)
+        for tg in terms:
+            for i, j in dict.fromkeys(t[:2] for t in tg):
+                ts = [t for t in tg if t[:2] == (i, j)]
+                bad[:, i, j] |= kernels._coeff(add, lambda T, p, q: T[F[:, p], B[:, q]], ts) != zero
+        return bad
+    bad = np.empty((F.shape[0], len(V), M), dtype=bool)
+    for i, v in enumerate(V):
+        for j in range(M):
+            bad[:, i, j] = v[F[:, i], B[:, j]]
+    return bad
+
+
+@settings(max_examples=200, deadline=None)
+@given(product_blocks(), st.data())
+def test_per_row_violation_test_matches_cell_array(drawn, data):
+    sys, exps, exps_out, pool, moves, stc, F, B, coeffs, dense = drawn
+    ring = sys.ring
+    if ring.is_table_backed:
+        add, mul = (lambda a, b: ring.add_table[a, b]), (lambda a, b: ring.mul_table[a, b])
+        nil = ring.nil_mask().__getitem__
+    else:
+        add, mul, nil = ring.add, ring.mul, ring.nil_at
+    # modes 0-2 read sigma^alpha_i off moves[i]: endomorphism type only
+    mode = data.draw(st.sampled_from([0, 1, 2, 3, 4] if sys.endomorphism_type else [3, 4]))
+    M, zero = len(exps), ring.zero
+    terms = kernels._term_tables(mul, ring.neg, pool, moves, stc, zero, ring.one)
+    V = None if mode == 3 else kernels._violation_tables(mul, nil, pool, moves, zero, mode, M)
+    Fk, Bk = np.searchsorted(pool, F), np.searchsorted(pool, B)
+    ng = Bk.shape[0]
+    # the keep path asks about every pair; the zero-pair path about some
+    use_keep = data.draw(st.booleans())
+    every = np.arange(Fk.shape[0] * ng)
+    cand = every if use_keep else every[data.draw(st.lists(
+        st.booleans(), min_size=every.size, max_size=every.size
+    ))]
+
+    def hits(cand):
+        hit = np.zeros(cand.size, dtype=bool)
+        for _, mask in kernels._violations(add, Fk, Bk, cand // ng, cand % ng, terms, V, zero):
+            hit |= mask
+        return hit
+
+    bad = _cell_array(add, Fk[cand // ng], Bk[cand % ng], terms, V, zero)
+    hit = hits(cand)
+    assert hit.tolist() == bad.any(axis=(1, 2)).tolist()
+    for k in np.flatnonzero(hit).tolist():
+        f, b = divmod(int(cand[k]), ng)
+        cell = kernels._first_cell(add, Fk, Bk, f, b, terms, V, zero)
+        assert cell == divmod(int(np.argmax(bad[k])), M)
+    if use_keep:
+        # the sweep's keep step on both tests: same selection, same first hit
+        fg = kernels._products(add, Fk, Bk, terms, int(np.searchsorted(pool, zero)), zero)
+        parity = data.draw(st.integers(0, 1))
+        keep = lambda row: int(row.sum()) % 2 == parity  # noqa: E731
+        sel = kernels._kept(fg.T, hit, keep)
+        assert sel.tolist() == kernels._kept(fg.T, bad.any(axis=(1, 2)), keep).tolist()
+        assert hits(cand[sel]).tolist() == bad[sel].any(axis=(1, 2)).tolist()
+
+
 @pytest.mark.parametrize("sysname,mode", [
     ("untwisted(M2(Z2))", 0),
     ("untwisted(M2(Z2))", 1),
