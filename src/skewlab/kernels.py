@@ -18,7 +18,9 @@ from __future__ import annotations
 
 import numpy as np
 
-# chunk cap for the pair sweep, in (f, g) pairs per block
+# the pair sweep's memory cap: key tables are built a quarter of it at a
+# time; a chunk of f rows tests at most an eighth of it in zero-pair
+# candidates, or forms all of it in products on the `keep` path
 _CHUNK_ELEMS = 1 << 18
 
 
@@ -126,6 +128,12 @@ def nilpotent_mask(mul: np.ndarray, zero: int) -> np.ndarray:
 # distinct f keys (`_key_zeros`); only a `keep` sweep forms every
 # coefficient of every pair.  The selected pairs are tested one cell (i, j)
 # at a time into one hit mask; only the first hit pair finds its cell.
+#
+# A block pair's f rows go in chunks sized by their work: each chunk is the
+# longest run of rows, at least one, whose key-run survivors (on the `keep`
+# path, pairs) fit a budget that starts at 2^12 and doubles up to the cap
+# above.  A search that fails early so tests about twice the pairs up to
+# its witness, and a full sweep runs few, large chunks.
 
 
 def _term_tables(mul, neg, K, moves, stc, zero, one):
@@ -325,11 +333,17 @@ def _sweep(add, mul, neg, polys, deg_starts, moves, stc, nil, zero, one, mode, k
             if ng == 0 or f1 == f0:
                 continue
             B = polys[g0:g1]
-            step = max(1, _CHUNK_ELEMS // ng)
             if keep is None:
                 plan = _key_zeros(add, polys[f0:f1], B, terms, zk, zero)
-            for fc in range(f0, f1, step):
-                F = polys[fc : min(fc + step, f1)]
+                kf, ptr = plan[:2]
+                work, cap = np.append(0, np.cumsum(ptr[kf + 1] - ptr[kf])), _CHUNK_ELEMS >> 3
+            else:
+                work, cap = np.arange(f1 - f0 + 1) * ng, _CHUNK_ELEMS
+            fc, budget = f0, 1 << 12
+            while fc < f1:
+                # the longest run of rows, at least one, whose work fits the budget
+                fit = f0 + int(np.searchsorted(work, work[fc - f0] + min(budget, cap), "right")) - 1
+                F, budget = polys[fc : max(fit, fc + 1)], budget * 2
                 if keep is None:
                     cand = _zero_pairs(add, F, B, plan, fc - f0, zero)
                 else:
@@ -349,6 +363,7 @@ def _sweep(add, mul, neg, polys, deg_starts, moves, stc, nil, zero, one, mode, k
                     return witness, pairs + fl * ng + gl + 1, selected + k + 1
                 pairs += F.shape[0] * ng
                 selected += int(cand.size)
+                fc += F.shape[0]
     return None, pairs, selected
 
 

@@ -108,11 +108,23 @@ def family_label(family: SigmaFamily) -> str:
 
 
 def reduced_verdict(ring: FiniteRing, instance: str = "") -> PropertyVerdict:
-    """0 is the only nilpotent; the witness is the least nonzero nilpotent."""
-    nils = nil_set(ring)
-    if len(nils) < 2:
-        return PropertyVerdict("reduced", instance or ring.name, "holds")
-    first = int(nils[1] if nils[0] == ring.zero else nils[0])
+    """0 is the only nilpotent; the witness is the least nonzero nilpotent.
+
+    An S ring over M is never reduced, and nil(S) = nil(M) x M x nil(M) is
+    not built.  Index (A*|M| + B)*|M| + C ascends with (A, B, C), and 0,
+    index 0, is the least nilpotent of M, so the least nonzero nilpotent
+    has A = 0.  It is (0|0|x), index x, with x the least nonzero nilpotent
+    of M: every (0|B|C) with B != 0 has index >= |M| > x.  When M is
+    reduced, C = 0 too, and it is (0|b|0) with b of index 1: index |M|.
+    """
+    if isinstance(ring, SRing):
+        nb = nil_set(ring.block)
+        first = int(nb[1]) if nb.size > 1 else ring.bsize
+    else:
+        nils = nil_set(ring)
+        if nils.size < 2:
+            return PropertyVerdict("reduced", instance or ring.name, "holds")
+        first = int(nils[1])
     witness = {"element": ring.element_name(first), "nilpotent": True}
     return _failed("reduced", ring, instance or ring.name, witness)
 

@@ -660,22 +660,32 @@ class NotAnIdealError(RingError):
 
 
 def make_ideal(ring: FiniteRing, elems, label: str = "") -> SubsetIdeal:
-    """Wrap a subset after verifying ideal closure (raises if it fails)."""
-    elems = kernels.dedupe(np.asarray(list(elems), dtype=np.int64))[0]
-    sset = set(int(x) for x in elems)
-    if ring.zero not in sset:
-        raise NotAnIdealError(label or "subset", "missing zero", (ring.zero,))
-    for a in elems:
-        s = ring.add(int(a), elems)
-        for v in np.asarray(s).ravel():
-            if int(v) not in sset:
-                raise NotAnIdealError(label or "subset", "add closure", (int(a),))
-    every = ring.elements()
-    for a in elems:
-        for prod in (ring.mul(every, int(a)), ring.mul(int(a), every)):
-            for v in kernels.dedupe(np.asarray(prod))[0]:
-                if int(v) not in sset:
-                    raise NotAnIdealError(label or "subset", "mul absorption", (int(a),))
+    """Wrap a subset after verifying ideal closure (raises if it fails).
+
+    The checks run in order: zero, additive closure, absorption, each by
+    ascending element a, and the first a to break one is the witness.
+    Closure reads row chunks of sums (or products) through one membership
+    mask over the carrier.
+    """
+    name = label or "subset"
+    inside = np.zeros(ring.size, dtype=bool)
+    inside[np.asarray(list(elems), dtype=np.int64)] = True
+    elems = np.flatnonzero(inside)
+    if not inside[ring.zero]:
+        raise NotAnIdealError(name, "missing zero", (ring.zero,))
+    every = ring.elements()[None, :]
+    checks = (
+        ("add closure", elems.size, lambda a: inside[ring.add(a, elems[None, :])]),
+        ("mul absorption", ring.size,
+         lambda a: inside[ring.mul(every, a)] & inside[ring.mul(a, every)]),
+    )
+    for reason, width, closed in checks:
+        step = max(1, _CHUNK // width)
+        for a0 in range(0, elems.size, step):
+            a = elems[a0 : a0 + step, None]
+            bad = ~closed(a).all(axis=1)
+            if bad.any():
+                raise NotAnIdealError(name, reason, (int(a[np.argmax(bad), 0]),))
     return SubsetIdeal(ring, tuple(int(x) for x in elems), label)
 
 

@@ -40,6 +40,7 @@ from skewlab.properties import (
     is_sigma_rigid,
     is_weak_sigma_rigid,
     is_weak_sigma_skew_armendariz,
+    reduced_verdict,
 )
 from skewlab.rings import (
     _CHUNK,
@@ -186,6 +187,9 @@ def test_block_invariants_match_carrier_sweeps(name):
     assert np.array_equal(idempotents(ring), idem)
     assert np.array_equal(nil_set(ring), nil)
     assert is_reduced(ring) == (len(nil) == 1)
+    # the least nonzero nilpotent, named off the block ring alone
+    verdict = reduced_verdict(ring)
+    assert verdict.fails and verdict.witness["element"] == ring.element_name(int(nil[1]))
     # centrality by carrier products: with all of S(Z2), or with the
     # single-slot generating set of S(Z3), whose centralizer is the center
     every = ring.elements() if ring.size <= 4096 else ring.generating_set()
@@ -355,7 +359,7 @@ def test_s_z5_through_check(tmp_path, capsys, head):
 def test_s_z4_theorem_suite_memory_guard():
     # a fresh process, so no earlier test has warmed the S(Z4) caches; one
     # int32 carrier table of S(Z4) alone would be 67 MB.  The suite peaks at
-    # 10.7 MiB, in the block-elementary pair sweep; the bound leaves 2.3 MiB
+    # 5.7 MiB, in the block-elementary pair sweep; the bound leaves 2.3 MiB
     # of margin
     code = (
         "import tracemalloc\n"
@@ -370,7 +374,7 @@ def test_s_z4_theorem_suite_memory_guard():
     )
     assert proc.returncode == 0, proc.stderr
     peak, ok = proc.stdout.split()
-    assert ok == "True" and int(peak) < 13 << 20, peak
+    assert ok == "True" and int(peak) < 8 << 20, peak
 
 
 def test_two_variable_s_z5_under_address_space_limit(tmp_path):

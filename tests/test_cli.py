@@ -603,8 +603,9 @@ def test_commands_leave_numpy_ma_unimported(tmp_path):
 
 def test_r3_weak_armendariz_memory_guard(tmp_path):
     # the degree-2 R3(Z2) sweep covers 16,777,216 pairs; its key tables
-    # are chunked at a quarter of the pair chunk, and the check peaks at
-    # 1.78 MiB of traced memory
+    # are chunked at a quarter of the pair chunk, its zero pairs at most
+    # 32,768 key-run survivors at a time, and the check peaks at 1.53 MiB
+    # of traced memory
     spec = write(
         tmp_path, "r3.spec",
         "system untwisted(R3(Z2))\ncheck weak_armendariz degree_bound=2\n"

@@ -445,26 +445,58 @@ def test_per_row_violation_test_matches_cell_array(drawn, data):
         assert hits(cand[sel]).tolist() == bad[sel].any(axis=(1, 2)).tolist()
 
 
+def _block_elementary(sys):
+    return SearchBudget(
+        degree_bound=1, subset=block_elementary_subset(sys.ring), subset_name="block-elementary"
+    )
+
+
 @pytest.mark.parametrize("sysname,mode", [
     ("untwisted(M2(Z2))", 0),
     ("untwisted(M2(Z2))", 1),
     ("untwisted(M2(Z2))", 2),
+    ("untwisted(M2(Z2))", 4),  # skew_pi_armendariz: the keep path
     ("swap-ore", 3),
+    ("s-negate-b(Z2)", 0),  # the generic path
+    ("s-negate-b(Z2)", 1),
     ("untwisted(R3(Z2))", 0),  # degree 2: the (2, 2) block's key run is c4, c0
 ])
 def test_chunk_boundaries_change_nothing(sysname, mode, monkeypatch):
-    # one f row and one key per chunk: the witnesses here sit past the
-    # first row of their degree block, and the R3 search holds, so the
-    # counters must carry across chunks
+    # chunk budgets of one f row (1), a few rows (64) and the default: the
+    # witnesses here sit past the first row of their degree block, and the
+    # R3 search holds, so the counters must carry across chunks
     sys = get_system(sysname)
+    prop = {**_PROPS, 4: "skew_pi_armendariz"}[mode]
     if sysname == "untwisted(R3(Z2))":
         budget = SearchBudget(degree_bound=2, subset=np.asarray([1, 2, 4, 8]))
         assert kernel_sweep(sys, budget, mode) == (None, 15625, 2849)
+    elif sysname.startswith("s-"):
+        budget = _block_elementary(sys)
     else:
         budget = SearchBudget(degree_bound=1)
-    default = kernel_sweep(sys, budget, mode)
-    monkeypatch.setattr(kernels, "_CHUNK_ELEMS", 1)
-    assert kernel_sweep(sys, budget, mode) == default
+    default = _zero_product_search(sys, budget, prop, "").to_record()
+    for chunk in (1, 64):
+        monkeypatch.setattr(kernels, "_CHUNK_ELEMS", chunk)
+        assert _zero_product_search(sys, budget, prop, "").to_record() == default
+
+
+def test_early_exit_tests_about_the_zero_pairs_up_to_its_witness(monkeypatch):
+    # chunk budgets double from 2^12 key-run survivors, so a failing search
+    # tests at most about twice the zero pairs up to its witness
+    tested = []
+    zero_pairs = kernels._zero_pairs
+
+    def counted(*args):
+        out = zero_pairs(*args)
+        tested.append(out.size)
+        return out
+
+    monkeypatch.setattr(kernels, "_zero_pairs", counted)
+    sys = get_system("s-negate-b(Z3)")
+    v = _zero_product_search(sys, _block_elementary(sys), "weak_sigma_skew_armendariz", "")
+    selected = v.witness["zero_products"]
+    assert v.fails and selected == 29242
+    assert sum(tested) <= 2 * selected + (1 << 12), (tested, selected)
 
 
 # --- derivations: the engine deciders as brute-force oracles ---------------------

@@ -2,13 +2,14 @@
 import ast
 import copy
 import pathlib
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from skewlab import kernels
+from skewlab import kernels, rings
 from skewlab.catalog import BUILTIN_RINGS
 
 from skewlab.rings import (
@@ -447,6 +448,72 @@ def test_non_ideal_rejected():
     z6 = make_zn(6)
     with pytest.raises(NotAnIdealError):
         make_ideal(z6, [0, 1], "not-an-ideal")
+
+
+def _loop_make_ideal(ring, elems):
+    """The per-element membership loops that `make_ideal` replaces:
+    ("ok", elements) or (reason, witness)."""
+    elems = np.asarray(sorted(set(int(x) for x in elems)), dtype=np.int64)
+    sset = set(elems.tolist())
+    if ring.zero not in sset:
+        return "missing zero", (ring.zero,)
+    for a in elems:
+        for v in np.asarray(ring.add(int(a), elems)).ravel():
+            if int(v) not in sset:
+                return "add closure", (int(a),)
+    every = ring.elements()
+    for a in elems:
+        for prod in (ring.mul(every, int(a)), ring.mul(int(a), every)):
+            for v in kernels.dedupe(np.asarray(prod))[0]:
+                if int(v) not in sset:
+                    return "mul absorption", (int(a),)
+    return "ok", tuple(int(x) for x in elems)
+
+
+def _closure(ring, gens, sides):
+    """The additive subgroup generated by `gens` and closed under r*a
+    ("left" in sides) and a*r ("right" in sides) for every r."""
+    out = np.union1d([ring.zero], np.asarray(gens, dtype=np.int64))
+    while True:
+        parts = [ring.add_table[np.ix_(out, out)].ravel()]
+        if "left" in sides:
+            parts.append(ring.mul_table[:, out].ravel())
+        if "right" in sides:
+            parts.append(ring.mul_table[out, :].ravel())
+        grown = np.union1d(out, np.concatenate(parts))
+        if grown.size == out.size:
+            return out
+        out = grown
+
+
+@st.composite
+def ideal_candidates(draw):
+    """A table ring and a subset: drawn, or an additive subgroup, a one-sided
+    or a two-sided ideal, each with one element toggled or not."""
+    kind = draw(st.sampled_from(["Zn", "Z2xZ2", "M2(Z2)", "R3(Z2)"]))
+    ring = make_zn(draw(st.integers(2, 24))) if kind == "Zn" else get_ring(kind)
+    elems = st.integers(0, ring.size - 1)
+    shape = draw(st.sampled_from(["drawn", "subgroup", "left", "right", "left right"]))
+    if shape == "drawn":
+        subset = draw(st.lists(elems, max_size=ring.size))
+    else:  # few generators, so the closure is seldom the whole ring
+        subset = _closure(ring, draw(st.lists(elems, max_size=2)), shape.split()).tolist()
+    if draw(st.booleans()):
+        subset = sorted(set(subset) ^ {draw(elems)})
+    return ring, subset
+
+
+@settings(max_examples=200, deadline=None)
+@given(ideal_candidates(), st.sampled_from([1, 40, rings._CHUNK]))
+def test_make_ideal_matches_membership_loops(drawn, chunk):
+    # chunks of one row, a few rows, and the default
+    ring, subset = drawn
+    with mock.patch.object(rings, "_CHUNK", chunk):
+        try:
+            got = "ok", make_ideal(ring, subset).elements
+        except NotAnIdealError as err:
+            got = err.reason, err.witness
+    assert got == _loop_make_ideal(ring, subset)
 
 
 def test_block_law_report_structure():
