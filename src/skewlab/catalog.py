@@ -22,7 +22,6 @@ from .maps import (
     identity_map,
     verify_block_endomorphism,
     verify_endomorphism,
-    zero_derivation,
 )
 from .poly import CommutationSystem
 
@@ -61,79 +60,105 @@ class UnknownNameError(KeyError):
     pass
 
 
+def _resolve(rules, name: str, kind: str, builtins: list[str]):
+    """build(*groups) of the first (pattern, build) rule whose pattern matches `name`."""
+    for pattern, build in rules:
+        m = re.fullmatch(pattern, name)
+        if m:
+            return build(*m.groups())
+    raise UnknownNameError(f"unknown {kind} {name!r}; builtins: {', '.join(builtins)}")
+
+
+_RING_RULES = [
+    (r"Z(\d+)", lambda n: R.make_zn(int(n))),
+    (r"Z(\d+)xZ(\d+)", lambda a, b: R.make_product(get_ring(f"Z{a}"), get_ring(f"Z{b}"))),
+    (r"M2\(Z(\d+)\)", lambda n: R.make_matrix_ring(get_ring(f"Z{n}"), 2)),
+    (r"R3\(Z(\d+)\)", lambda n: R.make_r3(get_ring(f"Z{n}"))),
+    (r"S\(Z(\d+)\)", lambda n: R.make_s_ring(get_ring(f"Z{n}"))),
+]
+
+
 def get_ring(name: str) -> R.FiniteRing:
     name = name.strip()
     got = _ring_cache.get(name)
     if got is not None:
         return got
-    m = re.fullmatch(r"Z(\d+)", name)
-    if m:
-        ring = R.make_zn(int(m.group(1)))
-    else:
-        m = re.fullmatch(r"Z(\d+)xZ(\d+)", name)
-        if m:
-            ring = R.make_product(get_ring(f"Z{m.group(1)}"), get_ring(f"Z{m.group(2)}"))
-        else:
-            m = re.fullmatch(r"M2\(Z(\d+)\)", name)
-            if m:
-                ring = R.make_matrix_ring(get_ring(f"Z{m.group(1)}"), 2)
-            else:
-                m = re.fullmatch(r"R3\(Z(\d+)\)", name)
-                if m:
-                    ring = R.make_r3(get_ring(f"Z{m.group(1)}"))
-                else:
-                    m = re.fullmatch(r"S\(Z(\d+)\)", name)
-                    if m:
-                        ring = R.make_s_ring(get_ring(f"Z{m.group(1)}"))
-                    else:
-                        raise UnknownNameError(
-                            f"unknown ring {name!r}; builtins: {', '.join(BUILTIN_RINGS)}"
-                        )
-    if ring.name != name:
-        ring.name = name
+    ring = _resolve(_RING_RULES, name, "ring", BUILTIN_RINGS)
+    ring.name = name
     _ring_cache[name] = ring
     return ring
 
 
+def _swap(ring: R.FiniteRing) -> RingMap:
+    s = round(ring.size ** 0.5)
+    idx = np.arange(ring.size)
+    return verify_endomorphism(ring, (idx % s) * s + idx // s, "swap")
+
+
+def _negate_b(ring: R.SRing) -> RingMap:
+    ident = np.arange(ring.bsize)
+    return verify_block_endomorphism(ring, ident, ring.block._neg_table, ident, "negate-B")
+
+
+# map name -> (applies to a ring, what it needs, build)
+_MAP_RULES = {
+    "id": (lambda ring: True, None, identity_map),
+    "swap": (
+        lambda ring: isinstance(ring, R.TableRing) and re.fullmatch(r"Z(\d+)xZ\1", ring.name),
+        "an equal-factor product",
+        _swap,
+    ),
+    "negate-B": (lambda ring: isinstance(ring, R.SRing), "an S ring", _negate_b),
+}
+
+
 def map_names(ring: R.FiniteRing) -> list[str]:
-    out = ["id"]
-    if "x" in ring.name and isinstance(ring, R.TableRing):
-        m = re.fullmatch(r"Z(\d+)xZ(\d+)", ring.name)
-        if m and m.group(1) == m.group(2):
-            out.append("swap")
-    if isinstance(ring, R.SRing):
-        out.append("negate-B")
-    return out
+    return [name for name, (applies, _, _) in _MAP_RULES.items() if applies(ring)]
 
 
 def get_map(ring: R.FiniteRing, name: str) -> RingMap:
     name = name.strip()
-    if name in ("id", "identity"):
+    if name == "identity":
         name = "id"
     key = (ring.name, name)
     got = _map_cache.get(key)
     if got is not None:
         return got
-    if name == "id":
-        mp = identity_map(ring)
-    elif name == "swap":
-        m = re.fullmatch(r"Z(\d+)xZ(\d+)", ring.name)
-        if not (m and m.group(1) == m.group(2)):
-            raise UnknownNameError(f"map 'swap' needs an equal-factor product, not {ring.name}")
-        s2 = int(m.group(2))
-        idx = np.arange(ring.size)
-        mp = verify_endomorphism(ring, (idx % s2) * s2 + idx // s2, "swap")
-    elif name == "negate-B":
-        if not isinstance(ring, R.SRing):
-            raise UnknownNameError(f"map 'negate-B' needs an S ring, not {ring.name}")
-        ident = np.arange(ring.bsize)
-        mp = verify_block_endomorphism(ring, ident, ring.block._neg_table, ident, "negate-B")
-    else:
+    if name not in _MAP_RULES:
         raise UnknownNameError(
             f"unknown map {name!r} on {ring.name}; available: {', '.join(map_names(ring))}"
         )
-    _map_cache[key] = mp
+    applies, needs, build = _MAP_RULES[name]
+    if not applies(ring):
+        raise UnknownNameError(f"map {name!r} needs {needs}, not {ring.name}")
+    mp = _map_cache[key] = build(ring)
     return mp
+
+
+def _system(name: str, ring_name: str, twists: list[str], derive=False, c=None):
+    """The system on `ring_name` twisted by the named maps, one per variable.
+
+    derive: add the derivation id - sigma_1.  c: leading coefficients as
+    integers, reduced mod |R| (the builtins put them on Z_p).
+    """
+    ring = get_ring(ring_name)
+    maps = {t: get_map(ring, t) for t in dict.fromkeys(twists)}
+    family = SigmaFamily(ring, [maps[t] for t in twists])
+    delta = [id_minus_sigma_derivation(ring, family.maps[0])] if derive else None
+    c = None if c is None else {k: v % ring.size for k, v in c.items()}
+    return CommutationSystem(ring, family, delta=delta, c=c, name=name)
+
+
+# name pattern -> (ring, twists[, derive, c]) of `_system`
+_SYSTEM_RULES = [
+    (r"untwisted\((.+)\)", lambda r: (r, ["id"])),
+    (r"swap-ore", lambda: ("Z2xZ2", ["swap"], True)),
+    (
+        r"quantum-plane\(Z(\d+),(\d+)\)",
+        lambda p, q: (f"Z{p}", ["id", "id"], False, {(0, 1): int(q)}),
+    ),
+    (r"s-negate-b\(Z(\d+)\)", lambda n: (f"S(Z{n})", ["negate-B"])),
+]
 
 
 def get_system(name: str) -> CommutationSystem:
@@ -141,46 +166,7 @@ def get_system(name: str) -> CommutationSystem:
     got = _system_cache.get(name)
     if got is not None:
         return got
-    m = re.fullmatch(r"untwisted\((.+)\)", name)
-    if m:
-        ring = get_ring(m.group(1))
-        sys = CommutationSystem(
-            ring, SigmaFamily(ring, [get_map(ring, "id")]), name=name
-        )
-    elif name == "swap-ore":
-        ring = get_ring("Z2xZ2")
-        swap = get_map(ring, "swap")
-        sys = CommutationSystem(
-            ring,
-            SigmaFamily(ring, [swap]),
-            delta=[id_minus_sigma_derivation(ring, swap)],
-            name=name,
-        )
-    else:
-        m = re.fullmatch(r"quantum-plane\(Z(\d+),(\d+)\)", name)
-        if m:
-            p, q = int(m.group(1)), int(m.group(2))
-            ring = get_ring(f"Z{p}")
-            ident = get_map(ring, "id")
-            sys = CommutationSystem(
-                ring,
-                SigmaFamily(ring, [ident, ident]),
-                c={(0, 1): q % p},
-                name=name,
-            )
-        else:
-            m = re.fullmatch(r"s-negate-b\(Z(\d+)\)", name)
-            if m:
-                ring = get_ring(f"S(Z{m.group(1)})")
-                sys = CommutationSystem(
-                    ring,
-                    SigmaFamily(ring, [get_map(ring, "negate-B")]),
-                    name=name,
-                )
-            else:
-                raise UnknownNameError(
-                    f"unknown system {name!r}; builtins: {', '.join(BUILTIN_SYSTEMS)}"
-                )
+    sys = _system(name, *_resolve(_SYSTEM_RULES, name, "system", BUILTIN_SYSTEMS))
     _system_cache[name] = sys
     return sys
 

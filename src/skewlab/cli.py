@@ -61,8 +61,8 @@ from .properties import (
     NotEndomorphismTypeError,
     PropertyVerdict,
     SearchBudget,
-    block_elementary_subset,
     recheck,
+    subset_fields,
 )
 from .rings import (
     FiniteRing,
@@ -461,7 +461,7 @@ def _resolve_spec(spec: SpecFile, pos: dict) -> None:
                             ring, base, np.asarray(images, dtype=np.int64), name
                         )
                     )
-            except (UnknownNameError, MapVerificationError, ValueError) as e:
+            except (UnknownNameError, MapVerificationError, RingError, ValueError) as e:
                 raise err(key, e) from None
         spec.deltas = delta_names
 
@@ -544,27 +544,14 @@ def _resolve_spec(spec: SpecFile, pos: dict) -> None:
 # running checks
 
 def _budget_from(ck: CheckRequest, spec: SpecFile, defaults: dict) -> SearchBudget:
-    kw = {**defaults, **{k: v for k, v in ck.kwargs.items()}}
-    subset = None
-    subset_name = "full"
-    if kw.get("subset") == "block-elementary":
-        if not isinstance(spec.ring, SRing):
-            raise SpecError(
-                "subset=block-elementary needs an S ring", ck.line, ck.col
-            )
-        subset = block_elementary_subset(spec.ring)
-        subset_name = "block-elementary"
-    elif isinstance(spec.ring, SRing) and "subset" not in kw:
-        # searches over a block ring default to the structured subset;
-        # the full carrier is far beyond any pair budget
-        subset = block_elementary_subset(spec.ring)
-        subset_name = "block-elementary"
+    kw = {**defaults, **ck.kwargs}
+    if kw.get("subset") == "block-elementary" and not isinstance(spec.ring, SRing):
+        raise SpecError("subset=block-elementary needs an S ring", ck.line, ck.col)
     return SearchBudget(
         degree_bound=int(kw.get("degree_bound", DEFAULT_DEGREE_BOUND)),
         power_bound=int(kw.get("power_bound", DEFAULT_POWER_BOUND)),
         pair_cap=int(kw.get("pair_cap", DEFAULT_PAIR_CAP)),
-        subset=subset,
-        subset_name=subset_name,
+        **subset_fields(spec.ring, kw.get("subset")),
     )
 
 

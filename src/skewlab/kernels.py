@@ -118,10 +118,10 @@ def nilpotent_mask(mul: np.ndarray, zero: int) -> np.ndarray:
 # coefficient g for each move (i, k, table) with s = stc[k, j, g] nonzero;
 # each distinct (move, s) gets one |K| x |K| term table of those values,
 # and its negation, built once per sweep through `mul` and `neg`, so a
-# pair's coefficient is a sum of table gathers.  The coefficient
-# conditions of modes 0-2 and 4 are boolean |K| x |K| tables in the same
-# way.  A term table has at most as many entries as the pairs swept:
-# |K|^2 <= k^(2M).
+# pair's coefficient is a sum of table gathers.  Each mode's condition is
+# one boolean |K| x |K| table per cell (i, j); in mode 3 it ORs over g
+# whether the cell's terms on coefficient g sum to nonzero.  A term table
+# has at most as many entries as the pairs swept: |K|^2 <= k^(2M).
 #
 # Selecting fg = 0 forms one coefficient (a stage) at a time, on the
 # pairs still zero, the leading ones once per degree block pair on the
@@ -154,13 +154,22 @@ def _term_tables(mul, neg, K, moves, stc, zero, one):
     return terms
 
 
-def _violation_tables(mul, nil, K, moves, zero, mode, M):
-    """V[i][ka, kb]: coefficients (K[ka], K[kb]) at row i break `mode` (not mode 3)."""
+def _violation_tables(add, mul, nil, K, moves, terms, zero, mode, M):
+    """[((i, j), V)], row-major: V[ka, kb] says (K[ka], K[kb]) at cell (i, j) break `mode`."""
+    if mode == 3:
+        cells = {}
+        for tg in terms:
+            for cell in dict.fromkeys(t[:2] for t in tg):
+                total = _coeff(add, lambda T, *_: T, [t for t in tg if t[:2] == cell])
+                cells[cell] = cells.get(cell, False) | (total != zero)
+        return sorted(cells.items())
     if mode == 4:
-        return [~nil(mul(K[:, None], K[None, :]))] * M
-    # endomorphism type: moves[i] = (i, i, sigma^alpha_i)
-    prods = [mul(K[:, None], tab[K][None, :]) for _, _, tab in moves[: 1 if mode == 2 else M]]
-    return [~nil(p) if mode == 0 else p != zero for p in prods]
+        rows = [~nil(mul(K[:, None], K[None, :]))] * M
+    else:
+        # endomorphism type: moves[i] = (i, i, sigma^alpha_i)
+        prods = [mul(K[:, None], tab[K][None, :]) for _, _, tab in moves[: 1 if mode == 2 else M]]
+        rows = [~nil(p) if mode == 0 else p != zero for p in prods]
+    return [((i, j), v) for i, v in enumerate(rows) for j in range(M)]
 
 
 def _live(terms, F, B, zk):
@@ -268,28 +277,17 @@ def _zero_pairs(add, F, B, plan, f0, zero):
     return fi * B.shape[0] + bi
 
 
-def _violations(add, F, B, fi, bi, terms, V, zero):
-    """((i, j), mask) per coefficient cell: where pair (F[fi], B[bi]) breaks the mode.
-
-    V is None in mode 3: there the term product itself must be zero.
-    """
+def _violations(F, B, fi, bi, V):
+    """((i, j), mask) per coefficient cell: where pair (F[fi], B[bi]) breaks the mode."""
     at = _pairs_at(F, B, fi, bi)
-    if V is None:
-        for tg in terms:
-            for i, j in dict.fromkeys(t[:2] for t in tg):
-                yield (i, j), _coeff(add, at, [t for t in tg if t[:2] == (i, j)]) != zero
-    else:
-        for i, v in enumerate(V):
-            for j in range(F.shape[1]):
-                yield (i, j), at(v, i, j)
+    for (i, j), v in V:
+        yield (i, j), at(v, i, j)
 
 
-def _first_cell(add, F, B, fi, bi, terms, V, zero):
+def _first_cell(F, B, fi, bi, V):
     """The first (i, j), row-major, that pair (F[fi], B[bi]) breaks."""
-    bad = np.zeros((F.shape[1], F.shape[1]), dtype=bool)
-    for cell, mask in _violations(add, F, B, np.array([fi]), np.array([bi]), terms, V, zero):
-        bad[cell] |= mask[0]
-    return divmod(int(np.argmax(bad)), F.shape[1])
+    masks = _violations(F, B, np.array([fi]), np.array([bi]), V)
+    return next(cell for cell, mask in masks if mask[0])
 
 
 def _kept(rows, hit, keep):
@@ -323,7 +321,7 @@ def _sweep(add, mul, neg, polys, deg_starts, moves, stc, nil, zero, one, mode, k
     zk = int(np.searchsorted(K, zero))
     polys = np.searchsorted(K, polys).astype(np.uint8 if K.size <= 256 else np.int32)
     terms = _term_tables(mul, neg, K, moves, stc, zero, one)
-    V = None if mode == 3 else _violation_tables(mul, nil, K, moves, zero, mode, M)
+    V = _violation_tables(add, mul, nil, K, moves, terms, zero, mode, M)
     pairs = selected = 0
     for df in range(nblocks):
         f0, f1 = int(deg_starts[df]), int(deg_starts[df + 1])
@@ -350,7 +348,7 @@ def _sweep(add, mul, neg, polys, deg_starts, moves, stc, nil, zero, one, mode, k
                     fg = _products(add, F, B, terms, zk, zero)
                     cand = np.arange(fg.shape[1])
                 hit = np.zeros(cand.size, dtype=bool)
-                for _, mask in _violations(add, F, B, cand // ng, cand % ng, terms, V, zero):
+                for _, mask in _violations(F, B, cand // ng, cand % ng, V):
                     hit |= mask
                 if keep is not None:
                     sel = _kept(fg.T, hit, keep)
@@ -359,7 +357,7 @@ def _sweep(add, mul, neg, polys, deg_starts, moves, stc, nil, zero, one, mode, k
                 if hit.any():
                     k = int(np.argmax(hit))
                     fl, gl = divmod(int(cand[k]), ng)
-                    witness = (fc + fl, g0 + gl, *_first_cell(add, F, B, fl, gl, terms, V, zero))
+                    witness = (fc + fl, g0 + gl, *_first_cell(F, B, fl, gl, V))
                     return witness, pairs + fl * ng + gl + 1, selected + k + 1
                 pairs += F.shape[0] * ng
                 selected += int(cand.size)

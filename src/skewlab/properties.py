@@ -680,3 +680,15 @@ def block_elementary_subset(ring: SRing) -> np.ndarray:
     z = [0]  # the zero block
     slots = [ring.triples(units, z, z), ring.triples(z, units, z), ring.triples(z, z, units)]
     return kernels.dedupe(np.concatenate([[ring.zero], *slots]))[0]
+
+
+def subset_fields(ring: FiniteRing, name: str | None = None) -> dict:
+    """The subset and subset_name of a SearchBudget on `ring` for subset `name`.
+
+    With no name, a search over an S ring takes the block-elementary
+    subset: the full carrier is far beyond any pair budget.
+    """
+    if name is None:
+        name = "block-elementary" if isinstance(ring, SRing) else "full"
+    subset = None if name == "full" else block_elementary_subset(ring)
+    return {"subset": subset, "subset_name": name}

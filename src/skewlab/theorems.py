@@ -22,12 +22,11 @@ from .properties import (
     DEFAULT_PAIR_CAP,
     PropertyVerdict,
     SearchBudget,
-    block_elementary_subset,
-    family_label,
     is_sigma_rigid,
     is_weak_sigma_rigid,
     is_weak_sigma_rigid_ideal,
     is_weak_sigma_skew_armendariz,
+    subset_fields,
 )
 from .rings import (
     FiniteRing,
@@ -35,7 +34,6 @@ from .rings import (
     abelian_failure,
     central_idempotents,
     idempotents,
-    is_central,
     is_ni,
     is_reduced,
     make_ideal,
@@ -221,6 +219,12 @@ def check_rigid_iff_weak_reduced(ctx: EntryContext) -> TheoremReport:
     )
 
 
+def _failed(ctx: EntryContext, **more) -> list[str]:
+    """The hypotheses that do not hold, in order: NI, weak rigidity, then `more`."""
+    gate = {"ni": ctx.flags["ni"], "weak_sigma_rigid": ctx.flags["weak_sigma_rigid"], **more}
+    return [k for k, v in gate.items() if not v]
+
+
 def check_nil_transfer(ctx: EntryContext) -> TheoremReport:
     """NI + weak rigid force the three nilpotence transfer implications.
 
@@ -228,10 +232,8 @@ def check_nil_transfer(ctx: EntryContext) -> TheoremReport:
     (3) a*m(b) nil => ab, ba nil; swept over all pairs and all closure
     maps m.
     """
-    flags = ctx.flags
-    gate = {"ni": flags["ni"], "weak_sigma_rigid": flags["weak_sigma_rigid"]}
-    if not all(gate.values()):
-        missing = [k for k, v in gate.items() if not v]
+    missing = _failed(ctx)
+    if missing:
         return TheoremReport(
             "nil_transfer", ctx.entry.name, "vacuous",
             {"failed_hypotheses": missing},
@@ -286,12 +288,10 @@ def _first_moved(ctx: EntryContext, elems: list[int]) -> dict | None:
 
 def check_idempotent_fixed(ctx: EntryContext) -> TheoremReport:
     """NI + weak rigid force every twist to fix central idempotents."""
-    flags = ctx.flags
-    gate = {"ni": flags["ni"], "weak_sigma_rigid": flags["weak_sigma_rigid"]}
+    missing = _failed(ctx)
     central = [int(e) for e in central_idempotents(ctx.ring)]
     moved = _first_moved(ctx, central)
-    if not all(gate.values()):
-        missing = [k for k, v in gate.items() if not v]
+    if missing:
         details: dict = {"failed_hypotheses": missing}
         # when the gate fails a twist may genuinely move a central
         # idempotent; record the first one as evidence
@@ -382,14 +382,9 @@ def check_ideal_decomposition(ctx: EntryContext, mode: str = "fixed") -> Theorem
 
 
 def _counterexample_budget(ring: FiniteRing, degree_bound: int, pair_cap: int) -> SearchBudget:
-    if isinstance(ring, SRing):
-        return SearchBudget(
-            degree_bound=1,
-            pair_cap=pair_cap,
-            subset=block_elementary_subset(ring),
-            subset_name="block-elementary",
-        )
-    return SearchBudget(degree_bound=degree_bound, pair_cap=pair_cap)
+    # at degree 2 an S ring's block-elementary pairs exceed the default pair cap
+    degree_bound = 1 if isinstance(ring, SRing) else degree_bound
+    return SearchBudget(degree_bound=degree_bound, pair_cap=pair_cap, **subset_fields(ring))
 
 
 def check_weak_armendariz_implication(
@@ -406,13 +401,12 @@ def check_weak_armendariz_implication(
     """
     flags = ctx.flags
     sys = ctx.system
-    gate = {
-        "ni": flags["ni"],
-        "weak_sigma_rigid": flags["weak_sigma_rigid"],
-        "endomorphism_type": sys.endomorphism_type,
-        "c_central_invertible": sys.endomorphism_type and sys.c_central_invertible(),
-    }
-    if all(gate.values()):
+    missing = _failed(
+        ctx,
+        endomorphism_type=sys.endomorphism_type,
+        c_central_invertible=sys.endomorphism_type and sys.c_central_invertible(),
+    )
+    if not missing:
         budget = SearchBudget(degree_bound=degree_bound, pair_cap=pair_cap)
         verdict = is_weak_sigma_skew_armendariz(sys, budget, instance=ctx.entry.name)
         if verdict.fails:
@@ -424,7 +418,6 @@ def check_weak_armendariz_implication(
             "ni_weak_rigid_implies_weak_armendariz", ctx.entry.name, "pass",
             {"bound": verdict.bound},
         )
-    missing = [k for k, v in gate.items() if not v]
     details: dict = {"failed_hypotheses": missing}
     if (
         missing == ["ni"]

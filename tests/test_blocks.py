@@ -28,6 +28,7 @@ from skewlab.maps import (
     MapVerificationError,
     RingMap,
     SigmaFamily,
+    id_minus_sigma_derivation,
     identity_map,
     orbit_closure,
     sigma_power,
@@ -377,20 +378,47 @@ def test_s_z4_theorem_suite_memory_guard():
     assert ok == "True" and int(peak) < 8 << 20, peak
 
 
-def test_two_variable_s_z5_under_address_space_limit(tmp_path):
-    # two variables make the PBW check ask whether c_12 = 1 is a unit; a
-    # carrier sweep of S(Z5) allocates 1 GB arrays and dies under 3 GB
-    spec = tmp_path / "s5x2.spec"
-    spec.write_text(f"ring S(Z5)\nmaps negate-B, negate-B\n{S_Z5_CHECKS}")
+def _check_under_3gb(spec: Path) -> subprocess.CompletedProcess:
+    """`check SPEC --json` in a process whose address space is capped at 3 GB."""
 
     def limit():
         resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
 
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-m", "skewlab.cli", "check", str(spec), "--json"],
         capture_output=True, text=True, env=env, timeout=120, preexec_fn=limit,
     )
+
+
+def test_two_variable_s_z5_under_address_space_limit(tmp_path):
+    # two variables make the PBW check ask whether c_12 = 1 is a unit; a
+    # carrier sweep of S(Z5) allocates 1 GB arrays and dies under 3 GB
+    spec = tmp_path / "s5x2.spec"
+    spec.write_text(f"ring S(Z5)\nmaps negate-B, negate-B\n{S_Z5_CHECKS}")
+    proc = _check_under_3gb(spec)
     assert proc.returncode == 0, proc.stderr
     recs = [json.loads(line) for line in proc.stdout.splitlines()]
     assert len(recs) == 5 and not any(r.get("mismatch") for r in recs)
+
+
+def test_s_z5_derivation_refused_under_address_space_limit(tmp_path):
+    # id - sigma is a carrier table: past S(Z4)'s 2^24 entries it is refused
+    # before anything is allocated, as a spec error at the derivation.  Run
+    # only under the cap: an uncapped build asks for several 1.8 GiB arrays
+    spec = tmp_path / "s5d.spec"
+    spec.write_text(
+        f"ring S(Z5)\nmap s = negate-B\nderivation dd = id-minus s\nmaps s\ndeltas dd\n{S_Z5_CHECKS}"
+    )
+    proc = _check_under_3gb(spec)
+    assert (proc.returncode, proc.stdout) == (2, ""), proc.stderr
+    assert proc.stderr == (
+        f"{spec}:line 3, col 1: derivation id-negate-B on S(Z5): a carrier table of "
+        "244140625 entries exceeds the cap of 16777216\n"
+    )
+
+
+def test_s_z3_derivation_builds_below_the_cap():
+    ring = get_ring("S(Z3)")
+    d = id_minus_sigma_derivation(ring, get_map(ring, "negate-B"))
+    assert d.table.shape == (3**12,) and not d.is_zero

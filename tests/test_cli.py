@@ -134,6 +134,19 @@ def test_unknown_map_reported_at_reference_site(tmp_path, capsys):
     assert "line 2, col 10: unknown map 'nosuch' on Z4" in err
 
 
+@pytest.mark.parametrize("ring,name,msg", [
+    ("Z2xZ3", "swap", "map 'swap' needs an equal-factor product, not Z2xZ3"),
+    ("S(Z3)", "swap", "map 'swap' needs an equal-factor product, not S(Z3)"),
+    ("Z2xZ2", "negate-B", "map 'negate-B' needs an S ring, not Z2xZ2"),
+    ("S(Z3)", "frob", "unknown map 'frob' on S(Z3); available: id, negate-B"),
+])
+def test_map_outside_its_rings_reported(tmp_path, capsys, ring, name, msg):
+    path = write(tmp_path, "bad.spec", f"ring {ring}\nmap s = {name}\nmaps s\ncheck reduced\n")
+    code, out, err = run_cli(capsys, "check", path)
+    assert (code, out) == (2, "")
+    assert err.endswith(f"line 2, col 1: {msg}\n")
+
+
 def test_zero_commutation_coefficient_rejected(tmp_path, capsys):
     path = write(
         tmp_path, "bad.spec", "ring Z3\nmaps id, id\nc[1,2] = 0\ncheck reduced\n"
@@ -374,6 +387,10 @@ def test_catalog_json(capsys):
     assert len(listing["instances"]) == 10
     sizes = {r["name"]: r["size"] for r in listing["rings"]}
     assert sizes["S(Z4)"] == 4**12 and sizes["M2(Z2)"] == 16
+    twisted = {r["name"]: r["maps"] for r in listing["rings"] if r["maps"] != ["id"]}
+    assert twisted == {
+        "Z2xZ2": ["id", "swap"], "S(Z3)": ["id", "negate-B"], "S(Z4)": ["id", "negate-B"],
+    }
 
 
 def test_catalog_text(capsys):

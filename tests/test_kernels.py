@@ -380,21 +380,23 @@ def test_staged_filter_matches_full_products(drawn, data):
         assert len(plan[3]) == 3  # c3, c1 and c2 follow the key run
 
 
-def _cell_array(add, F, B, terms, V, zero):
+def _cell_array(add, mul, nil, K, moves, F, B, terms, mode, zero):
     """bad[k, i, j]: the (k, M, M) violation array the sweep built before it
-    tested zero pairs one row at a time, kept here as the oracle."""
+    tested zero pairs one row at a time, kept here as the oracle; each cell
+    is read off the mode's own condition on pair k's coefficients."""
     M = F.shape[1]
-    if V is None:
-        bad = np.zeros((F.shape[0], M, M), dtype=bool)
+    bad = np.zeros((F.shape[0], M, M), dtype=bool)
+    if mode == 3:
         for tg in terms:
             for i, j in dict.fromkeys(t[:2] for t in tg):
                 ts = [t for t in tg if t[:2] == (i, j)]
                 bad[:, i, j] |= kernels._coeff(add, lambda T, p, q: T[F[:, p], B[:, q]], ts) != zero
         return bad
-    bad = np.empty((F.shape[0], len(V), M), dtype=bool)
-    for i, v in enumerate(V):
+    for i in range(1 if mode == 2 else M):
         for j in range(M):
-            bad[:, i, j] = v[F[:, i], B[:, j]]
+            a, b = K[F[:, i]], K[B[:, j]]
+            prod = mul(a, b) if mode == 4 else mul(a, moves[i][2][b])
+            bad[:, i, j] = prod != zero if mode in (1, 2) else ~nil(prod)
     return bad
 
 
@@ -412,7 +414,7 @@ def test_per_row_violation_test_matches_cell_array(drawn, data):
     mode = data.draw(st.sampled_from([0, 1, 2, 3, 4] if sys.endomorphism_type else [3, 4]))
     M, zero = len(exps), ring.zero
     terms = kernels._term_tables(mul, ring.neg, pool, moves, stc, zero, ring.one)
-    V = None if mode == 3 else kernels._violation_tables(mul, nil, pool, moves, zero, mode, M)
+    V = kernels._violation_tables(add, mul, nil, pool, moves, terms, zero, mode, M)
     Fk, Bk = np.searchsorted(pool, F), np.searchsorted(pool, B)
     ng = Bk.shape[0]
     # the keep path asks about every pair; the zero-pair path about some
@@ -424,16 +426,18 @@ def test_per_row_violation_test_matches_cell_array(drawn, data):
 
     def hits(cand):
         hit = np.zeros(cand.size, dtype=bool)
-        for _, mask in kernels._violations(add, Fk, Bk, cand // ng, cand % ng, terms, V, zero):
+        for _, mask in kernels._violations(Fk, Bk, cand // ng, cand % ng, V):
             hit |= mask
         return hit
 
-    bad = _cell_array(add, Fk[cand // ng], Bk[cand % ng], terms, V, zero)
+    bad = _cell_array(
+        add, mul, nil, pool, moves, Fk[cand // ng], Bk[cand % ng], terms, mode, zero
+    )
     hit = hits(cand)
     assert hit.tolist() == bad.any(axis=(1, 2)).tolist()
     for k in np.flatnonzero(hit).tolist():
         f, b = divmod(int(cand[k]), ng)
-        cell = kernels._first_cell(add, Fk, Bk, f, b, terms, V, zero)
+        cell = kernels._first_cell(Fk, Bk, f, b, V)
         assert cell == divmod(int(np.argmax(bad[k])), M)
     if use_keep:
         # the sweep's keep step on both tests: same selection, same first hit

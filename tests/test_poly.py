@@ -78,6 +78,10 @@ def test_var_times_var_rule():
     assert qp.endomorphism_type
 
 
+def test_quantum_plane_reads_q_mod_p():
+    assert get_system("quantum-plane(Z3,5)").c == get_system("quantum-plane(Z3,2)").c == {(0, 1): 2}
+
+
 def test_quantum_plane_products_frozen():
     qp = get_system("quantum-plane(Z3,2)")
     x1, x2 = qp.variable(0), qp.variable(1)

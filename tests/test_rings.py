@@ -213,7 +213,7 @@ def test_sampling_only_in_map_verification():
                 owners = [f for f in fns if f.lineno <= node.lineno <= f.end_lineno]
                 inner = min(owners, key=lambda f: f.end_lineno - f.lineno, default=None)
                 users.add(f"{path.stem}.{inner.name if inner else '<module>'}")
-    assert users == {"maps._sample_pairs"}
+    assert users == {"maps._law_pairs"}
 
 
 def test_broken_mul_table_rejected():

@@ -72,6 +72,10 @@ def test_vacuous_reports_name_failed_hypotheses():
         "weak_sigma_rigid"
     ]
     assert by("nil_transfer", "M2(Z2)/id").details["failed_hypotheses"] == ["ni"]
+    r = by("ni_weak_rigid_implies_weak_armendariz", "Z2xZ2/swap")
+    assert r.details["failed_hypotheses"] == [
+        "weak_sigma_rigid", "endomorphism_type", "c_central_invertible"
+    ]
     assert by("ideal_decomposition", "M2(Z2)/id").details["failed_hypotheses"] == [
         "abelian"
     ]
