@@ -66,7 +66,6 @@ from .properties import (
 )
 from .rings import (
     FiniteRing,
-    RingConstructionError,
     RingError,
     SRing,
     TableRing,
@@ -99,6 +98,18 @@ class SpecError(Exception):
         if self.line:
             return f"line {self.line}, col {self.col}: {self.message}"
         return self.message
+
+
+# what the library raises on bad input; each command turns these into a
+# diagnostic, while internal faults (ConsistencyError, IndexError) propagate
+_INPUT_ERRORS = (
+    KeyError, ValueError, RingError, MapVerificationError, NotEndomorphismTypeError
+)
+
+
+def _message(e: Exception) -> str:
+    # a KeyError's str() is the repr of its argument, quotes and all
+    return e.args[0] if isinstance(e, KeyError) and e.args else str(e)
 
 
 # ---------------------------------------------------------------------------
@@ -354,165 +365,141 @@ def parse_spec(text: str) -> SpecFile:
 
 
 def _resolve_spec(spec: SpecFile, pos: dict) -> None:
-    """Build ring/maps/system objects; any failure is a SpecError."""
+    """Build ring/maps/system objects; any failure is a SpecError.
 
-    def err(key: str, msg) -> SpecError:
-        if isinstance(msg, KeyError) and msg.args:
-            msg = msg.args[0]
-        line, col = pos.get(key, pos.get("ring", (0, 0)))
-        return SpecError(str(msg), line, col)
+    Each step names the statement it resolves in `key`; one handler turns
+    the library's input errors into a SpecError at that statement.
+    """
+    key = "ring"
 
-    if spec.system_name:
-        if spec.family or spec.deltas or spec.c_entries or spec.d_entries:
-            raise err("ring", "a builtin system cannot be combined with maps/deltas/c/d")
-        try:
+    def err(msg: str) -> SpecError:
+        return SpecError(msg, *pos.get(key, pos.get("ring", (0, 0))))
+
+    if not (spec.ring_name or spec.system_name):
+        raise SpecError("no ring or system declared", 1, 1)
+    try:
+        if spec.system_name:
+            if spec.family or spec.deltas or spec.c_entries or spec.d_entries:
+                raise err("a builtin system cannot be combined with maps/deltas/c/d")
             spec.system = get_system(spec.system_name)
-        except (UnknownNameError, RingError, ValueError) as e:
-            raise err("ring", e) from None
-        spec.ring = spec.system.ring
-        spec.ring_name = spec.ring.name
-    else:
-        if not spec.ring_name:
-            raise SpecError("no ring or system declared", 1, 1)
-        try:
-            if spec.ring_tables is not None:
-                t = spec.ring_tables
-                spec.ring = TableRing(
-                    spec.ring_name,
-                    np.asarray(t["add"]),
-                    np.asarray(t["mul"]),
-                    int(t["one"]),
-                    [str(s) for s in t["names"]],
-                )
-            else:
-                spec.ring = get_ring(spec.ring_name)
-        except (UnknownNameError, RingConstructionError, RingError, ValueError) as e:
-            raise err("ring", e) from None
-        ring = spec.ring
+            spec.ring = spec.system.ring
+            spec.ring_name = spec.ring.name
+        else:
+            t = spec.ring_tables
+            ring = spec.ring = get_ring(spec.ring_name) if t is None else TableRing(
+                spec.ring_name,
+                np.asarray(t["add"]),
+                np.asarray(t["mul"]),
+                int(t["one"]),
+                [str(s) for s in t["names"]],
+            )
 
-        def builtin_map(name: str):
-            # the catalog cache keys maps by ring name, which an
-            # explicit-table ring must not share
-            if spec.ring_tables is not None:
+            def builtin_map(name: str):
+                # the catalog cache keys maps by ring name, which an
+                # explicit-table ring must not share
+                if t is None:
+                    return get_map(ring, name)
                 if name.strip() in ("id", "identity"):
                     return identity_map(ring)
                 raise UnknownNameError(
                     f"unknown map {name.strip()!r} on {ring.name}; available: id"
                 )
-            return get_map(ring, name)
 
-        resolved_maps = {}
-        for name, src in spec.map_decls.items():
-            try:
+            resolved_maps = {}
+
+            def map_named(name: str):
+                return resolved_maps[name] if name in resolved_maps else builtin_map(name)
+
+            for name, src in spec.map_decls.items():
+                key = f"map:{name}"
                 if src.lstrip().startswith("["):
-                    images = _json_value(src, f"map {name}", *pos[f"map:{name}"])
+                    images = _json_value(src, f"map {name}", *pos[key])
                     resolved_maps[name] = verify_endomorphism(
                         ring, np.asarray(images, dtype=np.int64), name
                     )
                 else:
                     resolved_maps[name] = builtin_map(src)
-            except (UnknownNameError, MapVerificationError, ValueError) as e:
-                raise err(f"map:{name}", e) from None
 
-        family_names = spec.family or ["id"]
-        fam_maps = []
-        for name in family_names:
-            if name in resolved_maps:
-                fam_maps.append(resolved_maps[name])
-            else:
-                try:
-                    fam_maps.append(builtin_map(name))
-                except UnknownNameError as e:
-                    raise err(f"fam:{name}", e) from None
-        spec.family = family_names
-        family = SigmaFamily(ring, fam_maps)
+            spec.family = spec.family or ["id"]
+            fam_maps = []
+            for name in spec.family:
+                key = f"fam:{name}"
+                fam_maps.append(map_named(name))
+            family = SigmaFamily(ring, fam_maps)
 
-        delta_names = spec.deltas or ["zero"] * family.n
-        if len(delta_names) != family.n:
-            raise err("deltas", f"{len(delta_names)} deltas for {family.n} variables")
-        deltas = []
-        for i, name in enumerate(delta_names):
-            if name == "zero":
-                deltas.append(zero_derivation(ring, fam_maps[i]))
-                continue
-            src = spec.deriv_decls.get(name)
-            if src is None:
-                raise err("deltas", f"unknown derivation {name!r}")
-            key = f"deriv:{name}"
-            try:
+            key = "deltas"
+            spec.deltas = spec.deltas or ["zero"] * family.n
+            if len(spec.deltas) != family.n:
+                raise err(f"{len(spec.deltas)} deltas for {family.n} variables")
+            deltas = []
+            for name, sigma in zip(spec.deltas, fam_maps):
+                key = "deltas"
+                src = "zero" if name == "zero" else spec.deriv_decls.get(name)
+                if src is None:
+                    raise err(f"unknown derivation {name!r}")
+                key = f"deriv:{name}"
                 if src == "zero":
-                    deltas.append(zero_derivation(ring, fam_maps[i]))
+                    deltas.append(zero_derivation(ring, sigma))
                 elif src.startswith("id-minus"):
-                    mname = src.removeprefix("id-minus").strip()
-                    base = resolved_maps.get(mname) or builtin_map(mname)
+                    base = map_named(src.removeprefix("id-minus").strip())
                     deltas.append(id_minus_sigma_derivation(ring, base))
                 else:
                     kv = _parse_kv(src, *pos[key])
                     if "images" not in kv or "sigma" not in kv:
-                        raise SpecError(
-                            "explicit derivations need images=[...] sigma=MAP",
-                            *pos[key],
-                        )
-                    sname = kv["sigma"]
-                    base = resolved_maps.get(sname) or builtin_map(sname)
+                        raise err("explicit derivations need images=[...] sigma=MAP")
+                    base = map_named(kv["sigma"])
                     images = _json_value(kv["images"], f"derivation {name}", *pos[key])
                     deltas.append(
                         verify_sigma_derivation(
                             ring, base, np.asarray(images, dtype=np.int64), name
                         )
                     )
-            except (UnknownNameError, MapVerificationError, RingError, ValueError) as e:
-                raise err(key, e) from None
-        spec.deltas = delta_names
 
-        def elem(token, key):
-            if isinstance(token, str):
-                token = token.strip().strip('"')
-                try:
-                    token = int(token)
-                except ValueError:
+            def elem(token):
+                if isinstance(token, str):
+                    token = token.strip().strip('"')
                     try:
+                        token = int(token)
+                    except ValueError:
                         return ring.element_index(token)
-                    except KeyError as e:
-                        raise err(key, e) from None
-            if type(token) is not int or not 0 <= token < ring.size:
-                raise err(
-                    key, f"{token!r} is not an element index of {ring.name} (size {ring.size})"
-                )
-            return token
+                if type(token) is not int or not 0 <= token < ring.size:
+                    raise err(
+                        f"{token!r} is not an element index of {ring.name} (size {ring.size})"
+                    )
+                return token
 
-        c = {pair: elem(tok, f"c{pair}") for pair, tok in spec.c_entries.items()}
-        d = {}
-        for pair, row in spec.d_entries.items():
-            key = f"d{pair}"
-            if not isinstance(row, list):
-                raise err(key, f"d[{pair[0] + 1},{pair[1] + 1}] must be a JSON list")
-            vals = [elem(v, key) for v in row]
-            if len(vals) == 1:
-                vals += [ring.zero] * family.n
-            if len(vals) != family.n + 1:
-                raise err(
-                    key,
-                    f"d[{pair[0] + 1},{pair[1] + 1}] needs 1 constant + "
-                    f"{family.n} linear entries",
-                )
-            d[pair] = (vals[0], tuple(vals[1:]))
-        for (i, j) in list(c) + list(d):
-            if j >= family.n:
-                raise err("cd", f"c/d entry references x{j + 1} but n = {family.n}")
-        try:
+            c, d = {}, {}
+            for pair, tok in spec.c_entries.items():
+                key = f"c{pair}"
+                c[pair] = elem(tok)
+            for pair, row in spec.d_entries.items():
+                key = f"d{pair}"
+                if not isinstance(row, list):
+                    raise err(f"d[{pair[0] + 1},{pair[1] + 1}] must be a JSON list")
+                vals = [elem(v) for v in row]
+                if len(vals) == 1:
+                    vals += [ring.zero] * family.n
+                if len(vals) != family.n + 1:
+                    raise err(
+                        f"d[{pair[0] + 1},{pair[1] + 1}] needs 1 constant + "
+                        f"{family.n} linear entries"
+                    )
+                d[pair] = (vals[0], tuple(vals[1:]))
+            key = "cd"
+            for (i, j) in list(c) + list(d):
+                if j >= family.n:
+                    raise err(f"c/d entry references x{j + 1} but n = {family.n}")
+            key = "ring"
             spec.system = CommutationSystem(
                 ring, family, delta=deltas, c=c, d=d, name=spec.instance
             )
-        except ValueError as e:
-            raise err("ring", e) from None
-
-    try:
         require_pbw(spec.system)
     except PbwAxiomError as e:
         check, detail = e.report.failures[0]
         key = "cd" if check.startswith(("c_nonzero", "overlap")) and "cd" in pos else "ring"
-        raise err(key, f"axiom violation {check}: {detail}") from None
+        raise err(f"axiom violation {check}: {detail}") from None
+    except _INPUT_ERRORS as e:
+        raise err(_message(e)) from None
 
     for ck in spec.checks:
         if ck.name not in DECIDERS:
@@ -530,6 +517,8 @@ def _resolve_spec(spec: SpecFile, pos: dict) -> None:
                 raise SpecError(
                     f"subset must be one of {', '.join(SUBSETS)}, got {v!r}", ck.line, ck.col
                 )
+            elif v == "block-elementary" and not isinstance(spec.ring, SRing):
+                raise SpecError("subset=block-elementary needs an S ring", ck.line, ck.col)
     declared = {ck.name for ck in spec.checks}
     for name in spec.expects:
         if name not in DECIDERS:
@@ -545,8 +534,6 @@ def _resolve_spec(spec: SpecFile, pos: dict) -> None:
 
 def _budget_from(ck: CheckRequest, spec: SpecFile, defaults: dict) -> SearchBudget:
     kw = {**defaults, **ck.kwargs}
-    if kw.get("subset") == "block-elementary" and not isinstance(spec.ring, SRing):
-        raise SpecError("subset=block-elementary needs an S ring", ck.line, ck.col)
     return SearchBudget(
         degree_bound=int(kw.get("degree_bound", DEFAULT_DEGREE_BOUND)),
         power_bound=int(kw.get("power_bound", DEFAULT_POWER_BOUND)),
@@ -561,23 +548,26 @@ def run_check(ck: CheckRequest, spec: SpecFile, defaults: dict) -> PropertyVerdi
         return decide(spec.ring, instance=instance)
     if ck.name in RIGIDITY:
         return decide(spec.ring, spec.system.sigma, instance=instance)
-    budget = _budget_from(ck, spec, defaults)
     inst = spec.ring if ck.name == "weak_armendariz" else spec.system
-    try:
-        return decide(inst, budget, instance=instance)
-    except NotEndomorphismTypeError as e:
-        raise SpecError(str(e), ck.line, ck.col) from None
+    return decide(inst, _budget_from(ck, spec, defaults), instance=instance)
 
 
 def run_spec(spec: SpecFile, defaults: dict | None = None) -> tuple[list[dict], int]:
-    """Execute every check; returns (records, exit_code)."""
+    """Execute every check; returns (records, exit_code).
+
+    A check that the library refuses (a budget it would exceed, a
+    derivation it cannot take) raises a SpecError at that check.
+    """
     defaults = defaults or {}
     context = {"source": "spec", "spec_text": spec.serialize()}
     records = []
     mismatch = False
     for ck in spec.checks:
         t0 = time.perf_counter()
-        verdict = run_check(ck, spec, defaults)
+        try:
+            verdict = run_check(ck, spec, defaults)
+        except _INPUT_ERRORS as e:
+            raise SpecError(_message(e), ck.line, ck.col) from None
         ms = round((time.perf_counter() - t0) * 1000.0, 3)
         rec = {
             "check": verdict.property,
@@ -642,28 +632,24 @@ def _text_line(rec: dict) -> str:
 
 
 def cmd_check(args) -> int:
+    defaults = {
+        k: v
+        for k, v in (
+            ("degree_bound", args.degree_bound),
+            ("power_bound", args.power_bound),
+            ("pair_cap", args.budget),
+        )
+        if v is not None
+    }
     try:
-        text = open(args.spec_file, encoding="utf-8").read()
+        with open(args.spec_file, encoding="utf-8") as fh:
+            spec = parse_spec(fh.read())
+        records, code = run_spec(spec, defaults)
     except OSError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    try:
-        spec = parse_spec(text)
-        defaults = {
-            k: v
-            for k, v in (
-                ("degree_bound", args.degree_bound),
-                ("power_bound", args.power_bound),
-                ("pair_cap", args.budget),
-            )
-            if v is not None
-        }
-        records, code = run_spec(spec, defaults)
     except SpecError as e:
         print(f"{args.spec_file}:{e}", file=sys.stderr)
-        return 2
-    except (RingError, UnknownNameError) as e:
-        print(f"error: {e}", file=sys.stderr)
         return 2
     as_json = args.json or (spec.output_json and not args.text)
     _emit(records, as_json)
@@ -681,8 +667,8 @@ def cmd_verify_theorems(args) -> int:
             pair_cap=args.budget if args.budget is not None else DEFAULT_PAIR_CAP,
             ideal_mode=args.ideal_mode,
         )
-    except KeyError as e:
-        print(f"error: {e.args[0]}", file=sys.stderr)
+    except (KeyError, RingError) as e:
+        print(f"error: {_message(e)}", file=sys.stderr)
         return 2
     ms = round((time.perf_counter() - t0) * 1000.0, 3)
     records = [r.to_record() for r in reports]
@@ -759,19 +745,19 @@ def _reverify(rec: dict) -> tuple[bool, str]:
 
 
 def cmd_explain(args) -> int:
-    try:
-        text = open(args.witness_file, encoding="utf-8").read()
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
     records = []
     try:
+        with open(args.witness_file, encoding="utf-8") as fh:
+            text = fh.read()
         for ln, line in enumerate(text.splitlines(), start=1):
             if not line.strip():
                 continue
             rec = json.loads(line)
             if isinstance(rec, dict) and rec.get("record") != "summary":
                 records.append((ln, rec))
+    except OSError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 2
     except json.JSONDecodeError as e:
         print(f"{args.witness_file}: bad record: {e}", file=sys.stderr)
         return 2
@@ -781,9 +767,12 @@ def cmd_explain(args) -> int:
     all_ok = True
     out = []
     for ln, rec in records:
+        # a stored record is untyped JSON: a field of the wrong type raises
+        # TypeError or AttributeError and marks the record BAD, like any
+        # other input error
         try:
             ok, msg = _reverify(rec)
-        except (KeyError, ValueError, RingError, SpecError) as e:
+        except (*_INPUT_ERRORS, TypeError, AttributeError, SpecError) as e:
             ok, msg = False, f"cannot re-verify: {e}"
         all_ok = all_ok and ok
         out.append(

@@ -69,7 +69,7 @@ class SearchBudget:
     power_bound: int = DEFAULT_POWER_BOUND
     pair_cap: int = DEFAULT_PAIR_CAP
     subset: np.ndarray | None = None
-    subset_name: str = "full"
+    subset_name: str = "explicit"
 
 
 @dataclass
@@ -270,11 +270,18 @@ def _digit_rows(P: int, k: int, M: int) -> np.ndarray:
     return out
 
 
-def _coeff_subset(ring: FiniteRing, budget: SearchBudget) -> np.ndarray:
-    """The searched coefficients, ascending, zero always included."""
+def _coeff_subset(ring: FiniteRing, budget: SearchBudget, M: int) -> np.ndarray:
+    """The searched coefficients, ascending, zero always included.
+
+    Raises the pair_cap BudgetError for polynomials with M coefficients
+    before the full carrier is listed.
+    """
     if budget.subset is None:
+        _check_pair_cap(ring.size, M, budget.pair_cap)
         return np.arange(ring.size, dtype=np.int64)
-    return kernels.dedupe(np.append(np.asarray(budget.subset, dtype=np.int64), ring.zero))[0]
+    subset = kernels.dedupe(np.append(np.asarray(budget.subset, dtype=np.int64), ring.zero))[0]
+    _check_pair_cap(subset.size, M, budget.pair_cap)
+    return subset
 
 
 def _check_pair_cap(k: int, M: int, cap: int) -> None:
@@ -291,9 +298,8 @@ def _check_pair_cap(k: int, M: int, cap: int) -> None:
     )
 
 
-def _enumerate_polys(ring: FiniteRing, exps: list[tuple], budget: SearchBudget):
+def _enumerate_polys(ring: FiniteRing, exps: list[tuple], subset: np.ndarray):
     """Coefficient rows over the subset, stably sorted into degree blocks."""
-    subset = _coeff_subset(ring, budget)
     k = int(subset.size)
     M = len(exps)
     P = k**M
@@ -426,8 +432,7 @@ def _zero_product_search(
             f"{prop} needs an endomorphism-type extension (all derivations zero)"
         )
     D = budget.degree_bound
-    k = ring.size if budget.subset is None else _coeff_subset(ring, budget).size
-    _check_pair_cap(k, comb(sys.n + D, sys.n), budget.pair_cap)
+    coeffs = _coeff_subset(ring, budget, comb(sys.n + D, sys.n))
     if mode == 4 and 2 * D * budget.power_bound > POWER_DEGREE_CAP:
         raise BudgetError(
             f"power_bound={budget.power_bound} forms powers of degree "
@@ -436,8 +441,8 @@ def _zero_product_search(
     exps = monomials_upto(sys.n, D)
     exps_out = monomials_upto(sys.n, 2 * D)
     stc = monomial_product_table(sys, exps, exps_out)
-    moves = move_past_tables(sys, exps, _coeff_subset(ring, budget))
-    polys, deg_starts = _enumerate_polys(ring, exps, budget)
+    moves = move_past_tables(sys, exps, coeffs)
+    polys, deg_starts = _enumerate_polys(ring, exps, coeffs)
     keep = _nilpotent_filter(sys, exps_out, budget) if mode == 4 else None
     if ring.is_table_backed:
         witness, pairs, selected = kernels.search_zero_products_table(

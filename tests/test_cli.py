@@ -79,6 +79,9 @@ def test_parse_errors_carry_position():
     with pytest.raises(SpecError) as e:
         parse_spec("ring Z4\nexpect reduced=maybe\n")
     assert "CHECK=STATUS" in str(e.value)
+    # check options are all validated before any check runs
+    with pytest.raises(SpecError, match="^line 2, col 1: subset=block-elementary needs an S"):
+        parse_spec("ring Z4\ncheck weak_armendariz subset=block-elementary\n")
     with pytest.raises(SpecError) as e:
         parse_spec("ring Z4\ncheck nosuchprop\n")
     assert "unknown check" in str(e.value)
@@ -169,8 +172,10 @@ def test_zero_commutation_coefficient_rejected(tmp_path, capsys):
     ("check weak_armendariz pair_cap=lots\n", 2, "pair_cap must be an integer, got 'lots'"),
     ("check weak_armendariz degree_bound=1 subset=bogus\n", 2,
      "subset must be one of full, block-elementary, got 'bogus'"),
+    ("check reduced\ncheck weak_armendariz subset=block-elementary\n", 3,
+     "subset=block-elementary needs an S ring"),
 ], ids=["c-range", "d-range", "d-not-list", "degree-negative", "degree-not-int",
-        "power-zero", "pair-cap-not-int", "subset-unknown"])
+        "power-zero", "pair-cap-not-int", "subset-unknown", "subset-not-s-ring"])
 def test_bad_spec_numbers_exit_2(tmp_path, capsys, body, line, fragment):
     path = write(tmp_path, "bad.spec", "ring Z3\n" + body)
     code, out, err = run_cli(capsys, "check", path)
@@ -349,6 +354,15 @@ def test_verify_theorems_single_instance(tmp_path, capsys):
 def test_verify_theorems_unknown_instance(capsys):
     code, out, err = run_cli(capsys, "verify-theorems", "--instance", "Z5/id")
     assert code == 2 and "unknown instance" in err
+
+
+def test_verify_theorems_budget_error_exits_2(capsys):
+    code, out, err = run_cli(capsys, "verify-theorems", "--budget", "1")
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: 64 polynomial pairs exceed pair_cap=1; "
+        "lower the degree bound or pass a coefficient subset\n"
+    )
 
 
 def strip_wall(text):
@@ -562,6 +576,34 @@ def test_explain_rejects_tampered_witness(tmp_path, capsys, check, spec, path, v
     target[field] = value
     code, row = explain_one(tmp_path, capsys, rec)
     assert code == 1 and row["verified"] is False
+
+
+def test_explain_malformed_fields_are_bad_records(tmp_path, capsys):
+    rec = check_fails(tmp_path, capsys, "weak_armendariz", "m2")
+    broken = [
+        {**rec, "witness": "abc"},
+        {**rec, "witness": {**rec["witness"], "f_terms": 5}},
+        {**rec, "context": "abc"},
+    ]
+    ndjson = write(tmp_path, "bad.ndjson", "".join(json.dumps(r) + "\n" for r in broken))
+    code, out, err = run_cli(capsys, "explain", ndjson)
+    assert (code, err) == (1, "")
+    assert [line.partition(": cannot re-verify: ")[0] for line in out.splitlines()] == [
+        f"[BAD] record at line {ln}" for ln in (1, 2, 3)
+    ]
+
+
+def test_check_budget_error_names_the_check(tmp_path, capsys):
+    path = write(
+        tmp_path, "s3.spec",
+        "system s-negate-b(Z3)\ncheck skew_armendariz subset=full degree_bound=0\n",
+    )
+    code, out, err = run_cli(capsys, "check", path)
+    assert (code, out) == (2, "")
+    assert err == (
+        f"{path}:line 2, col 1: 282429536481 polynomial pairs exceed pair_cap=50000000; "
+        "lower the degree bound or pass a coefficient subset\n"
+    )
 
 
 def test_check_needing_zero_derivations_exits_2(tmp_path, capsys):

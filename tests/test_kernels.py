@@ -28,6 +28,7 @@ from skewlab.poly import (
 from skewlab.properties import (
     PropertyVerdict,
     SearchBudget,
+    _coeff_subset,
     _enumerate_polys,
     _mono_str,
     _row_poly,
@@ -118,7 +119,7 @@ def _search_inputs(sysname, degree_bound=1, subset=None, subset_name="full"):
     exps_out = monomials_upto(sys.n, 2 * degree_bound)
     stc = monomial_product_table(sys, exps, exps_out)
     moves = move_past_tables(sys, exps, np.arange(ring.size))
-    polys, deg_starts = _enumerate_polys(ring, exps, budget)
+    polys, deg_starts = _enumerate_polys(ring, exps, _coeff_subset(ring, budget, len(exps)))
     return sys, polys, deg_starts, moves, stc
 
 
@@ -174,7 +175,9 @@ _PROPS = {
 
 def _poly_pairs_engine(sys, exps, budget):
     """Yield (f, g, row_f, row_g) in the canonical pair order."""
-    polys, deg_starts = _enumerate_polys(sys.ring, exps, budget)
+    polys, deg_starts = _enumerate_polys(
+        sys.ring, exps, _coeff_subset(sys.ring, budget, len(exps))
+    )
     nblocks = deg_starts.shape[0] - 1
 
     @functools.cache

@@ -193,6 +193,15 @@ def test_block_elementary_sizes():
         block_elementary_subset(get_ring("Z4"))
 
 
+def test_explicit_subset_named_in_bound():
+    # a caller's own subset array is not reported as the full carrier
+    v = P.is_weak_sigma_skew_armendariz(
+        get_system("untwisted(R3(Z2))"),
+        SearchBudget(degree_bound=1, subset=np.asarray([1, 2, 4, 8])),
+    )
+    assert (v.bound["subset"], v.bound["polys"]) == ("explicit", 25)
+
+
 def test_pair_cap_budget():
     with pytest.raises(BudgetError):
         is_weak_armendariz(get_ring("M2(Z2)"), SearchBudget(degree_bound=2, pair_cap=1000))
