@@ -246,11 +246,34 @@ def _int_value(token: str, what: str, line: int = 0, col: int = 0, minimum=None)
     return value
 
 
-def _json_value(token: str, what: str, line: int, col: int):
+def _ints(v, depth: int) -> bool:
+    """v is a list of int32 values nested `depth` deep (bools are not integers).
+
+    Tables and images are stored as int32, and a wider value would wrap
+    into range silently.
+    """
+    if depth == 0:
+        return type(v) is int and -(1 << 31) <= v < 1 << 31
+    return isinstance(v, list) and all(_ints(x, depth - 1) for x in v)
+
+
+# the JSON shapes a spec value may take: description, test
+_SHAPES = {
+    "list": ("list", lambda v: isinstance(v, list)),
+    "ints": ("list of 32-bit integers", lambda v: _ints(v, 1)),
+    "table": ("list of lists of 32-bit integers", lambda v: _ints(v, 2)),
+}
+
+
+def _json_value(token: str, what: str, line: int, col: int, shape: str = "list"):
     try:
-        return json.loads(token)
+        value = json.loads(token)
     except json.JSONDecodeError as e:
         raise SpecError(f"bad JSON in {what}: {e}", line, col) from None
+    desc, ok = _SHAPES[shape]
+    if not ok(value):
+        raise SpecError(f"{what} must be a JSON {desc}", line, col)
+    return value
 
 
 _CD_RE = re.compile(r"([cd])\s*\[\s*(\d+)\s*,\s*(\d+)\s*\]\s*=\s*(.+)")
@@ -283,8 +306,8 @@ def parse_spec(text: str) -> SpecFile:
                             f"explicit ring tables need {sorted(missing)}", line, col
                         )
                     spec.ring_tables = {
-                        "add": _json_value(kv["add"], "add table", line, col),
-                        "mul": _json_value(kv["mul"], "mul table", line, col),
+                        "add": _json_value(kv["add"], "add table", line, col, "table"),
+                        "mul": _json_value(kv["mul"], "mul table", line, col, "table"),
                         "one": _int_value(kv["one"], "one", line, col),
                         "names": _json_value(kv["names"], "names", line, col),
                     }
@@ -413,7 +436,7 @@ def _resolve_spec(spec: SpecFile, pos: dict) -> None:
             for name, src in spec.map_decls.items():
                 key = f"map:{name}"
                 if src.lstrip().startswith("["):
-                    images = _json_value(src, f"map {name}", *pos[key])
+                    images = _json_value(src, f"map {name}", *pos[key], "ints")
                     resolved_maps[name] = verify_endomorphism(
                         ring, np.asarray(images, dtype=np.int64), name
                     )
@@ -448,7 +471,7 @@ def _resolve_spec(spec: SpecFile, pos: dict) -> None:
                     if "images" not in kv or "sigma" not in kv:
                         raise err("explicit derivations need images=[...] sigma=MAP")
                     base = map_named(kv["sigma"])
-                    images = _json_value(kv["images"], f"derivation {name}", *pos[key])
+                    images = _json_value(kv["images"], f"derivation {name}", *pos[key], "ints")
                     deltas.append(
                         verify_sigma_derivation(
                             ring, base, np.asarray(images, dtype=np.int64), name
@@ -474,8 +497,6 @@ def _resolve_spec(spec: SpecFile, pos: dict) -> None:
                 c[pair] = elem(tok)
             for pair, row in spec.d_entries.items():
                 key = f"d{pair}"
-                if not isinstance(row, list):
-                    raise err(f"d[{pair[0] + 1},{pair[1] + 1}] must be a JSON list")
                 vals = [elem(v) for v in row]
                 if len(vals) == 1:
                     vals += [ring.zero] * family.n
@@ -631,6 +652,15 @@ def _text_line(rec: dict) -> str:
 # subcommands
 
 
+def _read_text(path: str) -> str:
+    """The file's text; a file that is not UTF-8 raises OSError, like one that cannot be read."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as e:
+        raise OSError(f"{path}: not UTF-8 text: {e.reason} at byte {e.start}") from None
+
+
 def cmd_check(args) -> int:
     defaults = {
         k: v
@@ -642,8 +672,7 @@ def cmd_check(args) -> int:
         if v is not None
     }
     try:
-        with open(args.spec_file, encoding="utf-8") as fh:
-            spec = parse_spec(fh.read())
+        spec = parse_spec(_read_text(args.spec_file))
         records, code = run_spec(spec, defaults)
     except OSError as e:
         print(f"error: {e}", file=sys.stderr)
@@ -735,6 +764,8 @@ def _reverify(rec: dict) -> tuple[bool, str]:
             + (f" (the record differs at {', '.join(bad)})" if bad else "")
         )
     check = rec["check"]
+    if rec["status"] not in EXPECT_STATUSES:
+        raise ValueError(f"status {rec['status']!r} is not one of {', '.join(EXPECT_STATUSES)}")
     if rec["status"] != "fails":
         return True, f"{check} on {rec['instance']}: status {rec['status']}, no witness to re-verify"
     if "context" not in rec:
@@ -747,9 +778,7 @@ def _reverify(rec: dict) -> tuple[bool, str]:
 def cmd_explain(args) -> int:
     records = []
     try:
-        with open(args.witness_file, encoding="utf-8") as fh:
-            text = fh.read()
-        for ln, line in enumerate(text.splitlines(), start=1):
+        for ln, line in enumerate(_read_text(args.witness_file).splitlines(), start=1):
             if not line.strip():
                 continue
             rec = json.loads(line)

@@ -18,7 +18,7 @@ import zlib
 
 import numpy as np
 
-from .rings import BudgetError, FiniteRing, SRing, _CHUNK
+from .rings import BudgetError, FiniteRing, SRing, _CHUNK, _first_violation
 
 DEFAULT_CLOSURE_CAP = 4096
 DEFAULT_PAIR_CAP = 2048  # exhaustive pair checks up to this carrier size
@@ -158,19 +158,31 @@ class SigmaDerivation:
         return f"<SigmaDerivation {self.name} on {self.ring.name}>"
 
 
-def _all_pairs(ring: FiniteRing):
-    idx = np.arange(ring.size)
-    a = np.repeat(idx, ring.size)
-    b = np.tile(idx, ring.size)
-    return a, b
-
-
-def _law_pairs(ring: FiniteRing, pair_cap: int, samples: int):
-    """Every pair of a carrier up to pair_cap elements, else `samples` pairs drawn with seed 0."""
-    if ring.size <= pair_cap:
-        return _all_pairs(ring)
+def _law_pairs(ring: FiniteRing, samples: int):
+    """`samples` pairs of the carrier, drawn with seed 0."""
     rng = np.random.default_rng(0)
     return rng.integers(0, ring.size, size=samples), rng.integers(0, ring.size, size=samples)
+
+
+def _law_violation(ring: FiniteRing, laws, pair_cap: int, samples: int):
+    """First (law, (a, b)) with bad(a, b) True over the laws, in order, or None.
+
+    Each `bad` broadcasts over element arrays.  A carrier of at most
+    pair_cap elements is swept exhaustively, law by law over blocks of
+    rows a of at most _CHUNK cells, so the witness is the law's
+    row-major first failure; above pair_cap, `samples` seeded pairs are
+    checked.
+    """
+    n = ring.size
+    if n <= pair_cap:
+        step, b = max(1, _CHUNK // n), np.arange(n)
+        rows = [np.arange(lo, min(lo + step, n))[:, None] for lo in range(0, n, step)]
+        return _first_violation(
+            (law, lambda bad=bad: (bad(a, b) for a in rows)) for law, bad in laws
+        )
+    a, b = _law_pairs(ring, samples)
+    hit = _first_violation((law, lambda bad=bad: bad(a, b)) for law, bad in laws)
+    return hit and (hit[0], (int(a[hit[1][0]]), int(b[hit[1][0]])))
 
 
 def verify_endomorphism(
@@ -190,15 +202,12 @@ def verify_endomorphism(
         raise MapVerificationError(name, "unital", (ring.one, int(tab[ring.one])))
     if int(tab[ring.zero]) != ring.zero:
         raise MapVerificationError(name, "preserves_zero", (ring.zero, int(tab[ring.zero])))
-    a, b = _law_pairs(ring, pair_cap, samples)
-    bad = tab[ring.add(a, b)] != ring.add(tab[a], tab[b])
-    if bad.any():
-        k = int(np.argmax(bad))
-        raise MapVerificationError(name, "additive", (int(a[k]), int(b[k])))
-    bad = tab[ring.mul(a, b)] != ring.mul(tab[a], tab[b])
-    if bad.any():
-        k = int(np.argmax(bad))
-        raise MapVerificationError(name, "multiplicative", (int(a[k]), int(b[k])))
+    hit = _law_violation(ring, (
+        ("additive", lambda a, b: tab[ring.add(a, b)] != ring.add(tab[a], tab[b])),
+        ("multiplicative", lambda a, b: tab[ring.mul(a, b)] != ring.mul(tab[a], tab[b])),
+    ), pair_cap, samples)
+    if hit:
+        raise MapVerificationError(name, *hit)
     return RingMap(ring, tab, name)
 
 
@@ -212,17 +221,16 @@ def verify_sigma_derivation(
 ) -> SigmaDerivation:
     """Check additivity and the twisted Leibniz rule; raise on failure."""
     tab = _image_table(ring.size, images)
-    a, b = _law_pairs(ring, pair_cap, samples)
-    bad = tab[ring.add(a, b)] != ring.add(tab[a], tab[b])
-    if bad.any():
-        k = int(np.argmax(bad))
-        raise MapVerificationError(name, "additive", (int(a[k]), int(b[k])))
-    lhs = tab[ring.mul(a, b)]
-    rhs = ring.add(ring.mul(sigma(a), tab[b]), ring.mul(tab[a], b))
-    bad = lhs != rhs
-    if bad.any():
-        k = int(np.argmax(bad))
-        raise MapVerificationError(name, "twisted_leibniz", (int(a[k]), int(b[k])))
+
+    def leibniz(a, b):
+        return tab[ring.mul(a, b)] != ring.add(ring.mul(sigma(a), tab[b]), ring.mul(tab[a], b))
+
+    hit = _law_violation(ring, (
+        ("additive", lambda a, b: tab[ring.add(a, b)] != ring.add(tab[a], tab[b])),
+        ("twisted_leibniz", leibniz),
+    ), pair_cap, samples)
+    if hit:
+        raise MapVerificationError(name, *hit)
     return SigmaDerivation(ring, sigma, tab, name)
 
 
@@ -239,20 +247,23 @@ def verify_block_endomorphism(ring: SRing, phi, psi, chi, name: str) -> RingMap:
     for label, tab in (("phi", phi), ("chi", chi)):
         if int(tab[blk.one]) != blk.one:
             raise MapVerificationError(name, f"{label}_unital", (blk.one, int(tab[blk.one])))
-    a, b = _all_pairs(blk)
-    for law, lhs, rhs in (
-        ("phi_additive", phi[blk.add(a, b)], blk.add(phi[a], phi[b])),
-        ("phi_multiplicative", phi[blk.mul(a, b)], blk.mul(phi[a], phi[b])),
-        ("chi_additive", chi[blk.add(a, b)], blk.add(chi[a], chi[b])),
-        ("chi_multiplicative", chi[blk.mul(a, b)], blk.mul(chi[a], chi[b])),
-        ("psi_additive", psi[blk.add(a, b)], blk.add(psi[a], psi[b])),
-        ("psi_left_linear", psi[blk.mul(a, b)], blk.mul(phi[a], psi[b])),
-        ("psi_right_linear", psi[blk.mul(a, b)], blk.mul(psi[a], chi[b])),
-    ):
-        bad = lhs != rhs
-        if bad.any():
-            k = int(np.argmax(bad))
-            raise MapVerificationError(name, law, (int(a[k]), int(b[k])))
+    add, mul = blk.add_table, blk.mul_table
+    # law, f, op, g, h: f(a op b) = g(a) op h(b) on every (a, b), one |M|x|M| grid at a time
+    laws = (
+        ("phi_additive", phi, add, phi, phi),
+        ("phi_multiplicative", phi, mul, phi, phi),
+        ("chi_additive", chi, add, chi, chi),
+        ("chi_multiplicative", chi, mul, chi, chi),
+        ("psi_additive", psi, add, psi, psi),
+        ("psi_left_linear", psi, mul, phi, psi),
+        ("psi_right_linear", psi, mul, psi, chi),
+    )
+    hit = _first_violation(
+        (law, lambda f=f, op=op, g=g, h=h: f[op] != op[np.ix_(g, h)])
+        for law, f, op, g, h in laws
+    )
+    if hit:
+        raise MapVerificationError(name, *hit)
     return RingMap(ring, None, name, blocks=(phi, psi, chi))
 
 

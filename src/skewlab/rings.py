@@ -331,8 +331,23 @@ class SRing(FiniteRing):
 # law verification
 
 
-def _first_bad(mask: np.ndarray):
-    return np.unravel_index(int(np.argmax(mask)), mask.shape)
+def _first_violation(laws):
+    """(law, index) of the first failing law, or None.
+
+    `laws` yields (law, masks) pairs in checking order; masks() builds
+    the law's boolean mask, or an iterable of its row blocks, only when
+    every earlier law has passed, so one law's arrays are alive at a
+    time.  The index is the row-major first True of that law's mask.
+    """
+    for law, masks in laws:
+        out = masks()
+        row = 0
+        for mask in (out,) if isinstance(out, np.ndarray) else out:
+            if mask.any():
+                i, *rest = np.unravel_index(int(np.argmax(mask)), mask.shape)
+                return law, (row + int(i), *map(int, rest))
+            row += len(mask)
+    return None
 
 
 def verify_ring_laws(ring: FiniteRing) -> LawReport:
@@ -340,11 +355,10 @@ def verify_ring_laws(ring: FiniteRing) -> LawReport:
     return _verify_block(ring) if isinstance(ring, SRing) else _verify_tables(ring)
 
 
-def _associativity_on(ring: FiniteRing, g: np.ndarray):
-    """First (a, b, c) in g^3 with (ab)c != a(bc), or None."""
+def _mul_associative(ring: FiniteRing, g: np.ndarray) -> np.ndarray:
+    """The mask (ab)c != a(bc) over (a, b, c) in g^3."""
     a, b, c = g[:, None, None], g[None, :, None], g[None, None, :]
-    bad = ring.mul(ring.mul(a, b), c) != ring.mul(a, ring.mul(b, c))
-    return tuple(int(g[k]) for k in _first_bad(bad)) if bad.any() else None
+    return ring.mul(ring.mul(a, b), c) != ring.mul(a, ring.mul(b, c))
 
 
 def _verify_block(ring: SRing) -> LawReport:
@@ -355,19 +369,20 @@ def _verify_block(ring: SRing) -> LawReport:
     the other laws hold on S once they hold on G_S.
     """
     g, blk = ring.additive_generators, ring.block
-    (A1, B1, C1), (A2, B2, C2) = ring.decode(g[:, None]), ring.decode(g[None, :])
-    rule = blk.mul(A1, A2), blk.add(blk.mul(A1, B2), blk.mul(B1, C2)), blk.mul(C1, C2)
-    for law, bad in (
-        ("block_rule", ring.mul(g[:, None], g[None, :]) != ring.encode(*rule)),
-        ("one_left_identity", ring.mul(ring.one, g) != g),
-        ("one_right_identity", ring.mul(g, ring.one) != g),
-    ):
-        if bad.any():
-            violation = (law, tuple(int(g[i]) for i in _first_bad(bad)))
-            break
-    else:
-        w = _associativity_on(ring, g)
-        violation = None if w is None else ("mul_associative", w)
+    x, y = g[:, None], g[None, :]
+
+    def block_rule():
+        (A1, B1, C1), (A2, B2, C2) = ring.decode(x), ring.decode(y)
+        rule = blk.mul(A1, A2), blk.add(blk.mul(A1, B2), blk.mul(B1, C2)), blk.mul(C1, C2)
+        return ring.mul(x, y) != ring.encode(*rule)
+
+    hit = _first_violation([
+        ("block_rule", block_rule),
+        ("one_left_identity", lambda: ring.mul(ring.one, g) != g),
+        ("one_right_identity", lambda: ring.mul(g, ring.one) != g),
+        ("mul_associative", lambda: _mul_associative(ring, g)),
+    ])
+    violation = None if hit is None else (hit[0], tuple(int(g[i]) for i in hit[1]))
     k = len(g)
     return LawReport(ring.name, "block", k**3 + k**2 + 2 * k, violation)
 
@@ -386,15 +401,15 @@ def _verify_tables(ring: TableRing) -> LawReport:
         return report("table_range", (int(add.max()), int(mul.max())))
     if ring.zero == ring.one:
         return report("zero_ne_one", (ring.zero,))
-    for law, bad in (
-        ("add_commutative", add != add.T),
-        ("zero_identity", add[ring.zero] != idx),
-        ("negation_exists", ~(add == ring.zero).any(axis=1)),
-        ("one_left_identity", mul[ring.one] != idx),
-        ("one_right_identity", mul[:, ring.one] != idx),
-    ):
-        if bad.any():
-            return report(law, _first_bad(bad))
+    hit = _first_violation([
+        ("add_commutative", lambda: add != add.T),
+        ("zero_identity", lambda: add[ring.zero] != idx),
+        ("negation_exists", lambda: ~(add == ring.zero).any(axis=1)),
+        ("one_left_identity", lambda: mul[ring.one] != idx),
+        ("one_right_identity", lambda: mul[:, ring.one] != idx),
+    ])
+    if hit:
+        return report(*hit)
     g = ring.additive_generators
     violation = _generator_violation(ring, g)
     if violation and n <= _WITNESS_SWEEP_CAP:
@@ -416,17 +431,20 @@ def _generator_violation(ring: TableRing, gens: np.ndarray):
         for lo in range(0, n, step):
             x = np.arange(lo, min(lo + step, n))
             ax, mx = add[x], mul[x]
-            for law, bad in (
-                ("add_associative", add[ax[:, g]] != ax.take(add[g], axis=1)),
-                ("distributive_left", mx.take(add[:, g], axis=1) != plus.take(mx * n + mx[:, g, None])),
-                ("distributive_right", mul[ax[:, g]] != plus.take(mx * n + mul[g])),
-            ):
-                if bad.any():
-                    i, y = _first_bad(bad)
-                    w = (x[i], y, g) if law == "distributive_left" else (x[i], g, y)
-                    return law, tuple(map(int, w))
-    w = _associativity_on(ring, gens)
-    return None if w is None else ("mul_associative", w)
+            hit = _first_violation([
+                ("add_associative", lambda: add[ax[:, g]] != ax.take(add[g], axis=1)),
+                (
+                    "distributive_left",
+                    lambda: mx.take(add[:, g], axis=1) != plus.take(mx * n + mx[:, g, None]),
+                ),
+                ("distributive_right", lambda: mul[ax[:, g]] != plus.take(mx * n + mul[g])),
+            ])
+            if hit:
+                law, (i, y) = hit
+                w = (x[i], y, g) if law == "distributive_left" else (x[i], g, y)
+                return law, tuple(map(int, w))
+    hit = _first_violation([("mul_associative", lambda: _mul_associative(ring, gens))])
+    return None if hit is None else (hit[0], tuple(int(gens[k]) for k in hit[1]))
 
 
 def _canonical_violation(add: np.ndarray, mul: np.ndarray):

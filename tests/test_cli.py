@@ -166,6 +166,13 @@ def test_zero_commutation_coefficient_rejected(tmp_path, capsys):
     ("maps id, id\nc[1,2] = 5\n", 3, "5 is not an element index of Z3 (size 3)"),
     ("maps id, id\nd[1,2] = [7]\n", 3, "7 is not an element index of Z3 (size 3)"),
     ("maps id, id\nd[1,2] = 7\n", 3, "d[1,2] must be a JSON list"),
+    ("map m = [null, 1, 2]\nmaps m\ncheck reduced\n", 2,
+     "map m must be a JSON list of 32-bit integers"),
+    # 2^32 + 1 would wrap to the image 1 in an int32 table
+    ("map m = [0, 4294967297, 2]\nmaps m\ncheck reduced\n", 2,
+     "map m must be a JSON list of 32-bit integers"),
+    ("ring F2 add=[[0,1],[1,0]] mul=[[0,0],[0,1]] one=1 names=5\ncheck reduced\n", 1,
+     "names must be a JSON list"),
     ("check weak_armendariz degree_bound=-1\n", 2, "degree_bound must be >= 0, got -1"),
     ("check weak_armendariz degree_bound=abc\n", 2, "degree_bound must be an integer, got 'abc'"),
     ("check skew_pi_armendariz power_bound=0\n", 2, "power_bound must be >= 1, got 0"),
@@ -174,10 +181,12 @@ def test_zero_commutation_coefficient_rejected(tmp_path, capsys):
      "subset must be one of full, block-elementary, got 'bogus'"),
     ("check reduced\ncheck weak_armendariz subset=block-elementary\n", 3,
      "subset=block-elementary needs an S ring"),
-], ids=["c-range", "d-range", "d-not-list", "degree-negative", "degree-not-int",
-        "power-zero", "pair-cap-not-int", "subset-unknown", "subset-not-s-ring"])
+], ids=["c-range", "d-range", "d-not-list", "map-not-ints", "map-wide-int", "names-not-list",
+        "degree-negative", "degree-not-int", "power-zero", "pair-cap-not-int",
+        "subset-unknown", "subset-not-s-ring"])
 def test_bad_spec_numbers_exit_2(tmp_path, capsys, body, line, fragment):
-    path = write(tmp_path, "bad.spec", "ring Z3\n" + body)
+    # a body that declares its own ring replaces Z3
+    path = write(tmp_path, "bad.spec", body if body.startswith("ring ") else "ring Z3\n" + body)
     code, out, err = run_cli(capsys, "check", path)
     assert code == 2 and out == ""
     assert err == f"{path}:line {line}, col 1: {fragment}\n"
@@ -210,6 +219,15 @@ def test_bad_budget_flags_exit_2(capsys, argv):
 def test_missing_file_exits_2(capsys):
     code, out, err = run_cli(capsys, "check", "/nonexistent/path.spec")
     assert code == 2 and "error:" in err
+
+
+@pytest.mark.parametrize("command", ["check", "explain"])
+def test_non_utf8_file_exits_2(tmp_path, capsys, command):
+    path = tmp_path / "bytes.txt"
+    path.write_bytes(b"\xff\xfe")
+    code, out, err = run_cli(capsys, command, str(path))
+    assert (code, out) == (2, "")
+    assert err == f"error: {path}: not UTF-8 text: invalid start byte at byte 0\n"
 
 
 def test_explicit_ring_tables(tmp_path, capsys):
@@ -584,13 +602,17 @@ def test_explain_malformed_fields_are_bad_records(tmp_path, capsys):
         {**rec, "witness": "abc"},
         {**rec, "witness": {**rec["witness"], "f_terms": 5}},
         {**rec, "context": "abc"},
+        {**rec, "status": None},
     ]
     ndjson = write(tmp_path, "bad.ndjson", "".join(json.dumps(r) + "\n" for r in broken))
     code, out, err = run_cli(capsys, "explain", ndjson)
     assert (code, err) == (1, "")
     assert [line.partition(": cannot re-verify: ")[0] for line in out.splitlines()] == [
-        f"[BAD] record at line {ln}" for ln in (1, 2, 3)
+        f"[BAD] record at line {ln}" for ln in (1, 2, 3, 4)
     ]
+    assert out.splitlines()[3].endswith(
+        "status None is not one of holds, fails, holds_up_to_bound"
+    )
 
 
 def test_check_budget_error_names_the_check(tmp_path, capsys):
