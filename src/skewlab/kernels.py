@@ -5,14 +5,14 @@ element indices and the first violation (or witness) in that order is
 returned.
 
 Table kernels take dense Cayley tables (int32, shape (n, n)).  The
-zero-product search is one sweep over any pair of vectorized add/mul
-operations: table gathers for tabulated rings, or a ring's own add/mul
-for rings too large to tabulate.  Move-past constants carry the twists
-and derivations, so the same sweep serves every zero-product property.
-`mul` builds one term table per move over the sweep's distinct
-coefficients, and `neg` its negation; the sweep reads products off those
-tables and forms fg one coefficient at a time, each on the pairs still
-zero, the first ones once per degree block pair on distinct f keys.
+zero-product search is one sweep over a vectorized add: table gathers
+for tabulated rings, or a ring's own add for rings too large to
+tabulate.  Its caller hands it every input over K, the searched
+coefficients: polynomial rows of local indices into K, term tables
+whose gathers sum to the coefficients of fg, and one violation mask per
+coefficient cell, so the sweep knows no property, twist or derivation.
+It forms fg one coefficient at a time, each on the pairs still zero,
+the first ones once per degree block pair on distinct f keys.
 """
 from __future__ import annotations
 
@@ -94,34 +94,23 @@ def nilpotent_mask(mul: np.ndarray, zero: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # zero-product pair search
 #
-# add, mul, neg: vectorized ring operations on element-index arrays.
-# polys: (P, M) int32, rows = coefficient vectors over the monomial list,
-#   sorted by (degree, enumeration index), column 0 = constant monomial.
+# add: vectorized ring addition on element-index arrays; zero: its zero.
+# polys: (P, M) rows of local indices into K, the searched coefficients
+#   (ascending, zero at local index 0), over the monomial list, sorted by
+#   (degree, enumeration index); column 0 = constant monomial.
 # deg_starts: (D+2,) row offsets of the degree blocks.
-# moves: move-past constants [(i, k, table)], x^{alpha_i} * b =
-#   sum_k table[b] * x^{alpha_k}; without derivations (i, i, sigma^{alpha_i}).
-# stc: (M, M, G) int32 structure constants: x^{alpha_i} * x^{alpha_j} =
-#   sum_g stc[i,j,g] * x^{gamma_g} over the product monomial list.
-# mode: what each coefficient pair (i, j) of a selected pair must meet:
-#   0 = a_i sigma^(alpha_i)(b_j) nilpotent, 1 = it is zero, 2 = it is zero
-#   for i = 0, 3 = (a_i x^alpha_i)(b_j x^alpha_j) = 0, 4 = a_i b_j nilpotent.
-# nil: elementwise nilpotency of an index array (modes 0 and 4).
+# terms: per coefficient g of fg, the list [(i, j, T, -T)] of |K| x |K|
+#   element tables (`poly.term_tables`): (K[a] x^alpha_i)(K[b] x^alpha_j)
+#   adds T[a, b] to coefficient g, so a pair's coefficient is a sum of
+#   gathers.
+# V: [((i, j), mask)], row-major: mask[a, b] says the coefficient pair
+#   (K[a], K[b]) at cell (i, j) breaks the property searched.
 # keep: None selects the pairs with fg = 0; else keep(row of fg) decides,
 #   asked in pair order and never about a row first seen after the witness.
 #
 # Returns (witness, pairs_checked, selected); witness is (fi, gi, i, j)
 # or None.  Counters cover the pairs enumerated up to and including the
 # witness pair, in (deg f, deg g, f, g) order.
-#
-# The sweep runs on local indices into K, the distinct coefficients of
-# polys (and zero).  (a x^alpha_i)(b x^alpha_j) adds a * table[b] * s to
-# coefficient g for each move (i, k, table) with s = stc[k, j, g] nonzero;
-# each distinct (move, s) gets one |K| x |K| term table of those values,
-# and its negation, built once per sweep through `mul` and `neg`, so a
-# pair's coefficient is a sum of table gathers.  Each mode's condition is
-# one boolean |K| x |K| table per cell (i, j); in mode 3 it ORs over g
-# whether the cell's terms on coefficient g sum to nonzero.  A term table
-# has at most as many entries as the pairs swept: |K|^2 <= k^(2M).
 #
 # Selecting fg = 0 forms one coefficient (a stage) at a time, on the
 # pairs still zero, the leading ones once per degree block pair on the
@@ -136,45 +125,9 @@ def nilpotent_mask(mul: np.ndarray, zero: int) -> np.ndarray:
 # its witness, and a full sweep runs few, large chunks.
 
 
-def _term_tables(mul, neg, K, moves, stc, zero, one):
-    """terms[g] = [(i, j, T, -T)], T[ka, kb] = K[ka] * table[K[kb]] * s, per coefficient g."""
-    tables = {}
-    terms = [[] for _ in range(stc.shape[2])]
-    for m, (i, k, tab) in enumerate(moves):
-        for j in range(stc.shape[1]):
-            for g in range(stc.shape[2]):
-                s = int(stc[k, j, g])
-                if s == zero:
-                    continue
-                if (m, s) not in tables:
-                    t = mul(K[:, None], tab[K][None, :])
-                    t = np.asarray(t if s == one else mul(t, s), dtype=np.int32)
-                    tables[m, s] = (t, np.asarray(neg(t), dtype=np.int32))
-                terms[g].append((i, j, *tables[m, s]))
-    return terms
-
-
-def _violation_tables(add, mul, nil, K, moves, terms, zero, mode, M):
-    """[((i, j), V)], row-major: V[ka, kb] says (K[ka], K[kb]) at cell (i, j) break `mode`."""
-    if mode == 3:
-        cells = {}
-        for tg in terms:
-            for cell in dict.fromkeys(t[:2] for t in tg):
-                total = _coeff(add, lambda T, *_: T, [t for t in tg if t[:2] == cell])
-                cells[cell] = cells.get(cell, False) | (total != zero)
-        return sorted(cells.items())
-    if mode == 4:
-        rows = [~nil(mul(K[:, None], K[None, :]))] * M
-    else:
-        # endomorphism type: moves[i] = (i, i, sigma^alpha_i)
-        prods = [mul(K[:, None], tab[K][None, :]) for _, _, tab in moves[: 1 if mode == 2 else M]]
-        rows = [~nil(p) if mode == 0 else p != zero for p in prods]
-    return [((i, j), v) for i, v in enumerate(rows) for j in range(M)]
-
-
-def _live(terms, F, B, zk):
+def _live(terms, F, B):
     """The term lists without terms on an all-zero column of F or B: those add zero."""
-    fl, bl = (F != zk).any(axis=0), (B != zk).any(axis=0)
+    fl, bl = F.any(axis=0), B.any(axis=0)
     return [[t for t in tg if fl[t[0]] and bl[t[1]]] for tg in terms]
 
 
@@ -199,10 +152,10 @@ def _outer(F, B):
     return lambda T, i, j: T[F[:, i, None], B[None, :, j]]
 
 
-def _products(add, F, B, terms, zk, zero):
+def _products(add, F, B, terms, zero):
     """fg[g, f * len(B) + b]: coefficient g of the product F[f] * B[b]."""
     fg = np.full((len(terms), F.shape[0] * B.shape[0]), zero, dtype=np.int32)
-    for g, tg in enumerate(_live(terms, F, B, zk)):
+    for g, tg in enumerate(_live(terms, F, B)):
         if tg:
             fg[g] = _coeff(add, _outer(F, B), tg).reshape(-1)
     return fg
@@ -234,7 +187,7 @@ def _still_zero(add, F, B, fi, bi, stages, zero):
     return fi, bi
 
 
-def _key_zeros(add, F, B, terms, zk, zero):
+def _key_zeros(add, F, B, terms, zero):
     """The zero-pair filter of a degree block pair F x B: (kf, ptr, zb, rest).
 
     Stages: live coefficients, fewest terms first, ties to the later one (in
@@ -243,12 +196,12 @@ def _key_zeros(add, F, B, terms, zk, zero):
     columns.  Row f has key kf[f], its row on those; key k zeroes the run on
     B rows zb[ptr[k]:ptr[k+1]], ascending.  rest: the later stages.
     """
-    live, ng = _live(terms, F, B, zk), B.shape[0]
+    live, ng = _live(terms, F, B), B.shape[0]
     stages = [tg for *_, tg in sorted((len(tg), -g, tg) for g, tg in enumerate(live) if tg)]
     if not stages:  # no live term: every pair is zero
         return np.zeros(F.shape[0], dtype=np.intp), np.array([0, ng]), np.arange(ng), []
     reads = [{t[0] for tg in stages[: r + 1] for t in tg} for r in range(len(stages))]
-    width = (F != zk).any(axis=0).sum()
+    width = F.any(axis=0).sum()
     run = max(1, sum(len(c) < width for c in reads))
     _, first, kf = dedupe(F[:, sorted(reads[run - 1])])
     keys, step, parts = F[first], max(1, _CHUNK_ELEMS // 4 // ng), []
@@ -278,14 +231,14 @@ def _zero_pairs(add, F, B, plan, f0, zero):
 
 
 def _violations(F, B, fi, bi, V):
-    """((i, j), mask) per coefficient cell: where pair (F[fi], B[bi]) breaks the mode."""
+    """((i, j), mask) per coefficient cell: where V marks pair (F[fi], B[bi])."""
     at = _pairs_at(F, B, fi, bi)
     for (i, j), v in V:
         yield (i, j), at(v, i, j)
 
 
 def _first_cell(F, B, fi, bi, V):
-    """The first (i, j), row-major, that pair (F[fi], B[bi]) breaks."""
+    """The first (i, j), row-major, where V marks pair (F[fi], B[bi])."""
     masks = _violations(F, B, np.array([fi]), np.array([bi]), V)
     return next(cell for cell, mask in masks if mask[0])
 
@@ -313,15 +266,9 @@ def _kept(rows, hit, keep):
     return sel
 
 
-def _sweep(add, mul, neg, polys, deg_starts, moves, stc, nil, zero, one, mode, keep=None):
-    """Scan poly pairs for a selected fg with a coefficient pair breaking `mode`."""
+def _sweep(add, polys, deg_starts, terms, V, zero, keep):
+    """Scan poly pairs for a selected fg with a coefficient pair that V marks."""
     nblocks = deg_starts.shape[0] - 1
-    M = polys.shape[1]
-    K = dedupe(np.append(polys, zero))[0]
-    zk = int(np.searchsorted(K, zero))
-    polys = np.searchsorted(K, polys).astype(np.uint8 if K.size <= 256 else np.int32)
-    terms = _term_tables(mul, neg, K, moves, stc, zero, one)
-    V = _violation_tables(add, mul, nil, K, moves, terms, zero, mode, M)
     pairs = selected = 0
     for df in range(nblocks):
         f0, f1 = int(deg_starts[df]), int(deg_starts[df + 1])
@@ -332,7 +279,7 @@ def _sweep(add, mul, neg, polys, deg_starts, moves, stc, nil, zero, one, mode, k
                 continue
             B = polys[g0:g1]
             if keep is None:
-                plan = _key_zeros(add, polys[f0:f1], B, terms, zk, zero)
+                plan = _key_zeros(add, polys[f0:f1], B, terms, zero)
                 kf, ptr = plan[:2]
                 work, cap = np.append(0, np.cumsum(ptr[kf + 1] - ptr[kf])), _CHUNK_ELEMS >> 3
             else:
@@ -345,7 +292,7 @@ def _sweep(add, mul, neg, polys, deg_starts, moves, stc, nil, zero, one, mode, k
                 if keep is None:
                     cand = _zero_pairs(add, F, B, plan, fc - f0, zero)
                 else:
-                    fg = _products(add, F, B, terms, zk, zero)
+                    fg = _products(add, F, B, terms, zero)
                     cand = np.arange(fg.shape[1])
                 hit = np.zeros(cand.size, dtype=bool)
                 for _, mask in _violations(F, B, cand // ng, cand % ng, V):
@@ -365,28 +312,11 @@ def _sweep(add, mul, neg, polys, deg_starts, moves, stc, nil, zero, one, mode, k
     return None, pairs, selected
 
 
-def search_zero_products_table(
-    polys: np.ndarray, deg_starts: np.ndarray, add: np.ndarray, mul: np.ndarray,
-    moves: list, stc: np.ndarray, nil_mask: np.ndarray, zero: int, one: int, mode: int, keep=None,
-):
-    """The pair sweep over a table ring, with Cayley-table gathers as ops."""
-    neg = np.argmax(add == zero, axis=1)
-    return _sweep(
-        lambda a, b: add[a, b], lambda a, b: mul[a, b], neg.__getitem__,
-        polys, deg_starts, moves, stc, nil_mask.__getitem__, zero, one, mode, keep,
-    )
+def search_zero_products_table(polys, deg_starts, add: np.ndarray, terms, V, zero: int, keep=None):
+    """The pair sweep over a table ring, adding by Cayley-table gathers."""
+    return _sweep(lambda a, b: add[a, b], polys, deg_starts, terms, V, zero, keep)
 
 
-def search_zero_products_generic(
-    ring, polys: np.ndarray, deg_starts: np.ndarray, moves: list, stc: np.ndarray,
-    mode: int, keep=None,
-):
-    """The pair sweep through a ring's vectorized ops; for untabulated rings.
-
-    Nilpotency is read per element through `ring.nil_at`, so no carrier
-    mask is needed.
-    """
-    return _sweep(
-        ring.add, ring.mul, ring.neg, polys, deg_starts, moves, stc, ring.nil_at,
-        ring.zero, ring.one, mode, keep,
-    )
+def search_zero_products_generic(ring, polys, deg_starts, terms, V, keep=None):
+    """The pair sweep through a ring's vectorized add; for untabulated rings."""
+    return _sweep(ring.add, polys, deg_starts, terms, V, ring.zero, keep)

@@ -18,7 +18,7 @@ import zlib
 
 import numpy as np
 
-from .rings import BudgetError, FiniteRing, SRing, _CHUNK, _first_violation
+from .rings import BudgetError, FiniteRing, SRing, _CHUNK, _first_violation, index_table
 
 DEFAULT_CLOSURE_CAP = 4096
 DEFAULT_PAIR_CAP = 2048  # exhaustive pair checks up to this carrier size
@@ -37,12 +37,10 @@ class MapVerificationError(Exception):
 
 
 def _image_table(size: int, images) -> np.ndarray:
-    tab = np.asarray(images, dtype=np.int32)
+    tab = np.asarray(images)
     if tab.shape != (size,):
         raise ValueError(f"image table must have shape ({size},)")
-    if tab.min() < 0 or tab.max() >= size:
-        raise ValueError("image table values out of range")
-    return tab
+    return index_table(tab, size, "image table")
 
 
 def _frozen(tab) -> np.ndarray:
@@ -75,9 +73,6 @@ class RingMap:
         """A block map on decoded triples x = (A, B, C), slot by slot."""
         return tuple(t[s] for t, s in zip(self.blocks, x))
 
-    # the pair sweep reads move-past constants as tab[K] when it builds term tables
-    __getitem__ = __call__
-
     def _parts(self) -> tuple:
         return (self.table,) if self.blocks is None else self.blocks
 
@@ -89,10 +84,6 @@ class RingMap:
         for lo in range(0, self.ring.size, _CHUNK):
             out[lo : lo + _CHUNK] = self(np.arange(lo, min(lo + _CHUNK, self.ring.size)))
         return out
-
-    @property
-    def is_identity(self) -> bool:
-        return all((t == np.arange(t.size)).all() for t in self._parts())
 
     @property
     def is_injective(self) -> bool:

@@ -10,11 +10,11 @@ always held in normal form (coefficients left, variables ascending).
 Terms are listed in the one monomial order used throughout, deglex
 (`deglex_key`), as in the paper's setting of skew PBW extensions.
 Products are computed by a token rewriting engine that applies the
-defining rules leftmost-first until no redex remains.  An independent
-closed-formula route for x^alpha * r is provided as an oracle; the two
-must agree and are never merged.  Long power chains (nilpotency
-certificates) use `NormalProducts`, which memoizes products of single
-variables and coefficients instead of rewriting whole words.
+defining rules leftmost-first until no redex remains; tests/oracles.py
+holds an independent closed-formula route for x^alpha * r, and the two
+must agree.  Long power chains (nilpotency certificates) use
+`NormalProducts`, which memoizes products of single variables and
+coefficients instead of rewriting whole words.
 """
 from __future__ import annotations
 
@@ -144,12 +144,6 @@ class CommutationSystem:
         return True
 
     # polynomial constructors -----------------------------------------
-    def poly(self, terms: dict) -> "SkewPoly":
-        return SkewPoly(self, terms)
-
-    def zero_poly(self) -> "SkewPoly":
-        return SkewPoly(self, {})
-
     def constant(self, r: int) -> "SkewPoly":
         return SkewPoly(self, {(0,) * self.n: int(r)})
 
@@ -414,71 +408,7 @@ class NormalProducts:
 
 
 # ---------------------------------------------------------------------------
-# closed-formula oracle for x^alpha * r
-
-
-def _single(n: int, i: int, m: int) -> tuple:
-    e = [0] * n
-    e[i] = m
-    return tuple(e)
-
-
-def _closed_terms(sys: CommutationSystem, alpha: tuple, r: int) -> dict:
-    ring = sys.ring
-    zero = ring.zero
-    n = sys.n
-    if r == zero:
-        return {}
-    if not any(alpha):
-        return {alpha: r}
-    out: dict[tuple, int] = {}
-    lead = r
-    for i in range(n - 1, -1, -1):
-        m = sys.sigma.maps[i]
-        for _ in range(alpha[i]):
-            lead = m(lead)
-    if lead != zero:
-        out[alpha] = lead
-    for i in range(n):
-        ai = alpha[i]
-        if ai == 0:
-            continue
-        w = r
-        for k in range(n - 1, i, -1):
-            m = sys.sigma.maps[k]
-            for _ in range(alpha[k]):
-                w = m(w)
-        prefix = alpha[:i] + (0,) * (n - i)
-        si = sys.sigma.maps[i]
-        u = w
-        for j in range(1, ai + 1):
-            dval = sys.delta[i](u)
-            u = si(u)
-            if dval == zero:
-                continue
-            inner = _closed_terms(sys, _single(n, i, ai - j), dval)
-            for iexp, cval in inner.items():
-                ti = iexp[i] + (j - 1)
-                for mu, lc in _closed_terms(sys, prefix, cval).items():
-                    e = list(mu)
-                    e[i] = ti
-                    for k in range(i + 1, n):
-                        e[k] = alpha[k]
-                    _accum(ring, out, tuple(e), lc)
-    return out
-
-
-def mono_times_coeff_closed(sys: CommutationSystem, alpha, r: int) -> SkewPoly:
-    """x^alpha * r via the closed summation formula (engine-independent).
-
-    Expands sigma^alpha(r) x^alpha plus, per variable block i, the terms
-    x^(alpha<i) x_i^(alpha_i - j) delta_i(sigma_i^(j-1)(sigma^(alpha>i)(r))) x_i^(j-1) x^(alpha>i),
-    with the prefix blocks expanded by the same formula recursively.
-    """
-    alpha = tuple(int(a) for a in alpha)
-    if len(alpha) != sys.n or any(a < 0 for a in alpha):
-        raise ValueError(f"bad exponent {alpha}")
-    return SkewPoly(sys, _closed_terms(sys, alpha, int(r)))
+# x^alpha * r through the engine
 
 
 def mono_times_coeff_engine(sys: CommutationSystem, alpha, r: int) -> SkewPoly:
@@ -594,30 +524,55 @@ def monomial_product_table(
 
 
 def sigma_power_tables(family: SigmaFamily, exps: list[tuple]) -> list[RingMap]:
-    """The sigma^alpha maps, one per exponent in exps; each is indexed like
-    an image table (m[b]), and a block-diagonal one keeps no carrier table."""
+    """The sigma^alpha maps, one per exponent in exps; a block-diagonal one
+    keeps no carrier table."""
     return [sigma_power(family, e) for e in exps]
 
 
 def move_past_tables(
     sys: CommutationSystem, exps: list[tuple], coeffs: np.ndarray
 ) -> list[tuple[int, int, np.ndarray]]:
-    """Move-past constants [(i, k, table)]: x^a_i * b = sum_k table[b] x^a_k.
+    """Move-past constants [(i, k, table)] over `coeffs`: x^a_i * coeffs[b] =
+    sum_k table[b] x^a_k, each table an array of elements as long as `coeffs`.
 
     Lists the (i, k) pairs that occur, ascending.  Without derivations
-    these are the sigma power rows (x^a * b = sigma^a(b) x^a); otherwise
-    one engine product per (a_i, b) fills them for b in `coeffs`.
+    these are the sigma powers at `coeffs` (x^a * b = sigma^a(b) x^a);
+    otherwise one engine product per (a_i, b) fills them.
     """
     if sys.endomorphism_type:
-        return [(i, i, row) for i, row in enumerate(sigma_power_tables(sys.sigma, exps))]
-    ring = sys.ring
+        return [(i, i, m(coeffs)) for i, m in enumerate(sigma_power_tables(sys.sigma, exps))]
     index = {e: k for k, e in enumerate(exps)}
     tables: dict[tuple[int, int], np.ndarray] = {}
     for i, a in enumerate(exps):
-        for b in coeffs:
-            for e, cval in mono_times_coeff_engine(sys, a, int(b)).terms.items():
+        for kb, b in enumerate(coeffs.tolist()):
+            for e, cval in mono_times_coeff_engine(sys, a, b).terms.items():
                 tab = tables.get((i, index[e]))
                 if tab is None:
-                    tab = tables[i, index[e]] = np.full(ring.size, ring.zero, dtype=np.int32)
-                tab[b] = cval
+                    tab = tables[i, index[e]] = np.full(len(coeffs), sys.ring.zero, dtype=np.int32)
+                tab[kb] = cval
     return [(i, k, tables[i, k]) for i, k in sorted(tables)]
+
+
+def term_tables(ring: FiniteRing, K: np.ndarray, moves: list, stc: np.ndarray) -> list:
+    """The pair sweep's term tables over K, per coefficient g of a product.
+
+    terms[g] = [(i, j, T, -T)] with T[a, b] = K[a] * table[b] * s for each
+    move (i, k, table) (`move_past_tables` over K) and s = stc[k, j, g]
+    nonzero: (K[a] x^a_i)(K[b] x^a_j) adds T[a, b] to coefficient g.  Each
+    distinct (move, s) gets one table and its negation; a table has no
+    more entries than the search has pairs, |K|^2 <= |K|^(2M).
+    """
+    tables = {}
+    terms = [[] for _ in range(stc.shape[2])]
+    for m, (i, k, tab) in enumerate(moves):
+        for j in range(stc.shape[1]):
+            for g in range(stc.shape[2]):
+                s = int(stc[k, j, g])
+                if s == ring.zero:
+                    continue
+                if (m, s) not in tables:
+                    t = ring.mul(K[:, None], tab[None, :])
+                    t = np.asarray(t if s == ring.one else ring.mul(t, s), dtype=np.int32)
+                    tables[m, s] = (t, np.asarray(ring.neg(t), dtype=np.int32))
+                terms[g].append((i, j, *tables[m, s]))
+    return terms

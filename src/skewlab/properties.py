@@ -5,9 +5,12 @@ twist maps are decided exactly (verdict Holds or Fails with witness).
 Statements quantified over all polynomials are searched up to a degree
 bound and coefficient subset, giving Fails with witness or
 HoldsUpToBound with the bound descriptor.  All six zero-product
-properties run on the one pair sweep of kernels.py; the rewriting
-engine only builds its constants, certifies nilpotency of products for
-skew_pi_armendariz, and re-checks witnesses.  Every Fails verdict is
+properties run on the one pair sweep of kernels.py, which this module
+hands every input over the searched coefficients; what each property
+asks of a coefficient pair is stated here once (`_violation_tables`,
+`_witness`, `recheck`).  The rewriting engine only builds the sweep's
+constants, certifies nilpotency of products for skew_pi_armendariz,
+and re-checks witnesses.  Every Fails verdict is
 re-checked by `recheck` from its record fields, through an independent
 route (engine arithmetic or direct ring ops), before it is returned;
 `skewlab explain` runs the same re-check on stored records.
@@ -32,6 +35,7 @@ from .poly import (
     monomial_product_table,
     monomials_upto,
     move_past_tables,
+    term_tables,
 )
 from .rings import (
     _CHUNK,
@@ -87,16 +91,6 @@ class PropertyVerdict:
     @property
     def fails(self) -> bool:
         return self.status == "fails"
-
-    def to_record(self) -> dict:
-        return {
-            "record": "verdict",
-            "property": self.property,
-            "instance": self.instance,
-            "status": self.status,
-            "witness": self.witness,
-            "bound": self.bound,
-        }
 
 
 def family_label(family: SigmaFamily) -> str:
@@ -261,8 +255,9 @@ def is_weak_sigma_rigid_ideal(
 
 
 def _digit_rows(P: int, k: int, M: int) -> np.ndarray:
-    """Row r = base-k digits of r, most significant first; shape (P, M)."""
-    out = np.empty((P, M), dtype=np.int64)
+    """Row r = base-k digits of r, most significant first; shape (P, M),
+    uint8 when k <= 256, else int32."""
+    out = np.empty((P, M), dtype=np.uint8 if k <= 256 else np.int32)
     r = np.arange(P)
     for m in range(M - 1, -1, -1):
         out[:, m] = r % k
@@ -271,7 +266,7 @@ def _digit_rows(P: int, k: int, M: int) -> np.ndarray:
 
 
 def _coeff_subset(ring: FiniteRing, budget: SearchBudget, M: int) -> np.ndarray:
-    """The searched coefficients, ascending, zero always included.
+    """The searched coefficients, ascending: zero, index 0, always first.
 
     Raises the pair_cap BudgetError for polynomials with M coefficients
     before the full carrier is listed.
@@ -298,16 +293,15 @@ def _check_pair_cap(k: int, M: int, cap: int) -> None:
     )
 
 
-def _enumerate_polys(ring: FiniteRing, exps: list[tuple], subset: np.ndarray):
-    """Coefficient rows over the subset, stably sorted into degree blocks."""
-    k = int(subset.size)
+def _enumerate_polys(exps: list[tuple], k: int):
+    """Every row of local indices into k searched coefficients (local index
+    0 is zero), as `_digit_rows`, stably sorted into degree blocks."""
     M = len(exps)
-    P = k**M
-    rows = subset[_digit_rows(P, k, M)]
+    rows = _digit_rows(k**M, k, M)
     mdeg = np.array([sum(e) for e in exps], dtype=np.int64)
-    rdeg = ((rows != ring.zero) * mdeg[None, :]).max(axis=1)
+    rdeg = ((rows != 0) * mdeg[None, :]).max(axis=1)
     order = np.argsort(rdeg, kind="stable")
-    polys = np.ascontiguousarray(rows[order], dtype=np.int32)
+    polys = rows[order]
     sdeg = rdeg[order]
     dmax = int(mdeg.max()) if M else 0
     deg_starts = np.searchsorted(sdeg, np.arange(dmax + 2)).astype(np.int64)
@@ -350,8 +344,11 @@ def poly_is_nilpotent(f: SkewPoly, power_bound: int) -> tuple[bool, int]:
     return (True, power_bound) if p.is_zero else (False, 0)
 
 
-# kernel mode per property (see kernels.py); modes 0-2 need all
-# derivations zero, 3 and 4 take any system
+# what each coefficient pair (i, j) of a selected pair must meet, per
+# property: 0 = a_i sigma^(alpha_i)(b_j) nilpotent, 1 = it is zero, 2 = it
+# is zero for i = 0, 3 = (a_i x^alpha_i)(b_j x^alpha_j) = 0, 4 = a_i b_j
+# nilpotent (with fg nilpotent, not zero, selecting the pair); modes 0-2
+# need all derivations zero, 3 and 4 take any system
 _MODE_BY_PROP = {
     "weak_sigma_skew_armendariz": 0,
     "sigma_skew_armendariz": 1,
@@ -440,18 +437,18 @@ def _zero_product_search(
         )
     exps = monomials_upto(sys.n, D)
     exps_out = monomials_upto(sys.n, 2 * D)
-    stc = monomial_product_table(sys, exps, exps_out)
     moves = move_past_tables(sys, exps, coeffs)
-    polys, deg_starts = _enumerate_polys(ring, exps, coeffs)
+    terms = term_tables(ring, coeffs, moves, monomial_product_table(sys, exps, exps_out))
+    V = _violation_tables(ring, coeffs, moves, terms, mode, len(exps))
+    polys, deg_starts = _enumerate_polys(exps, coeffs.size)
     keep = _nilpotent_filter(sys, exps_out, budget) if mode == 4 else None
     if ring.is_table_backed:
         witness, pairs, selected = kernels.search_zero_products_table(
-            polys, deg_starts, ring.add_table, ring.mul_table,
-            moves, stc, ring.nil_mask(), ring.zero, ring.one, mode, keep,
+            polys, deg_starts, ring.add_table, terms, V, ring.zero, keep
         )
     else:
         witness, pairs, selected = kernels.search_zero_products_generic(
-            ring, polys, deg_starts, moves, stc, mode, keep
+            ring, polys, deg_starts, terms, V, keep
         )
     name = instance or f"{sys.name}"
     subset = budget.subset_name if budget.subset is not None else "full"
@@ -460,8 +457,9 @@ def _zero_product_search(
         ("nilpotent_products" if mode == 4 else "zero_products"): selected,
     }
     if witness is not None:
-        del moves  # the re-check builds its own sigma^alpha table
-        wit = _witness(sys, exps, polys, witness, prop, budget.power_bound)
+        fi, gi, *cell = witness
+        rows = coeffs[polys[[fi, gi]]]  # only the witness rows, as elements
+        wit = _witness(sys, exps, rows, cell, prop, budget.power_bound)
         wit.update(counters, degree_bound=D)
         wit.update({"power_bound": budget.power_bound} if mode == 4 else {"subset": subset})
         return _failed(prop, sys, name, wit)
@@ -475,14 +473,39 @@ def _zero_product_search(
     return PropertyVerdict(prop, name, "holds_up_to_bound", bound=bound)
 
 
-def _witness(sys: CommutationSystem, exps, polys, witness, prop: str, power_bound: int) -> dict:
-    """Witness record of a sweep hit; `recheck` then verifies it from these fields."""
+def _violation_tables(ring: FiniteRing, K: np.ndarray, moves, terms, mode: int, M: int) -> list:
+    """The pair sweep's [((i, j), V)], row-major: V[a, b] says the coefficient
+    pair (K[a], K[b]) at cell (i, j) breaks `mode`.
+
+    Mode 3 ORs over the coefficients of fg whether the cell's terms
+    (`term_tables`) sum to nonzero; modes 0-2 read sigma^alpha_i at K off
+    moves[i] = (i, i, table), which is what endomorphism type leaves.
+    """
+    if mode == 3:
+        cells = {}
+        for tg in terms:
+            sums = {}
+            for i, j, T, _ in tg:
+                sums[i, j] = ring.add(sums[i, j], T) if (i, j) in sums else T
+            for cell, total in sums.items():
+                cells[cell] = cells.get(cell, False) | (total != ring.zero)
+        return sorted(cells.items())
+    tabs = [K] if mode == 4 else [tab for *_, tab in moves[: 1 if mode == 2 else M]]
+    prods = np.stack([ring.mul(K[:, None], t[None, :]) for t in tabs])
+    bad = ~ring.nil_at(prods) if mode in (0, 4) else prods != ring.zero
+    rows = [bad[0]] * M if mode == 4 else bad
+    return [((i, j), v) for i, v in enumerate(rows) for j in range(M)]
+
+
+def _witness(sys: CommutationSystem, exps, rows, cell, prop: str, power_bound: int) -> dict:
+    """Witness record of a sweep hit, from the coefficient rows of f and g
+    and the cell (i, j); `recheck` then verifies it from these fields."""
     ring = sys.ring
     mode = _MODE_BY_PROP[prop]
-    fi, gi, i, j = witness
-    f = _row_poly(sys, exps, polys[fi])
-    g = _row_poly(sys, exps, polys[gi])
-    ai, bj = int(polys[fi][i]), int(polys[gi][j])
+    i, j = cell
+    f = _row_poly(sys, exps, rows[0])
+    g = _row_poly(sys, exps, rows[1])
+    ai, bj = int(rows[0][i]), int(rows[1][j])
     wit = {
         "f": str(f),
         "g": str(g),

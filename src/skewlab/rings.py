@@ -135,6 +135,20 @@ class FiniteRing:
         return f"<{type(self).__name__} {self.name} (size {self.size})>"
 
 
+def index_table(values, size: int, what: str) -> np.ndarray:
+    """values as an int32 array of element indices below `size`.
+
+    Checked before the cast, which would wrap a wider integer or truncate
+    a float into range silently.
+    """
+    a = np.asarray(values)
+    if a.dtype.kind not in "iu":
+        raise ValueError(f"{what} must hold integers, not {a.dtype}")
+    if a.size and (a.min() < 0 or a.max() >= size):
+        raise ValueError(f"{what} values out of range [0, {size})")
+    return np.ascontiguousarray(a, dtype=np.int32)
+
+
 class TableRing(FiniteRing):
     """Ring given by dense add/mul tables plus element names."""
 
@@ -148,14 +162,14 @@ class TableRing(FiniteRing):
     ):
         super().__init__()
         self.name = name
-        self.add_table = np.ascontiguousarray(add_table, dtype=np.int32)
-        self.mul_table = np.ascontiguousarray(mul_table, dtype=np.int32)
-        self.size = int(self.add_table.shape[0])
+        self.size = len(add_table)
         if self.size > DEFAULT_TABLE_BUDGET:
             raise BudgetError(
                 f"{name}: table ring of size {self.size} exceeds the "
                 f"budget {DEFAULT_TABLE_BUDGET}"
             )
+        self.add_table = index_table(add_table, self.size, f"{name}: add table")
+        self.mul_table = index_table(mul_table, self.size, f"{name}: mul table")
         self.one = int(one)
         if not 0 <= self.one < self.size:
             raise ValueError(f"{name}: one={self.one} is not an element index below {self.size}")
@@ -397,8 +411,6 @@ def _verify_tables(ring: TableRing) -> LawReport:
 
     if add.shape != (n, n) or mul.shape != (n, n):
         return report("table_shape", (n,))
-    if add.min() < 0 or add.max() >= n or mul.min() < 0 or mul.max() >= n:
-        return report("table_range", (int(add.max()), int(mul.max())))
     if ring.zero == ring.one:
         return report("zero_ne_one", (ring.zero,))
     hit = _first_violation([
@@ -458,7 +470,8 @@ def _canonical_violation(add: np.ndarray, mul: np.ndarray):
 
 
 # ---------------------------------------------------------------------------
-# nilpotency: two independent routes (the power bound is kernels.nilpotent_mask)
+# nilpotency (the power bound is kernels.nilpotent_mask; tests/oracles.py
+# holds the independent cycle-detection route)
 
 
 def power_trajectory(ring: FiniteRing, a: int):
@@ -481,16 +494,6 @@ def power_trajectory(ring: FiniteRing, a: int):
         powers.append(p)
         p = int(ring.mul(p, a))
     return powers, False
-
-
-def nil_mask_cycle_detect(ring: FiniteRing, cap: int = 1 << 14) -> np.ndarray:
-    """Mask of nilpotents by following each power sequence to 0 or a repeat."""
-    if ring.size > cap:
-        raise BudgetError(
-            f"{ring.name}: cycle-detection sweep over {ring.size} elements "
-            f"exceeds cap {cap}; use ring.nil_at()"
-        )
-    return np.array([power_trajectory(ring, a)[1] for a in range(ring.size)], dtype=bool)
 
 
 def nil_set(ring: FiniteRing) -> np.ndarray:
@@ -661,13 +664,6 @@ class SubsetIdeal:
     ring: FiniteRing = field(compare=False)
     elements: tuple[int, ...]
     label: str = ""
-
-    def __contains__(self, a: int) -> bool:
-        return int(a) in self._set
-
-    @cached_property
-    def _set(self) -> frozenset:
-        return frozenset(self.elements)
 
 
 class NotAnIdealError(RingError):

@@ -167,10 +167,6 @@ class TheoremReport:
     status: str  # "pass" | "fail" | "vacuous"
     details: dict = field(default_factory=dict)
 
-    @property
-    def ok(self) -> bool:
-        return self.status != "fail"
-
     def to_record(self) -> dict:
         return {
             "record": "theorem",

@@ -16,7 +16,6 @@ from skewlab.catalog import BUILTIN_RINGS, BUILTIN_SYSTEMS, get_ring, get_system
 from skewlab.maps import SigmaFamily, identity_map
 from skewlab.poly import (
     CommutationSystem,
-    mono_times_coeff_closed,
     mono_times_coeff_engine,
     monomials_upto,
     verify_pbw_axioms,
@@ -30,7 +29,6 @@ from skewlab.properties import (
 )
 from skewlab.rings import (
     SRing,
-    nil_mask_cycle_detect,
     power_trajectory,
     verify_ring_laws,
 )
@@ -40,6 +38,8 @@ from skewlab.theorems import (
     resolve,
     run_all,
 )
+
+from oracles import mono_times_coeff_closed, nil_mask_cycle_detect
 
 
 def verdict_line(num: int, ok: bool, detail: str) -> bool:

@@ -109,9 +109,9 @@ def _records(ring, maps):
     sys = CommutationSystem(ring, SigmaFamily(ring, maps[:1]), name="first-map")
     return {
         "closure": [m.name for m in orbit_closure(fam)],
-        "sigma_rigid": is_sigma_rigid(ring, fam).to_record(),
-        "weak_sigma_rigid": is_weak_sigma_rigid(ring, fam).to_record(),
-        "armendariz": is_weak_sigma_skew_armendariz(sys, budget).to_record(),
+        "sigma_rigid": is_sigma_rigid(ring, fam),
+        "weak_sigma_rigid": is_weak_sigma_rigid(ring, fam),
+        "armendariz": is_weak_sigma_skew_armendariz(sys, budget),
     }, fam
 
 
@@ -146,8 +146,8 @@ def test_rigidity_slices_over_commutative_block_rings(block):
         maps.append(verify_block_endomorphism(ring, t, t, t, "swap3"))
     for decide in (is_sigma_rigid, is_weak_sigma_rigid):
         for m in maps:
-            got = decide(ring, SigmaFamily(ring, [m])).to_record()
-            assert got == decide(ring, SigmaFamily(ring, [_carrier_twin(m)])).to_record()
+            got = decide(ring, SigmaFamily(ring, [m]))
+            assert got == decide(ring, SigmaFamily(ring, [_carrier_twin(m)]))
 
 
 def test_mixed_family_closes_over_carrier_tables():
@@ -369,7 +369,7 @@ def test_s_z4_theorem_suite_memory_guard():
         "from skewlab.theorems import run_all\n"
         "tracemalloc.start()\n"
         "reports = run_all(instance='S(Z4)/negate-B')\n"
-        "print(tracemalloc.get_traced_memory()[1], all(r.ok for r in reports))\n"
+        "print(tracemalloc.get_traced_memory()[1], all(r.status != 'fail' for r in reports))\n"
     )
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     proc = subprocess.run(

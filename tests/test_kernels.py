@@ -21,9 +21,11 @@ from skewlab.maps import (
 )
 from skewlab.poly import (
     CommutationSystem,
+    mono_times_coeff_engine,
     monomial_product_table,
     monomials_upto,
     move_past_tables,
+    term_tables,
 )
 from skewlab.properties import (
     PropertyVerdict,
@@ -32,6 +34,7 @@ from skewlab.properties import (
     _enumerate_polys,
     _mono_str,
     _row_poly,
+    _violation_tables,
     _zero_product_search,
     block_elementary_subset,
     is_sigma_delta_skew_armendariz,
@@ -39,9 +42,10 @@ from skewlab.properties import (
     poly_is_nilpotent,
     poly_terms_record,
 )
-from skewlab.rings import make_zn, nil_mask_cycle_detect
+from skewlab.rings import make_zn
 
 from conftest import get_map, get_ring, get_system
+from oracles import nil_mask_cycle_detect
 
 
 # --- law sweeps --------------------------------------------------------------
@@ -111,30 +115,29 @@ def test_nil_mask_across_backends(name):
 # --- pair search -------------------------------------------------------------
 
 
-def _search_inputs(sysname, degree_bound=1, subset=None, subset_name="full"):
+def _search_inputs(sysname, mode):
+    """The sweep's inputs over K, the full carrier, at degree bound 1."""
     sys = get_system(sysname)
     ring = sys.ring
-    budget = SearchBudget(degree_bound=degree_bound, subset=subset, subset_name=subset_name)
-    exps = monomials_upto(sys.n, degree_bound)
-    exps_out = monomials_upto(sys.n, 2 * degree_bound)
-    stc = monomial_product_table(sys, exps, exps_out)
-    moves = move_past_tables(sys, exps, np.arange(ring.size))
-    polys, deg_starts = _enumerate_polys(ring, exps, _coeff_subset(ring, budget, len(exps)))
-    return sys, polys, deg_starts, moves, stc
+    exps = monomials_upto(sys.n, 1)
+    K = _coeff_subset(ring, SearchBudget(degree_bound=1), len(exps))
+    moves = move_past_tables(sys, exps, K)
+    terms = term_tables(ring, K, moves, monomial_product_table(sys, exps, monomials_upto(sys.n, 2)))
+    V = _violation_tables(ring, K, moves, terms, mode, len(exps))
+    polys, deg_starts = _enumerate_polys(exps, K.size)
+    return ring, polys, deg_starts, terms, V
 
 
 def _table_search(sysname, mode):
-    sys, polys, deg_starts, moves, stc = _search_inputs(sysname)
-    ring = sys.ring
+    ring, polys, deg_starts, terms, V = _search_inputs(sysname, mode)
     return kernels.search_zero_products_table(
-        polys, deg_starts, ring.add_table, ring.mul_table,
-        moves, stc, ring.nil_mask(), ring.zero, ring.one, mode,
+        polys, deg_starts, ring.add_table, terms, V, ring.zero
     )
 
 
 def _generic_search(sysname, mode):
-    sys, polys, deg_starts, moves, stc = _search_inputs(sysname)
-    return kernels.search_zero_products_generic(sys.ring, polys, deg_starts, moves, stc, mode)
+    ring, polys, deg_starts, terms, V = _search_inputs(sysname, mode)
+    return kernels.search_zero_products_generic(ring, polys, deg_starts, terms, V)
 
 
 @pytest.mark.parametrize("sysname,mode", [
@@ -144,8 +147,8 @@ def _generic_search(sysname, mode):
     ("untwisted(Z6)", 1),
 ])
 def test_table_search_identical_across_backends(sysname, mode):
-    # the Cayley-table sweep and the ring.add/ring.mul sweep agree to the
-    # last counter, witness included
+    # the Cayley-table sweep and the ring.add sweep agree to the last
+    # counter, witness included
     assert _table_search(sysname, mode) == _generic_search(sysname, mode)
 
 
@@ -174,21 +177,20 @@ _PROPS = {
 
 
 def _poly_pairs_engine(sys, exps, budget):
-    """Yield (f, g, row_f, row_g) in the canonical pair order."""
-    polys, deg_starts = _enumerate_polys(
-        sys.ring, exps, _coeff_subset(sys.ring, budget, len(exps))
-    )
+    """Yield (f, g) in the canonical pair order."""
+    K = _coeff_subset(sys.ring, budget, len(exps))
+    polys, deg_starts = _enumerate_polys(exps, K.size)
     nblocks = deg_starts.shape[0] - 1
 
     @functools.cache
     def poly_at(r):
-        return _row_poly(sys, exps, polys[r])
+        return _row_poly(sys, exps, K[polys[r]])
 
     for df in range(nblocks):
         for dg in range(nblocks):
             for fi in range(int(deg_starts[df]), int(deg_starts[df + 1])):
                 for gi in range(int(deg_starts[dg]), int(deg_starts[dg + 1])):
-                    yield poly_at(fi), poly_at(gi), polys[fi], polys[gi]
+                    yield poly_at(fi), poly_at(gi)
 
 
 def engine_sweep(sys, budget, mode):
@@ -201,7 +203,7 @@ def engine_sweep(sys, budget, mode):
     nil = nil_mask_cycle_detect(ring)
     exps = monomials_upto(sys.n, budget.degree_bound)
     pairs = zeros = 0
-    for f, g, _, _ in _poly_pairs_engine(sys, exps, budget):
+    for f, g in _poly_pairs_engine(sys, exps, budget):
         pairs += 1
         if not (f * g).is_zero:
             continue
@@ -355,15 +357,11 @@ def product_blocks(draw):
 def test_staged_filter_matches_full_products(drawn, data):
     sys, exps, exps_out, pool, moves, stc, F, B, coeffs, dense = drawn
     ring = sys.ring
-    if ring.is_table_backed:
-        add, mul = (lambda a, b: ring.add_table[a, b]), (lambda a, b: ring.mul_table[a, b])
-    else:
-        add, mul = ring.add, ring.mul
-    # the term tables index the pool, as the sweep indexes K, its distinct coefficients
-    terms = kernels._term_tables(mul, ring.neg, pool, moves, stc, ring.zero, ring.one)
-    zk = int(np.searchsorted(pool, ring.zero))
+    add = (lambda a, b: ring.add_table[a, b]) if ring.is_table_backed else ring.add
+    # the pool is K, the searched coefficients: the sweep reads local indices into it
+    terms = term_tables(ring, pool, moves, stc)
     Fk, Bk = np.searchsorted(pool, F), np.searchsorted(pool, B)
-    fg = kernels._products(add, Fk, Bk, terms, zk, ring.zero)
+    fg = kernels._products(add, Fk, Bk, terms, ring.zero)
     # the full rows are the engine's products ...
     for f in range(F.shape[0]):
         for b in range(B.shape[0]):
@@ -372,7 +370,7 @@ def test_staged_filter_matches_full_products(drawn, data):
     # ... and the staged filter keeps exactly the all-zero ones (on the
     # drawn coefficients), also when F is swept in two chunks
     terms = [tg if g in coeffs else [] for g, tg in enumerate(terms)]
-    plan = kernels._key_zeros(add, Fk, Bk, terms, zk, ring.zero)
+    plan = kernels._key_zeros(add, Fk, Bk, terms, ring.zero)
     cut = data.draw(st.integers(1, F.shape[0]))
     staged = np.concatenate([
         kernels._zero_pairs(add, Fk[:cut], Bk, plan, 0, ring.zero),
@@ -386,7 +384,8 @@ def test_staged_filter_matches_full_products(drawn, data):
 def _cell_array(add, mul, nil, K, moves, F, B, terms, mode, zero):
     """bad[k, i, j]: the (k, M, M) violation array the sweep built before it
     tested zero pairs one row at a time, kept here as the oracle; each cell
-    is read off the mode's own condition on pair k's coefficients."""
+    is read off the mode's own condition on pair k's coefficients.  F and B
+    hold local indices into K, and so do the move tables."""
     M = F.shape[1]
     bad = np.zeros((F.shape[0], M, M), dtype=bool)
     if mode == 3:
@@ -397,8 +396,8 @@ def _cell_array(add, mul, nil, K, moves, F, B, terms, mode, zero):
         return bad
     for i in range(1 if mode == 2 else M):
         for j in range(M):
-            a, b = K[F[:, i]], K[B[:, j]]
-            prod = mul(a, b) if mode == 4 else mul(a, moves[i][2][b])
+            a, b = K[F[:, i]], B[:, j]
+            prod = mul(a, K[b]) if mode == 4 else mul(a, moves[i][2][b])
             bad[:, i, j] = prod != zero if mode in (1, 2) else ~nil(prod)
     return bad
 
@@ -416,8 +415,8 @@ def test_per_row_violation_test_matches_cell_array(drawn, data):
     # modes 0-2 read sigma^alpha_i off moves[i]: endomorphism type only
     mode = data.draw(st.sampled_from([0, 1, 2, 3, 4] if sys.endomorphism_type else [3, 4]))
     M, zero = len(exps), ring.zero
-    terms = kernels._term_tables(mul, ring.neg, pool, moves, stc, zero, ring.one)
-    V = kernels._violation_tables(add, mul, nil, pool, moves, terms, zero, mode, M)
+    terms = term_tables(ring, pool, moves, stc)
+    V = _violation_tables(ring, pool, moves, terms, mode, M)
     Fk, Bk = np.searchsorted(pool, F), np.searchsorted(pool, B)
     ng = Bk.shape[0]
     # the keep path asks about every pair; the zero-pair path about some
@@ -444,7 +443,7 @@ def test_per_row_violation_test_matches_cell_array(drawn, data):
         assert cell == divmod(int(np.argmax(bad[k])), M)
     if use_keep:
         # the sweep's keep step on both tests: same selection, same first hit
-        fg = kernels._products(add, Fk, Bk, terms, int(np.searchsorted(pool, zero)), zero)
+        fg = kernels._products(add, Fk, Bk, terms, zero)
         parity = data.draw(st.integers(0, 1))
         keep = lambda row: int(row.sum()) % 2 == parity  # noqa: E731
         sel = kernels._kept(fg.T, hit, keep)
@@ -481,10 +480,10 @@ def test_chunk_boundaries_change_nothing(sysname, mode, monkeypatch):
         budget = _block_elementary(sys)
     else:
         budget = SearchBudget(degree_bound=1)
-    default = _zero_product_search(sys, budget, prop, "").to_record()
+    default = _zero_product_search(sys, budget, prop, "")
     for chunk in (1, 64):
         monkeypatch.setattr(kernels, "_CHUNK_ELEMS", chunk)
-        assert _zero_product_search(sys, budget, prop, "").to_record() == default
+        assert _zero_product_search(sys, budget, prop, "") == default
 
 
 def test_early_exit_tests_about_the_zero_pairs_up_to_its_witness(monkeypatch):
@@ -519,7 +518,7 @@ def engine_sigma_delta(sys, budget, instance=""):
     exps = monomials_upto(sys.n, budget.degree_bound)
     name = instance or sys.name
     pairs = zeros = 0
-    for f, g, _, _ in _poly_pairs_engine(sys, exps, budget):
+    for f, g in _poly_pairs_engine(sys, exps, budget):
         pairs += 1
         if not (f * g).is_zero:
             continue
@@ -566,7 +565,7 @@ def engine_skew_pi(sys, budget, instance=""):
     exps = monomials_upto(sys.n, budget.degree_bound)
     name = instance or sys.name
     pairs = nilprods = 0
-    for f, g, _, _ in _poly_pairs_engine(sys, exps, budget):
+    for f, g in _poly_pairs_engine(sys, exps, budget):
         pairs += 1
         ok, k = poly_is_nilpotent(f * g, budget.power_bound)
         if not ok:
@@ -647,21 +646,32 @@ def derivation_systems(draw):
 @given(derivation_systems())
 def test_derivation_deciders_match_engine_oracle(drawn):
     sys, budget = drawn
-    got = is_sigma_delta_skew_armendariz(sys, budget).to_record()
-    assert got == engine_sigma_delta(sys, budget).to_record()
-    got = is_skew_pi_armendariz(sys, budget).to_record()
-    assert got == engine_skew_pi(sys, budget).to_record()
+    assert is_sigma_delta_skew_armendariz(sys, budget) == engine_sigma_delta(sys, budget)
+    assert is_skew_pi_armendariz(sys, budget) == engine_skew_pi(sys, budget)
 
 
 @pytest.mark.parametrize("sysname", ["swap-ore", "quantum-plane(Z3,2)", "untwisted(M2(Z2))"])
 def test_derivation_deciders_match_engine_oracle_catalog(sysname):
     sys = get_system(sysname)
     budget = SearchBudget(degree_bound=1)
-    assert (
-        is_sigma_delta_skew_armendariz(sys, budget).to_record()
-        == engine_sigma_delta(sys, budget).to_record()
-    )
-    assert (
-        is_skew_pi_armendariz(sys, budget).to_record()
-        == engine_skew_pi(sys, budget).to_record()
-    )
+    assert is_sigma_delta_skew_armendariz(sys, budget) == engine_sigma_delta(sys, budget)
+    assert is_skew_pi_armendariz(sys, budget) == engine_skew_pi(sys, budget)
+
+
+@pytest.mark.parametrize("sysname", ["swap-ore", "s-negate-b(Z2)", "s-negate-b(Z3)"])
+def test_move_tables_span_the_searched_coefficients(sysname):
+    # the move tables hold one entry per searched coefficient, not one per
+    # carrier element, and agree with the engine's x^alpha_i * b
+    sys = get_system(sysname)
+    ring = sys.ring
+    K = np.arange(ring.size - 1)  # all but the last element
+    if not ring.is_table_backed:  # delta = id - negate-B: zero over Z2, where -B = B
+        delta = id_minus_sigma_derivation(ring, sys.sigma.maps[0])
+        sys = CommutationSystem(ring, sys.sigma, delta=[delta])
+        K = block_elementary_subset(ring)
+    assert sys.endomorphism_type == (sysname == "s-negate-b(Z2)")
+    exps = monomials_upto(sys.n, 2)
+    for i, k, tab in move_past_tables(sys, exps, K):
+        assert tab.shape == (K.size,)
+        want = [mono_times_coeff_engine(sys, exps[i], int(b)).coeff(exps[k]) for b in K]
+        assert tab.tolist() == want

@@ -27,7 +27,7 @@ from conftest import get_map, get_ring
 def test_identity_map():
     z4 = make_zn(4)
     ident = identity_map(z4)
-    assert ident.is_identity and ident.is_injective
+    assert ident.equals(identity_map(z4)) and ident.is_injective
     assert ident(3) == 3
     assert ident(np.array([1, 2])).tolist() == [1, 2]
 
@@ -36,8 +36,8 @@ def test_swap_is_endomorphism():
     r = get_ring("Z2xZ2")
     swap = get_map(r, "swap")
     assert swap.table.tolist() == [0, 2, 1, 3]
-    assert not swap.is_identity
-    assert swap.compose(swap).is_identity
+    assert not swap.equals(identity_map(r))
+    assert swap.compose(swap).equals(identity_map(r))
 
 
 def test_non_multiplicative_rejected():
@@ -69,7 +69,7 @@ def test_non_additive_rejected():
 def test_frobenius_on_z2xz2():
     r = get_ring("Z2xZ2")
     sq = verify_endomorphism(r, r.mul(np.arange(4), np.arange(4)), "sq")
-    assert sq.is_identity  # x^2 = x in a boolean ring
+    assert sq.equals(identity_map(r))  # x^2 = x in a boolean ring
 
 
 def test_derivation_laws():
@@ -108,7 +108,7 @@ def test_sigma_power_label_and_table():
     p = sigma_power(fam, (3,))
     assert p.name == "s^3"
     assert p.table.tolist() == [0, 2, 1, 3]
-    assert sigma_power(fam, (0,)).is_identity
+    assert sigma_power(fam, (0,)).equals(identity_map(fam.ring))
     with pytest.raises(ValueError):
         sigma_power(fam, (1, 1))
     with pytest.raises(ValueError):
@@ -195,3 +195,14 @@ def test_family_rejects_foreign_map():
     z4, z6 = make_zn(4), make_zn(6)
     with pytest.raises(ValueError):
         SigmaFamily(z4, [identity_map(z6)])
+
+
+@pytest.mark.parametrize("images,error", [
+    (np.array([0, 2**32 + 1, 2]), "out of range"),  # int64: the cast wraps it to 1
+    (np.array([0, 1.7, 2]), "integers"),  # float: the cast truncates it to 1
+    ([0, 2**32, 2], "out of range"),  # the cast raises OverflowError, no input error
+], ids=["wide-int64", "float", "wide-python-int"])
+def test_images_are_checked_before_the_cast(images, error):
+    # cast first, the first two would verify as the identity of Z3
+    with pytest.raises(ValueError, match=error):
+        verify_endomorphism(get_ring("Z3"), images, "m")

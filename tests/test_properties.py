@@ -3,12 +3,11 @@ import numpy as np
 import pytest
 
 from skewlab.maps import SigmaFamily, identity_map
-from skewlab.poly import CommutationSystem, NormalProducts, require_pbw
+from skewlab.poly import CommutationSystem, NormalProducts, SkewPoly, require_pbw
 import skewlab.properties as P
 from skewlab.properties import (
     ConsistencyError,
     NotEndomorphismTypeError,
-    PropertyVerdict,
     SearchBudget,
     block_elementary_subset,
     family_label,
@@ -320,10 +319,10 @@ def test_skew_pi_m2_fails_frozen():
 
 def test_poly_is_nilpotent():
     s4 = get_system("untwisted(Z4)")
-    f = s4.poly({(1,): 2, (0,): 2})
+    f = SkewPoly(s4, {(1,): 2, (0,): 2})
     ok, k = poly_is_nilpotent(f, 4)
     assert ok and k == 2
-    assert poly_is_nilpotent(s4.zero_poly(), 4) == (True, 1)
+    assert poly_is_nilpotent(SkewPoly(s4, {}), 4) == (True, 1)
     assert poly_is_nilpotent(s4.constant(1), 4) == (False, 0)
     # power bound too small: no nilpotency certificate
     assert poly_is_nilpotent(f, 1) == (False, 0)
@@ -354,7 +353,7 @@ def _power_chain_systems():
 
 def _random_poly(sys, rng, degree):
     exps = [e for e in np.ndindex(*(degree + 1,) * sys.n) if sum(e) <= degree]
-    return sys.poly({tuple(int(x) for x in e): int(rng.integers(sys.ring.size)) for e in exps})
+    return SkewPoly(sys, {tuple(int(x) for x in e): int(rng.integers(sys.ring.size)) for e in exps})
 
 
 @pytest.mark.parametrize("at", range(8))
@@ -399,35 +398,16 @@ def test_skew_pi_power_chains_are_bounded():
 
 
 def test_verdicts_identical_across_backends_and_runs():
-    # repeat runs must give identical records
+    # repeat runs must give identical verdicts
     sys = get_system("untwisted(M2(Z2))")
-    records = [
-        is_sigma_skew_armendariz(sys, SearchBudget(degree_bound=1)).to_record()
-        for _ in range(3)
-    ]
-    assert records[0]["status"] == "fails"
-    assert all(r == records[0] for r in records)
+    verdicts = [is_sigma_skew_armendariz(sys, SearchBudget(degree_bound=1)) for _ in range(3)]
+    assert verdicts[0].status == "fails"
+    assert all(v == verdicts[0] for v in verdicts)
 
 
 def test_weak_armendariz_backend_agreement():
-    # repeat runs must give identical records
+    # repeat runs must give identical verdicts
     z6 = get_ring("Z6")
-    recs = [
-        is_weak_armendariz(z6, SearchBudget(degree_bound=2)).to_record()
-        for _ in range(2)
-    ]
-    assert recs[0]["status"] == "holds_up_to_bound"
-    assert recs[0] == recs[1]
-
-
-def test_to_record_field_order():
-    v = PropertyVerdict("p", "i", "holds")
-    assert list(v.to_record().keys()) == [
-        "record",
-        "property",
-        "instance",
-        "status",
-        "witness",
-        "bound",
-    ]
-    assert v.holds and not v.fails
+    verdicts = [is_weak_armendariz(z6, SearchBudget(degree_bound=2)) for _ in range(2)]
+    assert verdicts[0].status == "holds_up_to_bound"
+    assert verdicts[0] == verdicts[1]

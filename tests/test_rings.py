@@ -35,7 +35,6 @@ from skewlab.rings import (
     make_s_ring,
     make_zn,
     ni_failure,
-    nil_mask_cycle_detect,
     nil_set,
     noncommuting_witness,
     power_trajectory,
@@ -44,6 +43,7 @@ from skewlab.rings import (
 )
 
 from conftest import get_ring
+from oracles import nil_mask_cycle_detect
 
 
 # --- construction and laws -------------------------------------------------
@@ -228,6 +228,13 @@ def test_duplicate_names_rejected():
     z2 = make_zn(2)
     with pytest.raises(ValueError):
         TableRing("dup", z2.add_table, z2.mul_table, 1, ["a", "a"])
+
+
+def test_wide_int64_table_rejected():
+    # checked before the int32 cast, where 2**32 would wrap to 0 and build Z2
+    add = np.array([[0, 1], [1, 2**32]])
+    with pytest.raises(ValueError, match="out of range"):
+        TableRing("F2", add, [[0, 0], [0, 1]], 1, ["0", "1"])
 
 
 def test_table_budget():
@@ -441,7 +448,7 @@ def test_principal_ideal_z6():
     elems = principal_right_set(z6, 3)
     ideal = make_ideal(z6, elems, "3*R")
     assert ideal.elements == (0, 3)
-    assert 3 in ideal and 2 not in ideal
+    assert 3 in ideal.elements and 2 not in ideal.elements
 
 
 def test_non_ideal_rejected():

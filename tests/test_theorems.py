@@ -29,7 +29,7 @@ def by(theorem, instance):
 def test_full_run_counts():
     assert len(REPORTS) == 62
     assert Counter(r.status for r in REPORTS) == {"pass": 46, "vacuous": 16}
-    assert all(r.ok for r in REPORTS)
+    assert all(r.status != "fail" for r in REPORTS)
 
 
 @pytest.mark.parametrize("instance,record,pairs,zeros,polys", [
