@@ -56,11 +56,11 @@ from .properties import (
     DEFAULT_DEGREE_BOUND,
     DEFAULT_PAIR_CAP,
     DEFAULT_POWER_BOUND,
-    FLAGS,
-    RIGIDITY,
     NotEndomorphismTypeError,
     PropertyVerdict,
     SearchBudget,
+    budget_fields,
+    decide,
     recheck,
     subset_fields,
 )
@@ -529,11 +529,15 @@ def _resolve_spec(spec: SpecFile, pos: dict) -> None:
                 ck.line,
                 ck.col,
             )
+        reads = budget_fields(ck.name)
         for k, v in ck.kwargs.items():
+            if k not in reads:
+                raise SpecError(
+                    f"{ck.name} reads no option {k!r}; its options: {', '.join(reads) or 'none'}",
+                    ck.line, ck.col,
+                )
             if k in BUDGET_MIN:
                 _int_value(v, k, ck.line, ck.col, BUDGET_MIN[k])
-            elif k != "subset":
-                raise SpecError(f"unknown check option {k!r}", ck.line, ck.col)
             elif v not in SUBSETS:
                 raise SpecError(
                     f"subset must be one of {', '.join(SUBSETS)}, got {v!r}", ck.line, ck.col
@@ -564,13 +568,7 @@ def _budget_from(ck: CheckRequest, spec: SpecFile, defaults: dict) -> SearchBudg
 
 
 def run_check(ck: CheckRequest, spec: SpecFile, defaults: dict) -> PropertyVerdict:
-    decide, instance = DECIDERS[ck.name], spec.instance
-    if ck.name in FLAGS:
-        return decide(spec.ring, instance=instance)
-    if ck.name in RIGIDITY:
-        return decide(spec.ring, spec.system.sigma, instance=instance)
-    inst = spec.ring if ck.name == "weak_armendariz" else spec.system
-    return decide(inst, _budget_from(ck, spec, defaults), instance=instance)
+    return decide(ck.name, spec.system, _budget_from(ck, spec, defaults), spec.instance)
 
 
 def run_spec(spec: SpecFile, defaults: dict | None = None) -> tuple[list[dict], int]:

@@ -324,20 +324,18 @@ def sigma_power(family: SigmaFamily, theta) -> RingMap:
     return RingMap(acc.ring, acc.table, label, blocks=acc.blocks)
 
 
-def orbit_closure(family: SigmaFamily, cap: int = DEFAULT_CLOSURE_CAP) -> list[RingMap]:
+def orbit_closure(family: SigmaFamily) -> list[RingMap]:
     """All finite composites of the family maps, identity included.
 
     Breadth-first over words in the generators, so the returned order is
     canonical: by word length, then by generator index.  Covers every
     sigma^theta (and more, when the maps do not commute).  Raises
-    BudgetError past `cap` distinct maps.  The closure is built once per
-    family; later calls return the stored list.  Block-diagonal
-    families compose per block.
+    BudgetError past DEFAULT_CLOSURE_CAP distinct maps, read at call
+    time.  The closure is built once per family; later calls return the
+    stored list.  Block-diagonal families compose per block.
     """
     ring = family.ring
     if family._closure is not None:
-        if len(family._closure) > cap:
-            raise BudgetError(f"composition closure exceeded cap {cap} on {ring.name}")
         return family._closure
     ident, gens = _closure_generators(family)
     out = [ident]
@@ -355,9 +353,9 @@ def orbit_closure(family: SigmaFamily, cap: int = DEFAULT_CLOSURE_CAP) -> list[R
                     bucket.append(comp)
                     out.append(comp)
                     nxt.append(comp)
-                    if len(out) > cap:
+                    if len(out) > DEFAULT_CLOSURE_CAP:
                         raise BudgetError(
-                            f"composition closure exceeded cap {cap} on {ring.name}"
+                            f"composition closure exceeded cap {DEFAULT_CLOSURE_CAP} on {ring.name}"
                         )
         frontier = nxt
     family._closure = out

@@ -42,6 +42,12 @@ def deglex_key(e: tuple) -> tuple:
     return (sum(e), tuple(reversed(e)))
 
 
+def monomial_str(exp: tuple) -> str:
+    """x1^2*x2 for the exponents (2, 1); "1" for the constant monomial."""
+    parts = [f"x{i + 1}" + (f"^{m}" if m > 1 else "") for i, m in enumerate(exp) if m > 0]
+    return "*".join(parts) or "1"
+
+
 def monomials_upto(n: int, bound: int) -> list[tuple]:
     """All exponent tuples of total degree <= bound, ascending in deglex."""
     exps = [
@@ -240,17 +246,12 @@ class SkewPoly:
         parts = []
         for e in sorted(self.terms, key=deglex_key, reverse=True):
             c = self.terms[e]
-            vars_part = "*".join(
-                f"x{i + 1}" + (f"^{m}" if m > 1 else "")
-                for i, m in enumerate(e)
-                if m > 0
-            )
-            if not vars_part:
+            if not any(e):
                 parts.append(ring.element_name(c))
             elif c == ring.one:
-                parts.append(vars_part)
+                parts.append(monomial_str(e))
             else:
-                parts.append(f"{ring.element_name(c)}*{vars_part}")
+                parts.append(f"{ring.element_name(c)}*{monomial_str(e)}")
         return " + ".join(parts)
 
     def __repr__(self):
@@ -316,10 +317,7 @@ def _normalize_tokens(sys: CommutationSystem, tokens: list) -> dict:
             j = toks[pos][1]
             i = toks[pos + 1][1]
             for exp, cval in sys.var_var_terms(j, i).items():
-                rep: list = [("c", cval)]
-                for v in range(sys.n):
-                    rep.extend([("v", v)] * exp[v])
-                stack.append(toks[:pos] + rep + toks[pos + 2 :])
+                stack.append(toks[:pos] + _term_tokens(sys.n, exp, cval) + toks[pos + 2 :])
     return out
 
 

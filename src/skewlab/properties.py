@@ -33,6 +33,7 @@ from .poly import (
     NormalProducts,
     SkewPoly,
     monomial_product_table,
+    monomial_str,
     monomials_upto,
     move_past_tables,
     term_tables,
@@ -44,8 +45,8 @@ from .rings import (
     SRing,
     SubsetIdeal,
     abelian_failure,
+    least_nonzero_nilpotent,
     ni_failure,
-    nil_set,
 )
 
 # search defaults; the CLI and the theorem suite read these
@@ -102,23 +103,10 @@ def family_label(family: SigmaFamily) -> str:
 
 
 def reduced_verdict(ring: FiniteRing, instance: str = "") -> PropertyVerdict:
-    """0 is the only nilpotent; the witness is the least nonzero nilpotent.
-
-    An S ring over M is never reduced, and nil(S) = nil(M) x M x nil(M) is
-    not built.  Index (A*|M| + B)*|M| + C ascends with (A, B, C), and 0,
-    index 0, is the least nilpotent of M, so the least nonzero nilpotent
-    has A = 0.  It is (0|0|x), index x, with x the least nonzero nilpotent
-    of M: every (0|B|C) with B != 0 has index >= |M| > x.  When M is
-    reduced, C = 0 too, and it is (0|b|0) with b of index 1: index |M|.
-    """
-    if isinstance(ring, SRing):
-        nb = nil_set(ring.block)
-        first = int(nb[1]) if nb.size > 1 else ring.bsize
-    else:
-        nils = nil_set(ring)
-        if nils.size < 2:
-            return PropertyVerdict("reduced", instance or ring.name, "holds")
-        first = int(nils[1])
+    """0 is the only nilpotent; the witness is the least nonzero nilpotent."""
+    first = least_nonzero_nilpotent(ring)
+    if first is None:
+        return PropertyVerdict("reduced", instance or ring.name, "holds")
     witness = {"element": ring.element_name(first), "nilpotent": True}
     return _failed("reduced", ring, instance or ring.name, witness)
 
@@ -310,13 +298,6 @@ def _enumerate_polys(exps: list[tuple], k: int):
 
 def _row_poly(sys: CommutationSystem, exps: list[tuple], row: np.ndarray) -> SkewPoly:
     return SkewPoly(sys, {e: int(c) for e, c in zip(exps, row)})
-
-
-def _mono_str(exp: tuple) -> str:
-    parts = [
-        f"x{i + 1}" + (f"^{m}" if m > 1 else "") for i, m in enumerate(exp) if m > 0
-    ]
-    return "*".join(parts) if parts else "1"
 
 
 def poly_terms_record(f: SkewPoly) -> list[dict]:
@@ -515,8 +496,8 @@ def _witness(sys: CommutationSystem, exps, rows, cell, prop: str, power_bound: i
     if mode == 4:
         wit["fg_power_zero_at"] = poly_is_nilpotent(f * g, power_bound)[1]
     wit.update(
-        monomial_i=_mono_str(exps[i]),
-        monomial_j=_mono_str(exps[j]),
+        monomial_i=monomial_str(exps[i]),
+        monomial_j=monomial_str(exps[j]),
         exp_i=list(exps[i]),
         exp_j=list(exps[j]),
         a_i=ring.element_name(ai),
@@ -670,9 +651,7 @@ def recheck(prop: str, inst, witness: dict) -> tuple[bool, str]:
     return ok, f"fg = 0 but a_0*b_j != 0: {ok}"
 
 
-# check name -> decider.  Each takes what its name asks for: the ring for
-# FLAGS, the ring and twist family for RIGIDITY, the ring and a budget for
-# weak_armendariz, the extension and a budget for the other searches.
+# check name -> decider; `decide` is its one reader
 DECIDERS = {
     "reduced": reduced_verdict,
     "ni": ni_verdict,
@@ -686,6 +665,31 @@ DECIDERS = {
     "sigma_delta_skew_armendariz": is_sigma_delta_skew_armendariz,
     "skew_pi_armendariz": is_skew_pi_armendariz,
 }
+
+
+def decide(
+    name: str, sys: CommutationSystem, budget: SearchBudget | None = None, instance: str = ""
+) -> PropertyVerdict:
+    """The verdict of check `name` on the extension `sys`.
+
+    Each decider takes what its name asks for: the ring for FLAGS, the
+    ring and twist family for RIGIDITY, the ring and the budget for
+    weak_armendariz, the extension and the budget for the other searches.
+    """
+    decider = DECIDERS[name]
+    if name in FLAGS:
+        return decider(sys.ring, instance=instance)
+    if name in RIGIDITY:
+        return decider(sys.ring, sys.sigma, instance=instance)
+    return decider(sys.ring if name == "weak_armendariz" else sys, budget, instance=instance)
+
+
+def budget_fields(name: str) -> tuple[str, ...]:
+    """The SearchBudget fields that check `name` reads; FLAGS and RIGIDITY read none."""
+    if name in FLAGS or name in RIGIDITY:
+        return ()
+    power = ("power_bound",) if name == "skew_pi_armendariz" else ()
+    return ("degree_bound", "pair_cap", "subset") + power
 
 
 # ---------------------------------------------------------------------------

@@ -8,9 +8,9 @@ arrays and broadcast.
 
 Ring axioms are checked exactly on construction, on additive generators
 G: every law is additive in each argument once (R, +) is a group.  G,
-the nil mask and the idempotents are stored on the ring, read-only, at
-first use.  An S ring has no carrier nil mask: `nil_at` reads
-nilpotency per index off its block ring.
+the nil mask, the idempotents and the central ones are stored on the
+ring, read-only, at first use.  An S ring has no carrier nil mask:
+`nil_at` reads nilpotency per index off its block ring.
 """
 from __future__ import annotations
 
@@ -75,6 +75,7 @@ class FiniteRing:
     def __init__(self):
         self._nil_mask: np.ndarray | None = None
         self._idempotents: np.ndarray | None = None
+        self._central_idempotents: np.ndarray | None = None
         self.law_report: LawReport | None = None
 
     # arithmetic ------------------------------------------------------
@@ -125,9 +126,10 @@ class FiniteRing:
         """Elements generating the ring; commuting with them means central.
 
         The default is the whole carrier; structured rings override this
-        with a small set.  Its order fixes the witness r of
-        `noncommuting_witness` and `abelian`; `central_mask` tests the
-        `additive_generators` instead, whose centralizer is also the center.
+        with a small set.  Its order only fixes the witness r that
+        `noncommuting_witness` names for `abelian_failure`; centrality is
+        decided by `central_mask` on the `additive_generators`, whose
+        centralizer is also the center.
         """
         return self.elements()
 
@@ -507,11 +509,26 @@ def nil_set(ring: FiniteRing) -> np.ndarray:
     return np.nonzero(ring.nil_mask())[0].astype(np.int64)
 
 
-def is_reduced(ring: FiniteRing) -> bool:
-    """True when 0 is the only nilpotent; |nil(S)| = |nil(M)|^2 |M| is counted, not built."""
+def least_nonzero_nilpotent(ring: FiniteRing) -> int | None:
+    """The least nonzero nilpotent, or None when 0 is the only nilpotent.
+
+    An S ring over M is never reduced, and nil(S) = nil(M) x M x nil(M) is
+    not built.  Index (A*|M| + B)*|M| + C ascends with (A, B, C), and 0,
+    index 0, is the least nilpotent of M, so the least nonzero nilpotent
+    has A = 0.  It is (0|0|x), index x, with x the least nonzero nilpotent
+    of M: every (0|B|C) with B != 0 has index >= |M| > x.  When M is
+    reduced, C = 0 too, and it is (0|b|0) with b of index 1: index |M|.
+    """
     if isinstance(ring, SRing):
-        return int(ring.block.nil_mask().sum()) ** 2 * ring.bsize == 1
-    return int(ring.nil_mask().sum()) == 1
+        nb = nil_set(ring.block)
+        return int(nb[1]) if nb.size > 1 else ring.bsize
+    nils = nil_set(ring)
+    return int(nils[1]) if nils.size > 1 else None
+
+
+def is_reduced(ring: FiniteRing) -> bool:
+    """True when 0 is the only nilpotent."""
+    return least_nonzero_nilpotent(ring) is None
 
 
 def ni_failure(ring: FiniteRing):
@@ -589,7 +606,7 @@ def noncommuting_witness(ring: FiniteRing, a: int):
 
 
 def is_central(ring: FiniteRing, a: int) -> bool:
-    return noncommuting_witness(ring, a) is None
+    return bool(central_mask(ring, [a])[0])
 
 
 def central_mask(ring: FiniteRing, candidates: np.ndarray) -> np.ndarray:
@@ -619,18 +636,22 @@ def central_mask(ring: FiniteRing, candidates: np.ndarray) -> np.ndarray:
 
 
 def central_idempotents(ring: FiniteRing) -> np.ndarray:
-    """Ascending indices of central idempotents."""
-    idem = idempotents(ring)
-    return idem[central_mask(ring, idem)]
+    """Ascending indices of central idempotents; found once per ring."""
+    if ring._central_idempotents is None:
+        idem = idempotents(ring)
+        ring._central_idempotents = idem[central_mask(ring, idem)]
+        ring._central_idempotents.setflags(write=False)
+    return ring._central_idempotents
 
 
 def abelian_failure(ring: FiniteRing):
-    """None if every idempotent is central, else (e, r) with er != re."""
-    for e in idempotents(ring):
-        r = noncommuting_witness(ring, int(e))
-        if r is not None:
-            return (int(e), r)
-    return None
+    """None if every idempotent is central, else (e, r) with er != re: e is
+    the least idempotent outside the center, r its `noncommuting_witness`."""
+    idem, central = idempotents(ring), central_idempotents(ring)
+    if len(central) == len(idem):
+        return None
+    e = int(idem[np.isin(idem, central, invert=True)][0])
+    return e, noncommuting_witness(ring, e)
 
 
 def is_abelian(ring: FiniteRing) -> bool:

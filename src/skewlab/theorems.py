@@ -20,10 +20,10 @@ from .poly import CommutationSystem
 from .properties import (
     DEFAULT_DEGREE_BOUND,
     DEFAULT_PAIR_CAP,
+    FLAGS,
     PropertyVerdict,
     SearchBudget,
-    is_sigma_rigid,
-    is_weak_sigma_rigid,
+    decide,
     is_weak_sigma_rigid_ideal,
     is_weak_sigma_skew_armendariz,
     subset_fields,
@@ -31,11 +31,8 @@ from .properties import (
 from .rings import (
     FiniteRing,
     SRing,
-    abelian_failure,
     central_idempotents,
     idempotents,
-    is_ni,
-    is_reduced,
     make_ideal,
     power_trajectory,
     principal_right_set,
@@ -103,33 +100,23 @@ class EntryContext:
     ring: FiniteRing
     family: SigmaFamily
     system: CommutationSystem
+    _verdicts: dict = field(default_factory=dict, repr=False)
     _counterexamples: dict = field(default_factory=dict, repr=False)
 
-    @cached_property
-    def rigid(self) -> PropertyVerdict:
-        return is_sigma_rigid(self.ring, self.family, instance=self.entry.name)
-
-    @cached_property
-    def weak(self) -> PropertyVerdict:
-        return is_weak_sigma_rigid(self.ring, self.family, instance=self.entry.name)
-
-    @cached_property
-    def abelian_witness(self) -> tuple | None:
-        """(e, r) with er != re for an idempotent e; None when R is abelian."""
-        return abelian_failure(self.ring)
+    def verdict(self, name: str) -> PropertyVerdict:
+        """`skewlab check`'s verdict of flag or rigidity check `name`, once per entry."""
+        if name not in self._verdicts:
+            self._verdicts[name] = decide(name, self.system, instance=self.entry.name)
+        return self._verdicts[name]
 
     @cached_property
     def flags(self) -> dict:
         """The ring property flags the catalog entry declares."""
+        rigidity = ("sigma_rigid", "weak_sigma_rigid")
         # both rigidity verdicts first: the sweep order sets peak memory
-        rigid, weak = self.rigid, self.weak
-        return {
-            "reduced": is_reduced(self.ring),
-            "ni": is_ni(self.ring),
-            "abelian": self.abelian_witness is None,
-            "sigma_rigid": rigid.holds,
-            "weak_sigma_rigid": weak.holds,
-        }
+        for name in rigidity:
+            self.verdict(name)
+        return {name: self.verdict(name).holds for name in FLAGS + rigidity}
 
     def counterexample_search(self, degree_bound: int, pair_cap: int) -> PropertyVerdict:
         """The weak Armendariz search of `_counterexample_budget`, once per bounds searched."""
@@ -177,7 +164,7 @@ class TheoremReport:
         }
 
 
-def check_catalog_flags(ctx: EntryContext) -> TheoremReport:
+def check_catalog_flags(ctx: EntryContext) -> tuple[str, dict]:
     """Computed ring property flags must match the catalog expectations."""
     computed = dict(ctx.flags)
     mismatches = {
@@ -188,12 +175,10 @@ def check_catalog_flags(ctx: EntryContext) -> TheoremReport:
     details = {"computed": computed, "expected": dict(ctx.entry.expected)}
     if mismatches:
         details["mismatches"] = mismatches
-    return TheoremReport(
-        "catalog_flags", ctx.entry.name, "fail" if mismatches else "pass", details
-    )
+    return "fail" if mismatches else "pass", details
 
 
-def check_rigid_iff_weak_reduced(ctx: EntryContext) -> TheoremReport:
+def check_rigid_iff_weak_reduced(ctx: EntryContext) -> tuple[str, dict]:
     """Rigid exactly when weak rigid and reduced, on every instance."""
     flags = ctx.flags
     lhs = flags["sigma_rigid"]
@@ -203,16 +188,10 @@ def check_rigid_iff_weak_reduced(ctx: EntryContext) -> TheoremReport:
         "weak_sigma_rigid": flags["weak_sigma_rigid"],
         "reduced": flags["reduced"],
     }
-    if ctx.rigid.witness:
-        details["rigid_witness"] = ctx.rigid.witness
-    if ctx.weak.witness:
-        details["weak_witness"] = ctx.weak.witness
-    return TheoremReport(
-        "rigid_iff_weak_reduced",
-        ctx.entry.name,
-        "pass" if lhs == rhs else "fail",
-        details,
-    )
+    for key, name in (("rigid_witness", "sigma_rigid"), ("weak_witness", "weak_sigma_rigid")):
+        if ctx.verdict(name).witness:
+            details[key] = ctx.verdict(name).witness
+    return "pass" if lhs == rhs else "fail", details
 
 
 def _failed(ctx: EntryContext, **more) -> list[str]:
@@ -221,7 +200,7 @@ def _failed(ctx: EntryContext, **more) -> list[str]:
     return [k for k, v in gate.items() if not v]
 
 
-def check_nil_transfer(ctx: EntryContext) -> TheoremReport:
+def check_nil_transfer(ctx: EntryContext) -> tuple[str, dict]:
     """NI + weak rigid force the three nilpotence transfer implications.
 
     (1) ab nil => a*m(b) and m(a)*b nil; (2) m(a)*b nil => ab, ba nil;
@@ -230,10 +209,7 @@ def check_nil_transfer(ctx: EntryContext) -> TheoremReport:
     """
     missing = _failed(ctx)
     if missing:
-        return TheoremReport(
-            "nil_transfer", ctx.entry.name, "vacuous",
-            {"failed_hypotheses": missing},
-        )
+        return "vacuous", {"failed_hypotheses": missing}
     ring = ctx.ring
     if ring.size > PAIR_SWEEP_CAP:
         raise R.BudgetError(
@@ -256,19 +232,13 @@ def check_nil_transfer(ctx: EntryContext) -> TheoremReport:
         for part, bad in parts:
             if bad.any():
                 a, b = np.unravel_index(int(np.argmax(bad)), bad.shape)
-                return TheoremReport(
-                    "nil_transfer", ctx.entry.name, "fail",
-                    {
-                        "part": part,
-                        "map": m.name,
-                        "a": ring.element_name(int(a)),
-                        "b": ring.element_name(int(b)),
-                    },
-                )
-    return TheoremReport(
-        "nil_transfer", ctx.entry.name, "pass",
-        {"maps_swept": len(maps), "pairs": ring.size**2},
-    )
+                return "fail", {
+                    "part": part,
+                    "map": m.name,
+                    "a": ring.element_name(int(a)),
+                    "b": ring.element_name(int(b)),
+                }
+    return "pass", {"maps_swept": len(maps), "pairs": ring.size**2}
 
 
 def _first_moved(ctx: EntryContext, elems: list[int]) -> dict | None:
@@ -282,7 +252,7 @@ def _first_moved(ctx: EntryContext, elems: list[int]) -> dict | None:
     return {"e": name(e), "map": m.name, "image": name(int(m(e)))}
 
 
-def check_idempotent_fixed(ctx: EntryContext) -> TheoremReport:
+def check_idempotent_fixed(ctx: EntryContext) -> tuple[str, dict]:
     """NI + weak rigid force every twist to fix central idempotents."""
     missing = _failed(ctx)
     central = [int(e) for e in central_idempotents(ctx.ring)]
@@ -293,16 +263,13 @@ def check_idempotent_fixed(ctx: EntryContext) -> TheoremReport:
         # idempotent; record the first one as evidence
         if moved is not None:
             details["moved_central_idempotent"] = moved
-        return TheoremReport("idempotent_fixed", ctx.entry.name, "vacuous", details)
+        return "vacuous", details
     if moved is not None:
-        return TheoremReport("idempotent_fixed", ctx.entry.name, "fail", moved)
-    return TheoremReport(
-        "idempotent_fixed", ctx.entry.name, "pass",
-        {"central_idempotents": len(central), "maps": len(ctx.family.maps)},
-    )
+        return "fail", moved
+    return "pass", {"central_idempotents": len(central), "maps": len(ctx.family.maps)}
 
 
-def check_ideal_decomposition(ctx: EntryContext, mode: str = "fixed") -> TheoremReport:
+def check_ideal_decomposition(ctx: EntryContext, mode: str = "fixed") -> tuple[str, dict]:
     """Weak rigidity of R versus its eR / (1-e)R ideal pair, per idempotent.
 
     The statement's hypothesis asks the twists to send every idempotent
@@ -319,36 +286,30 @@ def check_ideal_decomposition(ctx: EntryContext, mode: str = "fixed") -> Theorem
         # sigma_i(1) = 1 for every unital endomorphism, so the literal
         # reading is unsatisfiable at e = 1 on any instance
         e, m = ring.one, ctx.family.maps[0]
-        return TheoremReport(
-            "ideal_decomposition", ctx.entry.name, "vacuous",
-            {
-                "mode": mode,
-                "failed_hypotheses": ["idempotent_condition[literal]"],
-                "unsatisfiable_at": ring.element_name(e),
-                "reason": (
-                    f"sigma({ring.element_name(e)}) = "
-                    f"{ring.element_name(int(m(e)))} != {ring.element_name(ring.zero)}"
-                ),
-            },
-        )
+        return "vacuous", {
+            "mode": mode,
+            "failed_hypotheses": ["idempotent_condition[literal]"],
+            "unsatisfiable_at": ring.element_name(e),
+            "reason": (
+                f"sigma({ring.element_name(e)}) = "
+                f"{ring.element_name(int(m(e)))} != {ring.element_name(ring.zero)}"
+            ),
+        }
     if not flags["abelian"]:
-        return TheoremReport(
-            "ideal_decomposition", ctx.entry.name, "vacuous",
-            {"failed_hypotheses": ["abelian"], "mode": mode,
-             "abelian_witness": ctx.abelian_witness},
-        )
+        w = ctx.verdict("abelian").witness
+        return "vacuous", {
+            "failed_hypotheses": ["abelian"], "mode": mode,
+            "abelian_witness": [ring.element_index(w["idempotent"]), ring.element_index(w["r"])],
+        }
     idems = [int(e) for e in idempotents(ring)]
     moved = _first_moved(ctx, idems)
     if moved is not None:
-        return TheoremReport(
-            "ideal_decomposition", ctx.entry.name, "vacuous",
-            {
-                "mode": mode,
-                "failed_hypotheses": ["idempotent_condition[fixed]"],
-                "unsatisfiable_at": moved["e"],
-                "reason": f"sigma({moved['e']}) = {moved['image']} != {moved['e']}",
-            },
-        )
+        return "vacuous", {
+            "mode": mode,
+            "failed_hypotheses": ["idempotent_condition[fixed]"],
+            "unsatisfiable_at": moved["e"],
+            "reason": f"sigma({moved['e']}) = {moved['image']} != {moved['e']}",
+        }
     # hypothesis satisfied; assert (1) <=> (2) over every idempotent
     lhs = flags["weak_sigma_rigid"]
     per_e = {}
@@ -365,16 +326,12 @@ def check_ideal_decomposition(ctx: EntryContext, mode: str = "fixed") -> Theorem
             sides[label] = v.holds
             rhs_all = rhs_all and v.holds
         per_e[ring.element_name(e)] = sides
-    status = "pass" if lhs == rhs_all else "fail"
-    return TheoremReport(
-        "ideal_decomposition", ctx.entry.name, status,
-        {
-            "mode": mode,
-            "weak_sigma_rigid": lhs,
-            "all_ideal_pairs_weak_rigid": rhs_all,
-            "per_idempotent": per_e,
-        },
-    )
+    return "pass" if lhs == rhs_all else "fail", {
+        "mode": mode,
+        "weak_sigma_rigid": lhs,
+        "all_ideal_pairs_weak_rigid": rhs_all,
+        "per_idempotent": per_e,
+    }
 
 
 def _counterexample_budget(ring: FiniteRing, degree_bound: int, pair_cap: int) -> SearchBudget:
@@ -387,7 +344,7 @@ def check_weak_armendariz_implication(
     ctx: EntryContext,
     degree_bound: int = DEFAULT_DEGREE_BOUND,
     pair_cap: int = DEFAULT_PAIR_CAP,
-) -> TheoremReport:
+) -> tuple[str, dict]:
     """NI + weak rigid (c central invertible) force weak twisted Armendariz.
 
     Gated instances run the zero-product search to the degree bound; a
@@ -406,14 +363,8 @@ def check_weak_armendariz_implication(
         budget = SearchBudget(degree_bound=degree_bound, pair_cap=pair_cap)
         verdict = is_weak_sigma_skew_armendariz(sys, budget, instance=ctx.entry.name)
         if verdict.fails:
-            return TheoremReport(
-                "ni_weak_rigid_implies_weak_armendariz", ctx.entry.name, "fail",
-                {"witness": verdict.witness},
-            )
-        return TheoremReport(
-            "ni_weak_rigid_implies_weak_armendariz", ctx.entry.name, "pass",
-            {"bound": verdict.bound},
-        )
+            return "fail", {"witness": verdict.witness}
+        return "pass", {"bound": verdict.bound}
     details: dict = {"failed_hypotheses": missing}
     if (
         missing == ["ni"]
@@ -427,9 +378,7 @@ def check_weak_armendariz_implication(
                 "weak rigid but not NI, and the weak Armendariz conclusion "
                 "fails as well: the NI hypothesis is essential"
             )
-    return TheoremReport(
-        "ni_weak_rigid_implies_weak_armendariz", ctx.entry.name, "vacuous", details
-    )
+    return "vacuous", details
 
 
 def reproduce_counterexamples(pair_cap: int = DEFAULT_PAIR_CAP) -> list[TheoremReport]:
@@ -442,7 +391,7 @@ def reproduce_counterexamples(pair_cap: int = DEFAULT_PAIR_CAP) -> list[TheoremR
     out = []
     # upper-triangular R3: weak rigid, not rigid
     r3 = resolve(entry_by_name("R3(Z2)/id"))
-    weak, rigid = r3.weak, r3.rigid
+    weak, rigid = r3.verdict("weak_sigma_rigid"), r3.verdict("sigma_rigid")
     ok = weak.holds and rigid.fails
     out.append(
         TheoremReport(
@@ -458,7 +407,7 @@ def reproduce_counterexamples(pair_cap: int = DEFAULT_PAIR_CAP) -> list[TheoremR
     )
     # block ring S: weak rigid, not weak twisted Armendariz
     s = resolve(entry_by_name("S(Z3)/negate-B"))
-    weak_s = s.weak
+    weak_s = s.verdict("weak_sigma_rigid")
     arm = s.counterexample_search(1, pair_cap)
     details: dict = {
         "weak_sigma_rigid": weak_s.status,
@@ -488,7 +437,8 @@ def reproduce_counterexamples(pair_cap: int = DEFAULT_PAIR_CAP) -> list[TheoremR
     return out
 
 
-# theorem name -> check over one entry, in report order
+# theorem name -> check of it on one entry, in report order; each check
+# returns (status, details), and run_all and replay name the report by key
 CHECKS = {
     "catalog_flags": check_catalog_flags,
     "rigid_iff_weak_reduced": check_rigid_iff_weak_reduced,
@@ -514,7 +464,7 @@ def run_all(
         },
     }
     out = [
-        check(resolve(entry), **params.get(name, {}))
+        TheoremReport(name, entry.name, *check(resolve(entry), **params.get(name, {})))
         for name, check in CHECKS.items()
         for entry in entries
     ]
@@ -543,4 +493,5 @@ def replay(record: dict) -> TheoremReport:
         for key in ("bound", "witness", "conclusion_fails_too"):
             if key in details:
                 params["degree_bound"] = details[key]["degree_bound"]
-    return CHECKS[name](resolve(entry_by_name(record["instance"])), **params)
+    check, entry = CHECKS[name], entry_by_name(record["instance"])
+    return TheoremReport(name, entry.name, *check(resolve(entry), **params))

@@ -232,11 +232,11 @@ def test_criterion_09_hypothesis_suites():
     ok = ok and len(gated_runs) >= 15  # 6 + 6 + something gated per suite
     literal_ok = True
     for entry in DEFAULT_ENTRIES:
-        r = check_ideal_decomposition(resolve(entry), mode="literal")
-        literal_ok = literal_ok and r.status == "vacuous"
+        status, details = check_ideal_decomposition(resolve(entry), mode="literal")
+        literal_ok = literal_ok and status == "vacuous"
         literal_ok = (
             literal_ok
-            and r.details["unsatisfiable_at"]
+            and details["unsatisfiable_at"]
             == resolve(entry).ring.element_name(resolve(entry).ring.one)
         )
     ok = ok and literal_ok

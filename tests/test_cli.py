@@ -181,9 +181,19 @@ def test_zero_commutation_coefficient_rejected(tmp_path, capsys):
      "subset must be one of full, block-elementary, got 'bogus'"),
     ("check reduced\ncheck weak_armendariz subset=block-elementary\n", 3,
      "subset=block-elementary needs an S ring"),
+    # an option that the check never reads is refused, not dropped
+    ("check reduced degree_bound=5 power_bound=9 subset=full\n", 2,
+     "reduced reads no option 'degree_bound'; its options: none"),
+    ("check sigma_rigid pair_cap=1\n", 2, "sigma_rigid reads no option 'pair_cap'; its options: none"),
+    ("check weak_armendariz power_bound=3\n", 2,
+     "weak_armendariz reads no option 'power_bound'; its options: degree_bound, pair_cap, subset"),
+    ("check skew_pi_armendariz depth=2\n", 2,
+     "skew_pi_armendariz reads no option 'depth'; "
+     "its options: degree_bound, pair_cap, subset, power_bound"),
 ], ids=["c-range", "d-range", "d-not-list", "map-not-ints", "map-wide-int", "names-not-list",
         "degree-negative", "degree-not-int", "power-zero", "pair-cap-not-int",
-        "subset-unknown", "subset-not-s-ring"])
+        "subset-unknown", "subset-not-s-ring", "flag-options", "rigidity-option",
+        "power-bound-unread", "unknown-option"])
 def test_bad_spec_numbers_exit_2(tmp_path, capsys, body, line, fragment):
     # a body that declares its own ring replaces Z3
     path = write(tmp_path, "bad.spec", body if body.startswith("ring ") else "ring Z3\n" + body)

@@ -1,7 +1,8 @@
 """CLI contract under fuzzing: exit 0, 1 or 2, never a traceback.
 
 Mutated valid specs and random token streams over rings of at most 16
-elements go through `main()`; every output is then fed to `explain`.
+elements and the S ring over Z2 go through `main()`; every output is
+then fed to `explain`.
 Exit 1 from `check` must come with a `mismatch` record, and exit 2
 with a diagnostic that names a line >= 1 of the spec.
 """
@@ -33,6 +34,14 @@ BASE_SPECS = [
     "ring Z6\nmap m = [0, 1, 2, 3, 4, 5]\nmaps m\ncheck weak_armendariz degree_bound=1\n"
     "output text\n",
     "ring Z2\nmaps id, id\nd[1,2] = [1, 0, 1]\ncheck skew_pi_armendariz degree_bound=1\n",
+    # S rings, with each search option at its least accepted value
+    "ring S(Z2)\nmaps negate-B\nchecks reduced, ni, abelian, sigma_rigid, weak_sigma_rigid\n"
+    "check weak_sigma_skew_armendariz degree_bound=0 subset=block-elementary\n"
+    "expect weak_sigma_rigid=holds\n",
+    "system s-negate-b(Z2)\ncheck skew_armendariz degree_bound=0 pair_cap=1\n"
+    "check skew_pi_armendariz degree_bound=0 power_bound=1 subset=block-elementary\n",
+    "ring S(Z2)\nmaps negate-B\nderivation dd = id-minus negate-B\ndeltas dd\n"
+    "check sigma_delta_skew_armendariz degree_bound=1 subset=block-elementary\n",
 ]
 
 CHECK_NAMES = [
@@ -44,7 +53,8 @@ VOCAB = CHECK_NAMES + [
     "expect", "instance", "output", "c[1,2]", "d[1,2]", "c[2,1]", "=", ",", ";", "#",
     "[", "]", "[0,1]", "[0, 1, 1, 0]", "0", "1", "2", "-1", "3", "17", "x",
     "Z2", "Z3", "Z4", "Z6", "Z2xZ2", "M2(Z2)", "R3(Z2)", "Z1", "Q8", "catalog:Z3",
-    "swap-ore", "quantum-plane(Z3,2)", "untwisted(Z4)", "swap", "id", "s", "zero",
+    "S(Z2)", "swap-ore", "quantum-plane(Z3,2)", "untwisted(Z4)", "s-negate-b(Z2)",
+    "swap", "negate-B", "id", "s", "zero",
     "id-minus", "id-minus s", "images=[0,0,0,0]", "sigma=s", "degree_bound=1",
     "degree_bound=", "power_bound=2", "pair_cap=50", "subset=full", "subset=block-elementary", "holds", "fails", "reduced=fails", "json", "text",
     "add=[[0,1],[1,0]]", "mul=[[0,0],[0,1]]", "one=1", 'names=["z","u"]',

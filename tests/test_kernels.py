@@ -23,6 +23,7 @@ from skewlab.poly import (
     CommutationSystem,
     mono_times_coeff_engine,
     monomial_product_table,
+    monomial_str,
     monomials_upto,
     move_past_tables,
     term_tables,
@@ -32,7 +33,6 @@ from skewlab.properties import (
     SearchBudget,
     _coeff_subset,
     _enumerate_polys,
-    _mono_str,
     _row_poly,
     _violation_tables,
     _zero_product_search,
@@ -532,8 +532,8 @@ def engine_sigma_delta(sys, budget, instance=""):
                         "g": str(g),
                         "f_terms": poly_terms_record(f),
                         "g_terms": poly_terms_record(g),
-                        "monomial_i": _mono_str(ea),
-                        "monomial_j": _mono_str(eb),
+                        "monomial_i": monomial_str(ea),
+                        "monomial_j": monomial_str(eb),
                         "exp_i": list(ea),
                         "exp_j": list(eb),
                         "a_i": ring.element_name(f.terms[ea]),
@@ -581,8 +581,8 @@ def engine_skew_pi(sys, budget, instance=""):
                         "f_terms": poly_terms_record(f),
                         "g_terms": poly_terms_record(g),
                         "fg_power_zero_at": k,
-                        "monomial_i": _mono_str(ea),
-                        "monomial_j": _mono_str(eb),
+                        "monomial_i": monomial_str(ea),
+                        "monomial_j": monomial_str(eb),
                         "exp_i": list(ea),
                         "exp_j": list(eb),
                         "a_i": ring.element_name(f.terms[ea]),

@@ -163,11 +163,12 @@ def test_orbit_closure_exact_under_digest_collisions(monkeypatch):
     assert got == expected and len(got) == 6
 
 
-def test_orbit_closure_cap():
+def test_orbit_closure_cap(monkeypatch):
     r = get_ring("Z2xZ2")
     fam = SigmaFamily(r, [get_map(r, "swap")])
+    monkeypatch.setattr("skewlab.maps.DEFAULT_CLOSURE_CAP", 1)
     with pytest.raises(BudgetError):
-        orbit_closure(fam, cap=1)
+        orbit_closure(fam)
 
 
 def test_invariants_stored_once():
@@ -181,14 +182,11 @@ def test_invariants_stored_once():
     central_idempotents(r)
     abelian_failure(r)
     assert idempotents(r) is idem
-    # the orbit closure is built once per family; the cap still applies
+    # the orbit closure is built once per family
     z = get_ring("Z2xZ2")
     fam = SigmaFamily(z, [get_map(z, "swap")])
     closure = orbit_closure(fam)
     assert orbit_closure(fam) is closure and len(closure) == 2
-    with pytest.raises(BudgetError):
-        orbit_closure(fam, cap=1)
-    assert orbit_closure(fam, cap=2) is closure
 
 
 def test_family_rejects_foreign_map():

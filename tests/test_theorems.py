@@ -100,31 +100,33 @@ def test_catalog_flags_detect_wrong_expectation():
     wrong = replace(e, expected={**e.expected, "reduced": True})
     ctx = resolve(e)
     ctx_wrong = type(ctx)(wrong, ctx.ring, ctx.family, ctx.system)
-    r = check_catalog_flags(ctx_wrong)
-    assert r.status == "fail"
-    assert r.details["mismatches"] == {
+    status, details = check_catalog_flags(ctx_wrong)
+    assert status == "fail"
+    assert details["mismatches"] == {
         "reduced": {"expected": True, "computed": False}
     }
 
 
 def test_entry_verdicts_computed_once(monkeypatch):
-    import skewlab.theorems as T
+    import skewlab.properties as P
 
+    flags = ["reduced", "ni", "abelian", "sigma_rigid", "weak_sigma_rigid"]
     calls = Counter()
-    for name in ("is_sigma_rigid", "is_weak_sigma_rigid"):
-        def counted(*args, _fn=getattr(T, name), _name=name, **kw):
+    for name in flags:
+        def counted(*args, _fn=P.DECIDERS[name], _name=name, **kw):
             calls[_name] += 1
             return _fn(*args, **kw)
 
-        monkeypatch.setattr(T, name, counted)
+        monkeypatch.setitem(P.DECIDERS, name, counted)
     cached = resolve(entry_by_name("Z4/id"))
     ctx = type(cached)(cached.entry, cached.ring, cached.family, cached.system)
     for check in (check_catalog_flags, check_rigid_iff_weak_reduced, check_nil_transfer,
                   check_idempotent_fixed, check_ideal_decomposition):
-        assert check(ctx).status == by(check.__name__.removeprefix("check_"), "Z4/id").status
-    assert calls == {"is_sigma_rigid": 1, "is_weak_sigma_rigid": 1}
-    assert ctx.flags is ctx.flags and ctx.rigid is ctx.rigid and ctx.weak is ctx.weak
-    assert list(ctx.flags) == ["reduced", "ni", "abelian", "sigma_rigid", "weak_sigma_rigid"]
+        assert check(ctx)[0] == by(check.__name__.removeprefix("check_"), "Z4/id").status
+    assert calls == dict.fromkeys(flags, 1)
+    assert ctx.flags is ctx.flags
+    assert all(ctx.verdict(name) is ctx.verdict(name) for name in flags)
+    assert list(ctx.flags) == flags
 
 
 def test_run_all_sweeps_each_search_once(monkeypatch):
@@ -182,10 +184,10 @@ def test_ideal_decomposition_fixed_mode():
 
 def test_ideal_decomposition_literal_mode_always_vacuous():
     for e in DEFAULT_ENTRIES:
-        r = check_ideal_decomposition(resolve(e), mode="literal")
-        assert r.status == "vacuous"
-        assert r.details["failed_hypotheses"] == ["idempotent_condition[literal]"]
-        assert r.details["unsatisfiable_at"] == resolve(e).ring.element_name(
+        status, details = check_ideal_decomposition(resolve(e), mode="literal")
+        assert status == "vacuous"
+        assert details["failed_hypotheses"] == ["idempotent_condition[literal]"]
+        assert details["unsatisfiable_at"] == resolve(e).ring.element_name(
             resolve(e).ring.one
         )
     with pytest.raises(ValueError):

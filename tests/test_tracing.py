@@ -31,22 +31,31 @@ check weak_sigma_skew_armendariz degree_bound=1 subset=block-elementary
 """
 
 
-def _traced_check(tmp_path, text):
-    """Run `check` on a spec under the benchmark's traced launcher."""
-    spec = tmp_path / "tiny.spec"
-    spec.write_text(text)
+def _launch(tmp_path, *argv):
+    """Run one CLI command under the benchmark's traced launcher; its stdout lines and spans."""
     marks, spans = tmp_path / "marks.json", tmp_path / "spans.json"
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     proc = subprocess.run(
         [sys.executable, str(ROOT / "perfbench" / "launch.py"), str(marks),
-         "--trace", str(spans), "--run-id", "t", "--", "check", str(spec), "--json"],
+         "--trace", str(spans), "--run-id", "t", "--", *argv],
         capture_output=True, text=True, env=env, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
     trace = json.loads(spans.read_text())
     assert trace["missing"] == []
-    counted = {layer for _, _, layer, _, _, counts in trace["spans"] if counts}
-    return proc.stdout.splitlines(), counted
+    return proc.stdout.splitlines(), trace["spans"]
+
+
+def _counted(spans) -> set:
+    return {layer for _, _, layer, _, _, counts in spans if counts}
+
+
+def _traced_check(tmp_path, text):
+    """Run `check` on a spec under the benchmark's traced launcher."""
+    spec = tmp_path / "tiny.spec"
+    spec.write_text(text)
+    lines, spans = _launch(tmp_path, "check", str(spec), "--json")
+    return lines, _counted(spans)
 
 
 def test_launch_trace_finds_every_target(tmp_path):
@@ -69,3 +78,11 @@ def test_launch_trace_s_ring_block_maps(tmp_path):
     lines, counted = _traced_check(tmp_path, S_RING_SPEC)
     assert [json.loads(line)["status"] for line in lines] == ["fails", "holds", "fails", "fails"]
     assert {"maps.closure", "properties.rigidity", "kernels.generic_search"} <= counted
+
+
+def test_launch_trace_theorem_suite(tmp_path):
+    # the statement suite's own layers, and the counters it feeds
+    lines, spans = _launch(tmp_path, "verify-theorems", "--instance", "Z4/id", "--json")
+    assert json.loads(lines[-1])["failed"] == 0
+    assert {"properties.rigidity", "kernels.table_search", "maps.closure"} <= _counted(spans)
+    assert {"theorems.catalog_flags", "theorems.nil_transfer"} <= {s[2] for s in spans}
