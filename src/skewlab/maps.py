@@ -23,8 +23,6 @@ from .rings import BudgetError, FiniteRing, SRing, _CHUNK, _first_violation, ind
 DEFAULT_CLOSURE_CAP = 4096
 DEFAULT_PAIR_CAP = 2048  # exhaustive pair checks up to this carrier size
 DEFAULT_SAMPLES = 20000
-# S(Z4)'s carrier: building and verifying a larger derivation table takes gigabytes
-_DERIVATION_TABLE_CAP = 1 << 24
 
 
 class MapVerificationError(Exception):
@@ -123,7 +121,7 @@ class RingMap:
 class SigmaDerivation:
     """A verified sigma-derivation: additive, d(ab) = sigma(a)d(b) + d(a)b.
 
-    `table` is None for the zero derivation, which keeps no table.
+    `table` is None for the zero derivation and for id - sigma, which keep none.
     """
 
     def __init__(self, ring: FiniteRing, sigma: RingMap, table, name: str):
@@ -131,9 +129,12 @@ class SigmaDerivation:
         self.sigma = sigma
         self.table = None if table is None else _frozen(table)
         self.name = name
+        self._through_sigma = False  # set by id_minus_sigma_derivation alone
 
     def __call__(self, a):
-        if self.table is None:
+        if self._through_sigma:
+            out = self.ring.sub(a, self.sigma(a))
+        elif self.table is None:
             if isinstance(a, (int, np.integer)):  # the rewriting engine's hot path
                 return self.ring.zero
             out = np.full(np.shape(a), self.ring.zero, dtype=np.int32)
@@ -143,7 +144,9 @@ class SigmaDerivation:
 
     @property
     def is_zero(self) -> bool:
-        return self.table is None or bool((self.table == self.ring.zero).all())
+        if self.table is None:
+            return not self._through_sigma
+        return bool((self.table == self.ring.zero).all())
 
     def __repr__(self):
         return f"<SigmaDerivation {self.name} on {self.ring.name}>"
@@ -271,15 +274,15 @@ def zero_derivation(ring: FiniteRing, sigma: RingMap) -> SigmaDerivation:
 
 
 def id_minus_sigma_derivation(ring: FiniteRing, sigma: RingMap) -> SigmaDerivation:
-    """d(a) = a - sigma(a), always a sigma-derivation; verified anyway."""
-    if ring.size > _DERIVATION_TABLE_CAP:
-        raise BudgetError(
-            f"derivation id-{sigma.name} on {ring.name}: a carrier table of {ring.size} "
-            f"entries exceeds the cap of {_DERIVATION_TABLE_CAP}"
-        )
-    idx = np.arange(ring.size)
-    tab = ring.sub(idx, sigma(idx))
-    return verify_sigma_derivation(ring, sigma, tab, f"id-{sigma.name}")
+    """d(a) = a - sigma(a), applied through sigma: no table, and no check of its own.
+
+    Where sigma is additive so is d, and where sigma(ab) = sigma(a)sigma(b),
+    d(ab) = sigma(a)(b - sigma(b)) + (a - sigma(a))b = sigma(a)d(b) + d(a)b:
+    sigma's own check swept, or drew with the same seed 0, every pair a re-check would.
+    """
+    d = SigmaDerivation(ring, sigma, None, f"id-{sigma.name}")
+    d._through_sigma = not sigma.equals(identity_map(ring))
+    return d
 
 
 class SigmaFamily:

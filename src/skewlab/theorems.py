@@ -15,7 +15,7 @@ import numpy as np
 
 from . import rings as R
 from .catalog import get_system
-from .maps import SigmaFamily, orbit_closure
+from .maps import orbit_closure
 from .poly import CommutationSystem
 from .properties import (
     DEFAULT_DEGREE_BOUND,
@@ -97,8 +97,6 @@ class EntryContext:
     """One resolved catalog entry; its verdicts are computed at first use."""
 
     entry: CatalogEntry
-    ring: FiniteRing
-    family: SigmaFamily
     system: CommutationSystem
     _verdicts: dict = field(default_factory=dict, repr=False)
     _counterexamples: dict = field(default_factory=dict, repr=False)
@@ -120,7 +118,7 @@ class EntryContext:
 
     def counterexample_search(self, degree_bound: int, pair_cap: int) -> PropertyVerdict:
         """The weak Armendariz search of `_counterexample_budget`, once per bounds searched."""
-        budget = _counterexample_budget(self.ring, degree_bound, pair_cap)
+        budget = _counterexample_budget(self.system.ring, degree_bound, pair_cap)
         memo, key = self._counterexamples, (budget.degree_bound, pair_cap)
         if key not in memo:
             memo[key] = is_weak_sigma_skew_armendariz(self.system, budget, instance=self.entry.name)
@@ -139,12 +137,9 @@ def entry_by_name(name: str) -> CatalogEntry:
 
 
 def resolve(entry: CatalogEntry) -> EntryContext:
-    ctx = _ctx_cache.get(entry.name)
-    if ctx is None:
-        system = get_system(entry.system_name)
-        ctx = EntryContext(entry, system.ring, system.sigma, system)
-        _ctx_cache[entry.name] = ctx
-    return ctx
+    if entry.name not in _ctx_cache:
+        _ctx_cache[entry.name] = EntryContext(entry, get_system(entry.system_name))
+    return _ctx_cache[entry.name]
 
 
 @dataclass
@@ -210,12 +205,12 @@ def check_nil_transfer(ctx: EntryContext) -> tuple[str, dict]:
     missing = _failed(ctx)
     if missing:
         return "vacuous", {"failed_hypotheses": missing}
-    ring = ctx.ring
+    ring = ctx.system.ring
     if ring.size > PAIR_SWEEP_CAP:
         raise R.BudgetError(
             f"nil transfer sweep over {ring.size}^2 pairs exceeds cap"
         )
-    maps = orbit_closure(ctx.family)
+    maps = orbit_closure(ctx.system.sigma)
     nil = ring.nil_at
     idx = ring.elements()
     nil_ab = nil(ring.mul(idx[:, None], idx[None, :]))
@@ -243,19 +238,19 @@ def check_nil_transfer(ctx: EntryContext) -> tuple[str, dict]:
 
 def _first_moved(ctx: EntryContext, elems: list[int]) -> dict | None:
     """The first e in `elems` (then family map m) with m(e) != e, named; else None."""
-    x, maps = np.asarray(elems, dtype=np.int64), ctx.family.maps
+    x, maps = np.asarray(elems, dtype=np.int64), ctx.system.sigma.maps
     moved = np.stack([m(x) != x for m in maps], axis=1)  # (element, map)
     if not moved.any():
         return None
     k, mi = divmod(int(np.argmax(moved)), len(maps))
-    e, m, name = int(x[k]), maps[mi], ctx.ring.element_name
+    e, m, name = int(x[k]), maps[mi], ctx.system.ring.element_name
     return {"e": name(e), "map": m.name, "image": name(int(m(e)))}
 
 
 def check_idempotent_fixed(ctx: EntryContext) -> tuple[str, dict]:
     """NI + weak rigid force every twist to fix central idempotents."""
     missing = _failed(ctx)
-    central = [int(e) for e in central_idempotents(ctx.ring)]
+    central = [int(e) for e in central_idempotents(ctx.system.ring)]
     moved = _first_moved(ctx, central)
     if missing:
         details: dict = {"failed_hypotheses": missing}
@@ -266,7 +261,7 @@ def check_idempotent_fixed(ctx: EntryContext) -> tuple[str, dict]:
         return "vacuous", details
     if moved is not None:
         return "fail", moved
-    return "pass", {"central_idempotents": len(central), "maps": len(ctx.family.maps)}
+    return "pass", {"central_idempotents": len(central), "maps": ctx.system.n}
 
 
 def check_ideal_decomposition(ctx: EntryContext, mode: str = "fixed") -> tuple[str, dict]:
@@ -281,11 +276,11 @@ def check_ideal_decomposition(ctx: EntryContext, mode: str = "fixed") -> tuple[s
     if mode not in ("fixed", "literal"):
         raise ValueError("mode must be 'fixed' or 'literal'")
     flags = ctx.flags
-    ring = ctx.ring
+    ring, family = ctx.system.ring, ctx.system.sigma
     if mode == "literal":
         # sigma_i(1) = 1 for every unital endomorphism, so the literal
         # reading is unsatisfiable at e = 1 on any instance
-        e, m = ring.one, ctx.family.maps[0]
+        e, m = ring.one, family.maps[0]
         return "vacuous", {
             "mode": mode,
             "failed_hypotheses": ["idempotent_condition[literal]"],
@@ -322,7 +317,7 @@ def check_ideal_decomposition(ctx: EntryContext, mode: str = "fixed") -> tuple[s
                 ring, principal_right_set(ring, gen),
                 f"{ring.element_name(gen)}*R",
             )
-            v = is_weak_sigma_rigid_ideal(ring, ctx.family, ideal)
+            v = is_weak_sigma_rigid_ideal(ring, family, ideal)
             sides[label] = v.holds
             rhs_all = rhs_all and v.holds
         per_e[ring.element_name(e)] = sides
@@ -335,8 +330,8 @@ def check_ideal_decomposition(ctx: EntryContext, mode: str = "fixed") -> tuple[s
 
 
 def _counterexample_budget(ring: FiniteRing, degree_bound: int, pair_cap: int) -> SearchBudget:
-    # at degree 2 an S ring's block-elementary pairs exceed the default pair cap
-    degree_bound = 1 if isinstance(ring, SRing) else degree_bound
+    # at most degree 1 on an S ring: at degree 2 its block-elementary pairs exceed the pair cap
+    degree_bound = min(degree_bound, 1) if isinstance(ring, SRing) else degree_bound
     return SearchBudget(degree_bound=degree_bound, pair_cap=pair_cap, **subset_fields(ring))
 
 
@@ -378,6 +373,8 @@ def check_weak_armendariz_implication(
                 "weak rigid but not NI, and the weak Armendariz conclusion "
                 "fails as well: the NI hypothesis is essential"
             )
+        else:
+            details["conclusion_bound"] = verdict.bound
     return "vacuous", details
 
 
@@ -418,8 +415,8 @@ def reproduce_counterexamples(pair_cap: int = DEFAULT_PAIR_CAP) -> list[TheoremR
     if ok:
         # certify the witness product really has no zero power: its
         # power sequence closes a cycle that never reaches 0
-        p = s.ring.element_index(arm.witness["product"])
-        powers, reaches_zero = power_trajectory(s.ring, p)
+        p = s.system.ring.element_index(arm.witness["product"])
+        powers, reaches_zero = power_trajectory(s.system.ring, p)
         ok = ok and not reaches_zero
         details["power_certificate"] = {
             "element": arm.witness["product"],
@@ -480,8 +477,8 @@ def replay(record: dict) -> TheoremReport:
     """Re-run the check behind a theorem record, with the parameters it carries.
 
     ideal_decomposition reads its mode from `details.mode`; the Armendariz
-    implication reads the degree bound of its search from `details.bound`,
-    `details.witness` or `details.conclusion_fails_too`.
+    implication reads its search's degree bound from whichever `details`
+    entry records that search.
     """
     name, details = record["theorem"], record.get("details") or {}
     if name.startswith("counterexample_"):
@@ -490,7 +487,7 @@ def replay(record: dict) -> TheoremReport:
     if name == "ideal_decomposition":
         params["mode"] = details["mode"]
     elif name == "ni_weak_rigid_implies_weak_armendariz":
-        for key in ("bound", "witness", "conclusion_fails_too"):
+        for key in ("bound", "witness", "conclusion_fails_too", "conclusion_bound"):
             if key in details:
                 params["degree_bound"] = details[key]["degree_bound"]
     check, entry = CHECKS[name], entry_by_name(record["instance"])

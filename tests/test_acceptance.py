@@ -133,11 +133,11 @@ def test_criterion_05_rigid_iff_weak_reduced():
     rows = []
     for entry in DEFAULT_ENTRIES:
         ctx = resolve(entry)
-        rigid = is_sigma_rigid(ctx.ring, ctx.family).holds
-        weak = is_weak_sigma_rigid(ctx.ring, ctx.family).holds
+        rigid = is_sigma_rigid(ctx.system.ring, ctx.system.sigma).holds
+        weak = is_weak_sigma_rigid(ctx.system.ring, ctx.system.sigma).holds
         from skewlab.rings import is_reduced
 
-        red = is_reduced(ctx.ring)
+        red = is_reduced(ctx.system.ring)
         ok = ok and (rigid == (weak and red))
         rows.append(entry.name)
     assert verdict_line(
@@ -148,14 +148,14 @@ def test_criterion_05_rigid_iff_weak_reduced():
 def test_criterion_06_counterexample_r3():
     t0 = time.perf_counter()
     ctx = resolve(next(e for e in DEFAULT_ENTRIES if e.name == "R3(Z2)/id"))
-    weak = is_weak_sigma_rigid(ctx.ring, ctx.family)
-    rigid = is_sigma_rigid(ctx.ring, ctx.family)
+    weak = is_weak_sigma_rigid(ctx.system.ring, ctx.system.sigma)
+    rigid = is_sigma_rigid(ctx.system.ring, ctx.system.sigma)
     dt = time.perf_counter() - t0
     ok = weak.holds and rigid.fails and dt < 1.0
     if ok:
-        a = ctx.ring.element_index(rigid.witness["element"])
-        m = ctx.family.maps[0]
-        ok = a != ctx.ring.zero and int(ctx.ring.mul(a, m(a))) == ctx.ring.zero
+        a = ctx.system.ring.element_index(rigid.witness["element"])
+        m = ctx.system.sigma.maps[0]
+        ok = a != ctx.system.ring.zero and int(ctx.system.ring.mul(a, m(a))) == ctx.system.ring.zero
     assert verdict_line(
         6,
         ok,
@@ -166,20 +166,20 @@ def test_criterion_06_counterexample_r3():
 def test_criterion_07_counterexample_s():
     t0 = time.perf_counter()
     ctx = resolve(next(e for e in DEFAULT_ENTRIES if e.name == "S(Z3)/negate-B"))
-    weak = is_weak_sigma_rigid(ctx.ring, ctx.family)
+    weak = is_weak_sigma_rigid(ctx.system.ring, ctx.system.sigma)
     budget = SearchBudget(
         degree_bound=1,
-        subset=block_elementary_subset(ctx.ring),
+        subset=block_elementary_subset(ctx.system.ring),
         subset_name="block-elementary",
     )
     arm = is_weak_sigma_skew_armendariz(ctx.system, budget)
     ok = weak.holds and arm.fails
     if ok:
-        p = ctx.ring.element_index(arm.witness["product"])
-        powers, reaches_zero = power_trajectory(ctx.ring, p)
+        p = ctx.system.ring.element_index(arm.witness["product"])
+        powers, reaches_zero = power_trajectory(ctx.system.ring, p)
         # cycle detection bounds the sweep by |S|: a cycle without 0 proves
         # no power within |S| steps (or ever) hits 0
-        ok = not reaches_zero and len(powers) <= ctx.ring.size
+        ok = not reaches_zero and len(powers) <= ctx.system.ring.size
     dt = time.perf_counter() - t0
     ok = ok and dt < 60.0
     assert verdict_line(
@@ -197,8 +197,8 @@ def test_criterion_08_armendariz_gate():
         from skewlab.rings import is_ni
 
         gate = (
-            is_ni(ctx.ring)
-            and is_weak_sigma_rigid(ctx.ring, ctx.family).holds
+            is_ni(ctx.system.ring)
+            and is_weak_sigma_rigid(ctx.system.ring, ctx.system.sigma).holds
             and ctx.system.endomorphism_type
             and ctx.system.c_central_invertible()
         )
@@ -237,7 +237,7 @@ def test_criterion_09_hypothesis_suites():
         literal_ok = (
             literal_ok
             and details["unsatisfiable_at"]
-            == resolve(entry).ring.element_name(resolve(entry).ring.one)
+            == resolve(entry).system.ring.element_name(resolve(entry).system.ring.one)
         )
     ok = ok and literal_ok
     assert verdict_line(

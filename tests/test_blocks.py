@@ -33,15 +33,18 @@ from skewlab.maps import (
     orbit_closure,
     sigma_power,
     verify_block_endomorphism,
+    verify_sigma_derivation,
 )
 from skewlab.poly import CommutationSystem
 from skewlab.properties import (
     SearchBudget,
     block_elementary_subset,
+    decide,
     is_sigma_rigid,
     is_weak_sigma_rigid,
     is_weak_sigma_skew_armendariz,
     reduced_verdict,
+    subset_fields,
 )
 from skewlab.rings import (
     _CHUNK,
@@ -219,16 +222,16 @@ def test_mul_is_the_block_rule_on_decoded_triples(name, data):
 
 def _scalar_first_moved(ctx, elems):
     """The per-element, per-map loop that `_first_moved` replaces."""
-    name = ctx.ring.element_name
+    name = ctx.system.ring.element_name
     for e in elems:
-        for m in ctx.family.maps:
+        for m in ctx.system.sigma.maps:
             if int(m(e)) != e:
                 return {"e": name(e), "map": m.name, "image": name(int(m(e)))}
     return None
 
 
 def _assert_first_moved_matches(ring, maps, extra):
-    ctx = SimpleNamespace(ring=ring, family=SigmaFamily(ring, maps))
+    ctx = SimpleNamespace(system=SimpleNamespace(ring=ring, sigma=SigmaFamily(ring, maps)))
     for elems in (idempotents(ring).tolist(), central_idempotents(ring).tolist(), extra, []):
         assert _first_moved(ctx, elems) == _scalar_first_moved(ctx, elems)
 
@@ -404,23 +407,66 @@ def test_two_variable_s_z5_under_address_space_limit(tmp_path):
     assert len(recs) == 5 and not any(r.get("mismatch") for r in recs)
 
 
-def test_s_z5_derivation_refused_under_address_space_limit(tmp_path):
-    # id - sigma is a carrier table: past S(Z4)'s 2^24 entries it is refused
-    # before anything is allocated, as a spec error at the derivation.  Run
-    # only under the cap: an uncapped build asks for several 1.8 GiB arrays
+S_DERIVATION_SPEC = """\
+ring S(Z{n})
+map s = negate-B
+derivation dd = id-minus s
+maps s
+deltas dd
+{checks}check sigma_delta_skew_armendariz degree_bound=1 subset=block-elementary
+check skew_pi_armendariz degree_bound=1 subset=block-elementary
+expect sigma_delta_skew_armendariz=fails, skew_pi_armendariz=fails
+"""
+
+
+def test_s_z5_derivation_runs_under_address_space_limit(tmp_path):
+    # id - sigma is applied through the block map: no carrier table of
+    # 244,140,625 entries is built, so the spec runs under a 3 GB cap
     spec = tmp_path / "s5d.spec"
-    spec.write_text(
-        f"ring S(Z5)\nmap s = negate-B\nderivation dd = id-minus s\nmaps s\ndeltas dd\n{S_Z5_CHECKS}"
-    )
+    spec.write_text(S_DERIVATION_SPEC.format(n=5, checks=S_Z5_CHECKS))
     proc = _check_under_3gb(spec)
-    assert (proc.returncode, proc.stdout) == (2, ""), proc.stderr
-    assert proc.stderr == (
-        f"{spec}:line 3, col 1: derivation id-negate-B on S(Z5): a carrier table of "
-        "244140625 entries exceeds the cap of 16777216\n"
+    assert proc.returncode == 0, proc.stderr
+    recs = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert len(recs) == 7 and not any(r.get("mismatch") for r in recs)
+
+
+def test_s_z4_derivation_memory_guard(tmp_path):
+    # a fresh process: S(Z4) has 16,777,216 elements, and a carrier table of
+    # id - negate-B with its verification took 1,185 MB of max RSS; applied
+    # through the block map the spec peaks near 35 MB
+    spec = tmp_path / "s4d.spec"
+    spec.write_text(S_DERIVATION_SPEC.format(n=4, checks=""))
+    code = (
+        "import re, sys\n"
+        "from skewlab.cli import main\n"
+        "code = main(['check', sys.argv[1], '--json'])\n"
+        "hwm = re.search(r'VmHWM:\\s+(\\d+) kB', open('/proc/self/status').read())\n"
+        "print(code, int(hwm.group(1)), file=sys.stderr)\n"
     )
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(spec)],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    exit_code, hwm_kb = proc.stderr.split()[-2:]
+    assert exit_code == "0", proc.stderr
+    assert int(hwm_kb) < 100 << 10, hwm_kb
 
 
-def test_s_z3_derivation_builds_below_the_cap():
+def test_s_z3_derivation_keeps_no_carrier_table_and_equals_its_twin():
     ring = get_ring("S(Z3)")
-    d = id_minus_sigma_derivation(ring, get_map(ring, "negate-B"))
-    assert d.table.shape == (3**12,) and not d.is_zero
+    sigma = get_map(ring, "negate-B")
+    d = id_minus_sigma_derivation(ring, sigma)
+    assert d.table is None and not d.is_zero
+    idx = ring.elements()
+    twin_table = ring.sub(idx, sigma(idx))
+    assert np.array_equal(d(idx), twin_table)
+    twin = verify_sigma_derivation(ring, sigma, twin_table, d.name)
+    family = SigmaFamily(ring, [sigma])
+    budget = SearchBudget(degree_bound=1, **subset_fields(ring))
+    for name in ("sigma_delta_skew_armendariz", "skew_pi_armendariz"):
+        got = [
+            decide(name, CommutationSystem(ring, family, delta=[delta]), budget, "S(Z3)/dd")
+            for delta in (d, twin)
+        ]
+        assert got[0] == got[1] and got[0].fails

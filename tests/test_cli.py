@@ -485,6 +485,25 @@ def test_explain_theorem_records(tmp_path, capsys):
     assert all(r["verified"] for r in rows)
 
 
+@pytest.mark.parametrize("instance", ["M2(Z2)/id", "S(Z3)/negate-B"])
+@pytest.mark.parametrize("degree", [0, 1, 2])
+def test_explain_theorem_records_at_each_degree_bound(tmp_path, capsys, instance, degree):
+    # the NI-only Armendariz search records the degree it searched, with or
+    # without a witness, and `explain` replays it there; an S ring searches
+    # at most degree 1
+    _, out, _ = run_cli(
+        capsys, "verify-theorems", "--instance", instance, "--degree-bound", str(degree), "--json"
+    )
+    details = next(
+        json.loads(l)["details"] for l in out.splitlines()
+        if '"ni_weak_rigid_implies_weak_armendariz"' in l
+    )
+    searched = details.get("conclusion_fails_too") or details["conclusion_bound"]
+    assert searched["degree_bound"] == (min(degree, 1) if instance.startswith("S") else degree)
+    code, out, err = run_cli(capsys, "explain", write(tmp_path, "d.ndjson", out), "--json")
+    assert code == 0 and all(json.loads(l)["verified"] for l in out.splitlines())
+
+
 def test_explain_record_without_context(tmp_path, capsys):
     path = write(tmp_path, "z4.spec", "ring Z4\ncheck reduced\n")
     _, out, _ = run_cli(capsys, "check", path, "--json")

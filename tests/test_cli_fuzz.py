@@ -1,7 +1,7 @@
 """CLI contract under fuzzing: exit 0, 1 or 2, never a traceback.
 
 Mutated valid specs and random token streams over rings of at most 16
-elements and the S ring over Z2 go through `main()`; every output is
+elements and the S rings over Z2 and Z3 go through `main()`; every output is
 then fed to `explain`.
 Exit 1 from `check` must come with a `mismatch` record, and exit 2
 with a diagnostic that names a line >= 1 of the spec.
@@ -42,6 +42,13 @@ BASE_SPECS = [
     "check skew_pi_armendariz degree_bound=0 power_bound=1 subset=block-elementary\n",
     "ring S(Z2)\nmaps negate-B\nderivation dd = id-minus negate-B\ndeltas dd\n"
     "check sigma_delta_skew_armendariz degree_bound=1 subset=block-elementary\n",
+    # over Z3 negate-B moves B, so id - negate-B is a nonzero derivation
+    "ring S(Z3)\nmaps negate-B\nderivation dd = id-minus negate-B\ndeltas dd\n"
+    "checks ni, weak_sigma_rigid\n"
+    "check sigma_delta_skew_armendariz degree_bound=0 subset=block-elementary\n"
+    "expect weak_sigma_rigid=holds, sigma_delta_skew_armendariz=holds_up_to_bound\n",
+    "system s-negate-b(Z3)\ncheck weak_sigma_skew_armendariz degree_bound=0\n"
+    "check skew_pi_armendariz degree_bound=0 power_bound=2\n",
 ]
 
 CHECK_NAMES = [
@@ -54,6 +61,7 @@ VOCAB = CHECK_NAMES + [
     "[", "]", "[0,1]", "[0, 1, 1, 0]", "0", "1", "2", "-1", "3", "17", "x",
     "Z2", "Z3", "Z4", "Z6", "Z2xZ2", "M2(Z2)", "R3(Z2)", "Z1", "Q8", "catalog:Z3",
     "S(Z2)", "swap-ore", "quantum-plane(Z3,2)", "untwisted(Z4)", "s-negate-b(Z2)",
+    "S(Z3)", "s-negate-b(Z3)",
     "swap", "negate-B", "id", "s", "zero",
     "id-minus", "id-minus s", "images=[0,0,0,0]", "sigma=s", "degree_bound=1",
     "degree_bound=", "power_bound=2", "pair_cap=50", "subset=full", "subset=block-elementary", "holds", "fails", "reduced=fails", "json", "text",

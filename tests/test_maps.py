@@ -2,7 +2,9 @@
 import numpy as np
 import pytest
 
+from skewlab.catalog import BUILTIN_RINGS, map_names
 from skewlab.maps import (
+    DEFAULT_PAIR_CAP,
     MapVerificationError,
     SigmaFamily,
     id_minus_sigma_derivation,
@@ -80,6 +82,28 @@ def test_derivation_laws():
     assert (d(idx) == r.sub(idx, swap(idx))).all()
     assert not d.is_zero
     assert zero_derivation(r, swap).is_zero
+
+
+TWIN_RINGS = [n for n in BUILTIN_RINGS if not n.startswith("S(")] + ["S(Z2)", "S(Z3)"]
+
+
+@pytest.mark.parametrize("name", TWIN_RINGS)
+def test_id_minus_matches_its_carrier_twin(name):
+    # id - sigma keeps no table; its carrier twin a - sigma(a) is checked as
+    # an explicit derivation, exhaustively on carriers within the pair cap
+    ring = get_ring(name)
+    idx = ring.elements()
+    for mname in map_names(ring):
+        for sigma in orbit_closure(SigmaFamily(ring, [get_map(ring, mname)])):
+            d = id_minus_sigma_derivation(ring, sigma)
+            twin = ring.sub(idx, sigma(idx))
+            assert d.table is None and np.array_equal(d(idx), twin), sigma.name
+            assert [d(a) for a in (0, ring.one, ring.size - 1)] == [
+                int(twin[a]) for a in (0, ring.one, ring.size - 1)
+            ]
+            assert d.is_zero == sigma.equals(identity_map(ring)) == bool((twin == ring.zero).all())
+            if ring.size <= DEFAULT_PAIR_CAP:
+                verify_sigma_derivation(ring, sigma, twin, "twin")
 
 
 def test_broken_derivation_rejected():

@@ -99,7 +99,7 @@ def test_catalog_flags_detect_wrong_expectation():
     e = entry_by_name("Z4/id")
     wrong = replace(e, expected={**e.expected, "reduced": True})
     ctx = resolve(e)
-    ctx_wrong = type(ctx)(wrong, ctx.ring, ctx.family, ctx.system)
+    ctx_wrong = type(ctx)(wrong, ctx.system)
     status, details = check_catalog_flags(ctx_wrong)
     assert status == "fail"
     assert details["mismatches"] == {
@@ -119,7 +119,7 @@ def test_entry_verdicts_computed_once(monkeypatch):
 
         monkeypatch.setitem(P.DECIDERS, name, counted)
     cached = resolve(entry_by_name("Z4/id"))
-    ctx = type(cached)(cached.entry, cached.ring, cached.family, cached.system)
+    ctx = type(cached)(cached.entry, cached.system)
     for check in (check_catalog_flags, check_rigid_iff_weak_reduced, check_nil_transfer,
                   check_idempotent_fixed, check_ideal_decomposition):
         assert check(ctx)[0] == by(check.__name__.removeprefix("check_"), "Z4/id").status
@@ -187,8 +187,8 @@ def test_ideal_decomposition_literal_mode_always_vacuous():
         status, details = check_ideal_decomposition(resolve(e), mode="literal")
         assert status == "vacuous"
         assert details["failed_hypotheses"] == ["idempotent_condition[literal]"]
-        assert details["unsatisfiable_at"] == resolve(e).ring.element_name(
-            resolve(e).ring.one
+        assert details["unsatisfiable_at"] == resolve(e).system.ring.element_name(
+            resolve(e).system.ring.one
         )
     with pytest.raises(ValueError):
         check_ideal_decomposition(resolve(DEFAULT_ENTRIES[0]), mode="strict")

@@ -31,6 +31,17 @@ check weak_sigma_skew_armendariz degree_bound=1 subset=block-elementary
 """
 
 
+DERIVATION_SPEC = """\
+ring Z2xZ2
+map s = [0, 2, 1, 3]
+derivation dd = id-minus s
+maps s
+deltas dd
+check sigma_delta_skew_armendariz degree_bound=1
+check skew_pi_armendariz degree_bound=1
+"""
+
+
 def _launch(tmp_path, *argv):
     """Run one CLI command under the benchmark's traced launcher; its stdout lines and spans."""
     marks, spans = tmp_path / "marks.json", tmp_path / "spans.json"
@@ -78,6 +89,14 @@ def test_launch_trace_s_ring_block_maps(tmp_path):
     lines, counted = _traced_check(tmp_path, S_RING_SPEC)
     assert [json.loads(line)["status"] for line in lines] == ["fails", "holds", "fails", "fails"]
     assert {"maps.closure", "properties.rigidity", "kernels.generic_search"} <= counted
+
+
+def test_launch_trace_derivation_system(tmp_path):
+    # with a nonzero derivation the deciders build their move-past tables
+    # with the rewriting engine; every traced layer still fits
+    lines, counted = _traced_check(tmp_path, DERIVATION_SPEC)
+    assert [json.loads(line)["status"] for line in lines] == ["fails", "fails"]
+    assert "properties.engine_search" in counted
 
 
 def test_launch_trace_theorem_suite(tmp_path):
