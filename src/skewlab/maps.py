@@ -21,8 +21,7 @@ import numpy as np
 from .rings import BudgetError, FiniteRing, SRing, _CHUNK, _first_violation, index_table
 
 DEFAULT_CLOSURE_CAP = 4096
-DEFAULT_PAIR_CAP = 2048  # exhaustive pair checks up to this carrier size
-DEFAULT_SAMPLES = 20000
+DEFAULT_PAIR_CAP = 2048  # every pair up to this carrier size, R x G above it
 
 
 class MapVerificationError(Exception):
@@ -152,44 +151,32 @@ class SigmaDerivation:
         return f"<SigmaDerivation {self.name} on {self.ring.name}>"
 
 
-def _law_pairs(ring: FiniteRing, samples: int):
-    """`samples` pairs of the carrier, drawn with seed 0."""
-    rng = np.random.default_rng(0)
-    return rng.integers(0, ring.size, size=samples), rng.integers(0, ring.size, size=samples)
-
-
-def _law_violation(ring: FiniteRing, laws, pair_cap: int, samples: int):
+def _law_violation(ring: FiniteRing, laws, pair_cap: int):
     """First (law, (a, b)) with bad(a, b) True over the laws, in order, or None.
 
-    Each `bad` broadcasts over element arrays.  A carrier of at most
-    pair_cap elements is swept exhaustively, law by law over blocks of
-    rows a of at most _CHUNK cells, so the witness is the law's
-    row-major first failure; above pair_cap, `samples` seeded pairs are
-    checked.
+    Each `bad` broadcasts over element arrays.  Rows a run over the whole
+    carrier, law by law in blocks of at most _CHUNK cells; columns b run
+    over the whole carrier up to pair_cap elements and over the additive
+    generators G above it.  Each law is additive in b once the laws before
+    it hold, so R x G decides it exactly.  The witness is the law's
+    row-major first failure, with b the element, not its column.
     """
     n = ring.size
-    if n <= pair_cap:
-        step, b = max(1, _CHUNK // n), np.arange(n)
-        rows = [np.arange(lo, min(lo + step, n))[:, None] for lo in range(0, n, step)]
-        return _first_violation(
-            (law, lambda bad=bad: (bad(a, b) for a in rows)) for law, bad in laws
-        )
-    a, b = _law_pairs(ring, samples)
-    hit = _first_violation((law, lambda bad=bad: bad(a, b)) for law, bad in laws)
-    return hit and (hit[0], (int(a[hit[1][0]]), int(b[hit[1][0]])))
+    b = np.arange(n) if n <= pair_cap else ring.additive_generators
+    step = max(1, _CHUNK // len(b))
+    rows = [np.arange(lo, min(lo + step, n))[:, None] for lo in range(0, n, step)]
+    hit = _first_violation((law, lambda bad=bad: (bad(a, b) for a in rows)) for law, bad in laws)
+    return hit and (hit[0], (hit[1][0], int(b[hit[1][1]])))
 
 
 def verify_endomorphism(
-    ring: FiniteRing,
-    images,
-    name: str,
-    pair_cap: int = DEFAULT_PAIR_CAP,
-    samples: int = DEFAULT_SAMPLES,
+    ring: FiniteRing, images, name: str, pair_cap: int = DEFAULT_PAIR_CAP
 ) -> RingMap:
-    """Check additivity, multiplicativity, and unitality; raise on failure.
+    """Check unitality, additivity and multiplicativity exactly; raise on failure.
 
-    Pairs are swept exhaustively for carriers up to pair_cap, sampled
-    above it.
+    With f(0) = 0 and f additive on R x G, f is additive on R x R, and
+    then f(ab) = f(a)f(b) is additive in b; so both laws are checked on
+    every pair up to pair_cap elements and on R x G above it.
     """
     tab = _image_table(ring.size, images)
     if int(tab[ring.one]) != ring.one:
@@ -199,21 +186,16 @@ def verify_endomorphism(
     hit = _law_violation(ring, (
         ("additive", lambda a, b: tab[ring.add(a, b)] != ring.add(tab[a], tab[b])),
         ("multiplicative", lambda a, b: tab[ring.mul(a, b)] != ring.mul(tab[a], tab[b])),
-    ), pair_cap, samples)
+    ), pair_cap)
     if hit:
         raise MapVerificationError(name, *hit)
     return RingMap(ring, tab, name)
 
 
 def verify_sigma_derivation(
-    ring: FiniteRing,
-    sigma: RingMap,
-    images,
-    name: str,
-    pair_cap: int = DEFAULT_PAIR_CAP,
-    samples: int = DEFAULT_SAMPLES,
+    ring: FiniteRing, sigma: RingMap, images, name: str, pair_cap: int = DEFAULT_PAIR_CAP
 ) -> SigmaDerivation:
-    """Check additivity and the twisted Leibniz rule; raise on failure."""
+    """Check additivity and the twisted Leibniz rule exactly; raise on failure."""
     tab = _image_table(ring.size, images)
 
     def leibniz(a, b):
@@ -222,7 +204,7 @@ def verify_sigma_derivation(
     hit = _law_violation(ring, (
         ("additive", lambda a, b: tab[ring.add(a, b)] != ring.add(tab[a], tab[b])),
         ("twisted_leibniz", leibniz),
-    ), pair_cap, samples)
+    ), pair_cap)
     if hit:
         raise MapVerificationError(name, *hit)
     return SigmaDerivation(ring, sigma, tab, name)
@@ -276,9 +258,8 @@ def zero_derivation(ring: FiniteRing, sigma: RingMap) -> SigmaDerivation:
 def id_minus_sigma_derivation(ring: FiniteRing, sigma: RingMap) -> SigmaDerivation:
     """d(a) = a - sigma(a), applied through sigma: no table, and no check of its own.
 
-    Where sigma is additive so is d, and where sigma(ab) = sigma(a)sigma(b),
-    d(ab) = sigma(a)(b - sigma(b)) + (a - sigma(a))b = sigma(a)d(b) + d(a)b:
-    sigma's own check swept, or drew with the same seed 0, every pair a re-check would.
+    sigma is a verified endomorphism, checked exactly, so d is additive and
+    d(ab) = sigma(a)(b - sigma(b)) + (a - sigma(a))b = sigma(a)d(b) + d(a)b.
     """
     d = SigmaDerivation(ring, sigma, None, f"id-{sigma.name}")
     d._through_sigma = not sigma.equals(identity_map(ring))

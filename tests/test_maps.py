@@ -90,7 +90,7 @@ TWIN_RINGS = [n for n in BUILTIN_RINGS if not n.startswith("S(")] + ["S(Z2)", "S
 @pytest.mark.parametrize("name", TWIN_RINGS)
 def test_id_minus_matches_its_carrier_twin(name):
     # id - sigma keeps no table; its carrier twin a - sigma(a) is checked as
-    # an explicit derivation, exhaustively on carriers within the pair cap
+    # an explicit derivation, on every pair within the pair cap, on R x G above it
     ring = get_ring(name)
     idx = ring.elements()
     for mname in map_names(ring):
@@ -102,8 +102,39 @@ def test_id_minus_matches_its_carrier_twin(name):
                 int(twin[a]) for a in (0, ring.one, ring.size - 1)
             ]
             assert d.is_zero == sigma.equals(identity_map(ring)) == bool((twin == ring.zero).all())
-            if ring.size <= DEFAULT_PAIR_CAP:
-                verify_sigma_derivation(ring, sigma, twin, "twin")
+            verify_sigma_derivation(ring, sigma, twin, "twin")
+
+
+def _swapped(tab, i, j):
+    tab = np.array(tab)
+    tab[[i, j]] = tab[[j, i]]
+    return tab
+
+
+def test_swapped_images_rejected_above_pair_cap():
+    # S(Z3) has 531,441 elements, far above the pair cap; swapping the images
+    # of 1000 and 2000 breaks additivity on few pairs, which R x G still meets
+    ring = get_ring("S(Z3)")
+    assert ring.size > DEFAULT_PAIR_CAP
+    idx = ring.elements()
+    sigma = get_map(ring, "negate-B")
+    twin = ring.sub(idx, sigma(idx))
+    for verify, tab in (
+        (lambda t: verify_endomorphism(ring, t, "swapped"), idx),
+        (lambda t: verify_sigma_derivation(ring, sigma, t, "swapped"), twin),
+    ):
+        tab = _swapped(tab, 1000, 2000)
+        with pytest.raises(MapVerificationError) as exc:
+            verify(tab)
+        a, g = exc.value.witness
+        assert exc.value.law == "additive" and g in ring.additive_generators
+        assert tab[ring.add(a, g)] != ring.add(tab[a], tab[g])
+
+
+def test_swap_verifies_above_pair_cap():
+    ring = get_ring("Z64xZ64")
+    assert ring.size > DEFAULT_PAIR_CAP
+    assert get_map(ring, "swap").compose(get_map(ring, "swap")).equals(identity_map(ring))
 
 
 def test_broken_derivation_rejected():

@@ -200,20 +200,17 @@ def test_corrupted_z1024_names_a_real_violation(table):
     assert lhs != rhs
 
 
-def test_sampling_only_in_map_verification():
-    # laws and PBW confluence are exact; seeded sampling is left only where
-    # maps above pair_cap are verified
-    src = pathlib.Path(__file__).resolve().parents[1] / "src" / "skewlab"
-    users = set()
-    for path in sorted(src.glob("*.py")):
-        tree = ast.parse(path.read_text())
-        fns = [f for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)]
-        for node in ast.walk(tree):
-            if "default_rng" in {getattr(node, k, None) for k in ("id", "attr", "name")}:
-                owners = [f for f in fns if f.lineno <= node.lineno <= f.end_lineno]
-                inner = min(owners, key=lambda f: f.end_lineno - f.lineno, default=None)
-                users.add(f"{path.stem}.{inner.name if inner else '<module>'}")
-    assert users == {"maps._law_pairs"}
+def test_no_seeded_sampling_under_src():
+    # ring laws, PBW confluence and map checks are all exact: nothing under
+    # src/ draws random pairs
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    users = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(src.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if "default_rng" in {getattr(node, k, None) for k in ("id", "attr", "name")}
+    ]
+    assert users == []
 
 
 def test_broken_mul_table_rejected():
