@@ -795,11 +795,12 @@ def cmd_explain(args) -> int:
     out = []
     for ln, rec in records:
         # a stored record is untyped JSON: a field of the wrong type raises
-        # TypeError or AttributeError and marks the record BAD, like any
-        # other input error
+        # TypeError or AttributeError, and a polynomial of a degree no search
+        # forms RecursionError in the normal products; each marks the record
+        # BAD, like any other input error
         try:
             ok, msg = _reverify(rec)
-        except (*_INPUT_ERRORS, TypeError, AttributeError, SpecError) as e:
+        except (*_INPUT_ERRORS, TypeError, AttributeError, SpecError, RecursionError) as e:
             ok, msg = False, f"cannot re-verify: {e}"
         all_ok = all_ok and ok
         out.append(

@@ -134,7 +134,7 @@ class SigmaDerivation:
         if self._through_sigma:
             out = self.ring.sub(a, self.sigma(a))
         elif self.table is None:
-            if isinstance(a, (int, np.integer)):  # the rewriting engine's hot path
+            if isinstance(a, (int, np.integer)):  # poly.NormalProducts' hot path
                 return self.ring.zero
             out = np.full(np.shape(a), self.ring.zero, dtype=np.int32)
         else:

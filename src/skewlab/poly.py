@@ -9,12 +9,11 @@ Polynomials are dicts mapping exponent tuples to coefficient indices,
 always held in normal form (coefficients left, variables ascending).
 Terms are listed in the one monomial order used throughout, deglex
 (`deglex_key`), as in the paper's setting of skew PBW extensions.
-Products are computed by a token rewriting engine that applies the
-defining rules leftmost-first until no redex remains; tests/oracles.py
-holds an independent closed-formula route for x^alpha * r, and the two
-must agree.  Long power chains (nilpotency certificates) use
-`NormalProducts`, which memoizes products of single variables and
-coefficients instead of rewriting whole words.
+Every product of a system goes through its one `NormalProducts`, which
+moves one variable at a time past a coefficient or into a monomial by
+one defining rule and memoizes every word it has worked out.  Tests
+hold the references: a token rewriting engine and a closed formula
+for x^alpha * r (tests/oracles.py).
 """
 from __future__ import annotations
 
@@ -109,6 +108,7 @@ class CommutationSystem:
                 raise ValueError("d linear part must have one entry per variable")
             self.d[(i, j)] = (int(d0), dlin)
         self.name = name or f"ext({ring.name},n={self.n})"
+        self.products = NormalProducts(self)
 
     # rewrite data ----------------------------------------------------
     def c_of(self, i: int, j: int) -> int:
@@ -215,7 +215,7 @@ class SkewPoly:
 
     def __mul__(self, other: "SkewPoly") -> "SkewPoly":
         self._check(other)
-        return SkewPoly(self.system, _mul_terms(self.system, self.terms, other.terms))
+        return SkewPoly(self.system, self.system.products.product(self.terms, other.terms))
 
     def __pow__(self, k: int) -> "SkewPoly":
         if k < 1:
@@ -259,95 +259,18 @@ class SkewPoly:
 
 
 # ---------------------------------------------------------------------------
-# the rewriting engine
-
-
-def _normalize_tokens(sys: CommutationSystem, tokens: list) -> dict:
-    """Rewrite a coefficient/variable word to normal form.
-
-    Tokens are ("c", element) or ("v", var index).  The leftmost redex
-    is reduced first; branching rules push their summands on a stack.
-    Terminal words have one optional coefficient followed by ascending
-    variables.
-    """
-    ring = sys.ring
-    zero = ring.zero
-    out: dict[tuple, int] = {}
-    stack = [list(tokens)]
-    while stack:
-        toks = stack.pop()
-        pos = -1
-        kind = ""
-        for p in range(len(toks) - 1):
-            k0, k1 = toks[p][0], toks[p + 1][0]
-            if k0 == "c" and k1 == "c":
-                pos, kind = p, "cc"
-                break
-            if k0 == "v" and k1 == "c":
-                pos, kind = p, "vc"
-                break
-            if k0 == "v" and k1 == "v" and toks[p][1] > toks[p + 1][1]:
-                pos, kind = p, "vv"
-                break
-        if pos < 0:
-            coeff = ring.one
-            exp = [0] * sys.n
-            for t in toks:
-                if t[0] == "c":
-                    coeff = t[1]
-                else:
-                    exp[t[1]] += 1
-            if coeff != zero:
-                _accum(ring, out, tuple(exp), coeff)
-            continue
-        if kind == "cc":
-            r = ring.mul(toks[pos][1], toks[pos + 1][1])
-            if r != zero:
-                stack.append(toks[:pos] + [("c", r)] + toks[pos + 2 :])
-        elif kind == "vc":
-            i = toks[pos][1]
-            r = toks[pos + 1][1]
-            s = sys.sigma.maps[i](r)
-            d = sys.delta[i](r)
-            if s != zero:
-                stack.append(toks[:pos] + [("c", s), ("v", i)] + toks[pos + 2 :])
-            if d != zero:
-                stack.append(toks[:pos] + [("c", d)] + toks[pos + 2 :])
-        else:
-            j = toks[pos][1]
-            i = toks[pos + 1][1]
-            for exp, cval in sys.var_var_terms(j, i).items():
-                stack.append(toks[:pos] + _term_tokens(sys.n, exp, cval) + toks[pos + 2 :])
-    return out
-
-
-def _term_tokens(n: int, exp: tuple, coeff: int) -> list:
-    toks: list = [("c", coeff)]
-    for v in range(n):
-        toks.extend([("v", v)] * exp[v])
-    return toks
-
-
-def _mul_terms(sys: CommutationSystem, t1: dict, t2: dict) -> dict:
-    ring = sys.ring
-    out: dict[tuple, int] = {}
-    for e1, c1 in t1.items():
-        for e2, c2 in t2.items():
-            toks = _term_tokens(sys.n, e1, c1) + _term_tokens(sys.n, e2, c2)
-            for e, c in _normalize_tokens(sys, toks).items():
-                _accum(ring, out, e, c)
-    return out
+# normal-form products
 
 
 class NormalProducts:
-    """Memoized normal forms of words x^e * r * x^g, for long power chains.
+    """Memoized normal forms of words x^e * r * x^g, one memo per system.
 
-    The engine re-derives every rewrite path of a word, and the paths
-    multiply with its degree once rules branch.  Here the last variable
-    of x^e is moved past r and into x^g by one rule, and every smaller
-    word is worked out once.  On a system that passes verify_pbw_axioms
-    the normal form is unique, so the results equal the engine's.
-    Recursion is about one frame per degree of the word.
+    The last variable of x^e is moved past r and into x^g by one rule,
+    and every smaller word is worked out once, so a rewrite path is
+    never re-derived however often rules branch.  On a system that
+    passes verify_pbw_axioms the normal form is unique, so any order of
+    rewrites gives these results.  Recursion is about one frame per
+    degree of the word.
     """
 
     def __init__(self, sys: CommutationSystem):
@@ -406,16 +329,6 @@ class NormalProducts:
 
 
 # ---------------------------------------------------------------------------
-# x^alpha * r through the engine
-
-
-def mono_times_coeff_engine(sys: CommutationSystem, alpha, r: int) -> SkewPoly:
-    """x^alpha * r via the rewriting engine (oracle counterpart)."""
-    alpha = tuple(int(a) for a in alpha)
-    return sys.monomial(alpha) * sys.constant(int(r))
-
-
-# ---------------------------------------------------------------------------
 # axiom verification
 
 
@@ -438,7 +351,11 @@ def verify_pbw_axioms(sys: CommutationSystem) -> PbwReport:
     rules: both association orders of x_j * (x_i * r) for i < j, and of
     the variable triples x_k * x_j * x_i.  Both orders of x_j * (x_i * r)
     are additive in r, so r runs over the ring's additive generators only
-    and a failure names the least failing generator.
+    and a failure names the least failing generator.  Through the system's
+    `NormalProducts` the two sides of each overlap start with its two
+    different rewrites (x_i r, or x_j x_i; x_j x_i, or x_k x_j), so equal
+    normal forms resolve every ambiguity, and by Bergman's diamond lemma
+    (Adv. Math. 29, 1978) the rules are confluent exactly when they do.
     """
     ring = sys.ring
     rep = PbwReport(sys.name)
@@ -535,15 +452,16 @@ def move_past_tables(
 
     Lists the (i, k) pairs that occur, ascending.  Without derivations
     these are the sigma powers at `coeffs` (x^a * b = sigma^a(b) x^a);
-    otherwise one engine product per (a_i, b) fills them.
+    otherwise the words x^a_i * b fill them.
     """
     if sys.endomorphism_type:
         return [(i, i, m(coeffs)) for i, m in enumerate(sigma_power_tables(sys.sigma, exps))]
     index = {e: k for k, e in enumerate(exps)}
     tables: dict[tuple[int, int], np.ndarray] = {}
+    zero = (0,) * sys.n
     for i, a in enumerate(exps):
         for kb, b in enumerate(coeffs.tolist()):
-            for e, cval in mono_times_coeff_engine(sys, a, b).terms.items():
+            for e, cval in sys.products.word(a, b, zero).items():
                 tab = tables.get((i, index[e]))
                 if tab is None:
                     tab = tables[i, index[e]] = np.full(len(coeffs), sys.ring.zero, dtype=np.int32)

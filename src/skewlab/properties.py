@@ -8,12 +8,12 @@ HoldsUpToBound with the bound descriptor.  All six zero-product
 properties run on the one pair sweep of kernels.py, which this module
 hands every input over the searched coefficients; what each property
 asks of a coefficient pair is stated here once (`_violation_tables`,
-`_witness`, `recheck`).  The rewriting engine only builds the sweep's
-constants, certifies nilpotency of products for skew_pi_armendariz,
-and re-checks witnesses.  Every Fails verdict is
-re-checked by `recheck` from its record fields, through an independent
-route (engine arithmetic or direct ring ops), before it is returned;
-`skewlab explain` runs the same re-check on stored records.
+`_witness`, `recheck`).  Polynomial products, all through the system's
+`NormalProducts`, only build the sweep's constants, certify nilpotency
+of products for skew_pi_armendariz, and re-check witnesses.  Every Fails
+verdict is re-checked by `recheck` from its record fields, by polynomial
+arithmetic and direct ring ops, before it is returned; `skewlab explain`
+runs the same re-check on stored records.
 
 Canonical orders make every verdict deterministic: elements ascending,
 closure maps in word order, polynomial pairs by (deg f, deg g, f index,
@@ -308,23 +308,6 @@ def poly_terms_record(f: SkewPoly) -> list[dict]:
     ]
 
 
-def poly_is_nilpotent(f: SkewPoly, power_bound: int) -> tuple[bool, int]:
-    """(True, k) when f^k = 0 for some k <= power_bound, else (False, 0).
-
-    Declared only on exact evidence: a False only means no zero power
-    was seen within the bound.
-    """
-    if f.is_zero:
-        return True, 1
-    p = f
-    for k in range(1, power_bound + 1):
-        if p.is_zero:
-            return True, k
-        if k < power_bound:
-            p = p * f
-    return (True, power_bound) if p.is_zero else (False, 0)
-
-
 # what each coefficient pair (i, j) of a selected pair must meet, per
 # property: 0 = a_i sigma^(alpha_i)(b_j) nilpotent, 1 = it is zero, 2 = it
 # is zero for i = 0, 3 = (a_i x^alpha_i)(b_j x^alpha_j) = 0, 4 = a_i b_j
@@ -341,15 +324,21 @@ _MODE_BY_PROP = {
 
 
 def nilpotent_within(
-    products: NormalProducts, terms: dict, power_bound: int, cap: int
+    products: NormalProducts,
+    terms: dict,
+    power_bound: int,
+    cap: int | None = None,
+    start: int = 0,
 ) -> tuple[bool, int]:
-    """`poly_is_nilpotent` of the term dict f, on memoized normal products.
+    """(True, k) for the least k <= power_bound with f^k = 0, else (False, 0),
+    for the term dict f; a False only means no zero power was seen.
 
     Rewriting lowers the degree of all but the product of the leading
     terms (graded lex), so while the powers of f's leading term keep a
     nonzero coefficient they are the leading terms of the powers of f;
-    if they do up to the bound, no full power is formed.  Raises
-    BudgetError once `products` has multiplied more than `cap` term pairs.
+    if they do up to the bound, no full power is formed.  With a cap,
+    raises BudgetError once `products` has multiplied more than `cap`
+    term pairs since its `term_products` read `start`.
     """
     if not terms:
         return True, 1
@@ -367,7 +356,7 @@ def nilpotent_within(
         if not p:
             return True, k
         if k < power_bound:
-            if products.term_products > cap:
+            if cap is not None and products.term_products - start > cap:
                 raise BudgetError(
                     f"nilpotency certificates multiplied more than pair_cap={cap} "
                     "term pairs; lower the power bound or the degree bound"
@@ -377,8 +366,13 @@ def nilpotent_within(
 
 
 def _nilpotent_filter(sys: CommutationSystem, exps_out: list[tuple], budget: SearchBudget):
-    """keep(row) for the sweep: fg nilpotent within the bound, memoized on the row."""
-    products = NormalProducts(sys)
+    """keep(row) for the sweep: fg nilpotent within the bound, memoized on the row.
+
+    The pair cap counts the term pairs of this search's certificates only,
+    not what other work multiplied through the system's products before.
+    """
+    products = sys.products
+    start = products.term_products
     certified: dict[bytes, bool] = {}
 
     def keep(row: np.ndarray) -> bool:
@@ -386,7 +380,7 @@ def _nilpotent_filter(sys: CommutationSystem, exps_out: list[tuple], budget: Sea
         if key not in certified:
             terms = {e: int(c) for e, c in zip(exps_out, row) if c != sys.ring.zero}
             certified[key] = nilpotent_within(
-                products, terms, budget.power_bound, budget.pair_cap
+                products, terms, budget.power_bound, budget.pair_cap, start
             )[0]
         return certified[key]
 
@@ -399,7 +393,7 @@ def _zero_product_search(
     """Shared harness: find a selected fg whose coefficient pairs break `prop`.
 
     Selected means fg = 0, or for skew_pi_armendariz fg nilpotent within
-    the power bound.  A witness is re-checked through the engine and
+    the power bound.  A witness is re-checked by polynomial arithmetic and
     direct ring ops before it is returned.
     """
     ring = sys.ring
@@ -494,7 +488,7 @@ def _witness(sys: CommutationSystem, exps, rows, cell, prop: str, power_bound: i
         "g_terms": poly_terms_record(g),
     }
     if mode == 4:
-        wit["fg_power_zero_at"] = poly_is_nilpotent(f * g, power_bound)[1]
+        wit["fg_power_zero_at"] = nilpotent_within(sys.products, (f * g).terms, power_bound)[1]
     wit.update(
         monomial_i=monomial_str(exps[i]),
         monomial_j=monomial_str(exps[j]),
@@ -548,7 +542,7 @@ def is_sigma_delta_skew_armendariz(
     """fg = 0 must force every term product (a_i x^a_i)(b_j x^b_j) = 0.
 
     Derivations are allowed: the sweep moves coefficients past monomials
-    with move-past constants built by the engine.
+    with move-past constants built from the system's normal products.
     """
     return _zero_product_search(sys, budget, "sigma_delta_skew_armendariz", instance)
 
@@ -631,7 +625,7 @@ def recheck(prop: str, inst, witness: dict) -> tuple[bool, str]:
     f, g = _poly(sys, w["f_terms"]), _poly(sys, w["g_terms"])
     ai, bj = el(w["a_i"]), el(w["b_j"])
     if mode == 4:
-        nil_fg, k = poly_is_nilpotent(f * g, int(w["fg_power_zero_at"]))
+        nil_fg, k = nilpotent_within(sys.products, (f * g).terms, int(w["fg_power_zero_at"]))
         ok = nil_fg and not nil(int(ring.mul(ai, bj)))
         return ok, f"(fg)^{k} = 0 with a_i*b_j non-nilpotent: {ok}"
     if not (f * g).is_zero:

@@ -627,17 +627,19 @@ def test_explain_rejects_tampered_witness(tmp_path, capsys, check, spec, path, v
 
 def test_explain_malformed_fields_are_bad_records(tmp_path, capsys):
     rec = check_fails(tmp_path, capsys, "weak_armendariz", "m2")
+    deep = [{**t, "exp": [3000]} for t in rec["witness"]["f_terms"]]  # past any search's degree
     broken = [
         {**rec, "witness": "abc"},
         {**rec, "witness": {**rec["witness"], "f_terms": 5}},
         {**rec, "context": "abc"},
         {**rec, "status": None},
+        {**rec, "witness": {**rec["witness"], "f_terms": deep}},
     ]
     ndjson = write(tmp_path, "bad.ndjson", "".join(json.dumps(r) + "\n" for r in broken))
     code, out, err = run_cli(capsys, "explain", ndjson)
     assert (code, err) == (1, "")
     assert [line.partition(": cannot re-verify: ")[0] for line in out.splitlines()] == [
-        f"[BAD] record at line {ln}" for ln in (1, 2, 3, 4)
+        f"[BAD] record at line {ln}" for ln in (1, 2, 3, 4, 5)
     ]
     assert out.splitlines()[3].endswith(
         "status None is not one of holds, fails, holds_up_to_bound"

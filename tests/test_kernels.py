@@ -21,7 +21,6 @@ from skewlab.maps import (
 )
 from skewlab.poly import (
     CommutationSystem,
-    mono_times_coeff_engine,
     monomial_product_table,
     monomial_str,
     monomials_upto,
@@ -39,13 +38,17 @@ from skewlab.properties import (
     block_elementary_subset,
     is_sigma_delta_skew_armendariz,
     is_skew_pi_armendariz,
-    poly_is_nilpotent,
     poly_terms_record,
 )
 from skewlab.rings import make_zn
 
 from conftest import get_map, get_ring, get_system
-from oracles import nil_mask_cycle_detect
+from oracles import (
+    engine_product,
+    mono_times_coeff_engine,
+    nil_mask_cycle_detect,
+    poly_is_nilpotent,
+)
 
 
 # --- law sweeps --------------------------------------------------------------
@@ -205,14 +208,14 @@ def engine_sweep(sys, budget, mode):
     pairs = zeros = 0
     for f, g in _poly_pairs_engine(sys, exps, budget):
         pairs += 1
-        if not (f * g).is_zero:
+        if not engine_product(f, g).is_zero:
             continue
         zeros += 1
         for ea in exps[:1] if mode == 2 else exps:
             for eb in exps:
                 a = f.terms.get(ea, ring.zero)
                 b = g.terms.get(eb, ring.zero)
-                term = sys.monomial(ea, a) * sys.constant(b)
+                term = engine_product(sys.monomial(ea, a), sys.constant(b))
                 p = term.terms.get(ea, ring.zero)
                 if (not nil[p]) if mode == 0 else p != ring.zero:
                     return (str(f), str(g), list(ea), list(eb)), pairs, zeros
@@ -365,7 +368,7 @@ def test_staged_filter_matches_full_products(drawn, data):
     # the full rows are the engine's products ...
     for f in range(F.shape[0]):
         for b in range(B.shape[0]):
-            prod = _row_poly(sys, exps, F[f]) * _row_poly(sys, exps, B[b])
+            prod = engine_product(_row_poly(sys, exps, F[f]), _row_poly(sys, exps, B[b]))
             assert fg[:, f * B.shape[0] + b].tolist() == [prod.coeff(e) for e in exps_out]
     # ... and the staged filter keeps exactly the all-zero ones (on the
     # drawn coefficients), also when F is swept in two chunks
@@ -520,12 +523,14 @@ def engine_sigma_delta(sys, budget, instance=""):
     pairs = zeros = 0
     for f, g in _poly_pairs_engine(sys, exps, budget):
         pairs += 1
-        if not (f * g).is_zero:
+        if not engine_product(f, g).is_zero:
             continue
         zeros += 1
         for ea in f.support():
             for eb in g.support():
-                term = sys.monomial(ea, f.terms[ea]) * sys.monomial(eb, g.terms[eb])
+                term = engine_product(
+                    sys.monomial(ea, f.terms[ea]), sys.monomial(eb, g.terms[eb])
+                )
                 if not term.is_zero:
                     wit = {
                         "f": str(f),
@@ -559,15 +564,21 @@ def engine_sigma_delta(sys, budget, instance=""):
 
 
 def engine_skew_pi(sys, budget, instance=""):
-    """skew_pi_armendariz with engine products and powers for every pair."""
+    """skew_pi_armendariz with engine products and powers for every pair;
+    the powers of each distinct product are formed once."""
     ring = sys.ring
     nil = nil_mask_cycle_detect(ring)
     exps = monomials_upto(sys.n, budget.degree_bound)
     name = instance or sys.name
     pairs = nilprods = 0
+    certified = {}  # fg terms -> poly_is_nilpotent(fg, power_bound)
     for f, g in _poly_pairs_engine(sys, exps, budget):
         pairs += 1
-        ok, k = poly_is_nilpotent(f * g, budget.power_bound)
+        fg = engine_product(f, g)
+        key = frozenset(fg.terms.items())
+        if key not in certified:
+            certified[key] = poly_is_nilpotent(fg, budget.power_bound)
+        ok, k = certified[key]
         if not ok:
             continue
         nilprods += 1

@@ -1,4 +1,5 @@
-"""Skew polynomial arithmetic: engine, closed-formula oracle, axioms."""
+"""Skew polynomial arithmetic: normal products against the engine and
+closed-formula oracles, and the axioms."""
 import itertools
 
 import numpy as np
@@ -17,7 +18,6 @@ from skewlab.poly import (
     CommutationSystem,
     PbwAxiomError,
     SkewPoly,
-    mono_times_coeff_engine,
     monomial_product_table,
     monomials_upto,
     require_pbw,
@@ -25,7 +25,7 @@ from skewlab.poly import (
 )
 
 from conftest import get_map, get_ring, get_system
-from oracles import mono_times_coeff_closed
+from oracles import mono_times_coeff_closed, mono_times_coeff_engine, pbw_failures_engine
 
 
 def double_swap_system():
@@ -100,7 +100,13 @@ def test_poly_str_and_zero():
     assert str(SkewPoly(so, {})) == "0"
 
 
-# --- dual-route oracle: closed formula vs rewriting engine -----------------
+# --- three routes to x^alpha * r: closed formula, rewriting engine, normal products
+
+
+def assert_routes_agree(sys, alpha, r):
+    closed = mono_times_coeff_closed(sys, alpha, r)
+    assert closed == mono_times_coeff_engine(sys, alpha, r)
+    assert closed == sys.monomial(alpha) * sys.constant(r)
 
 
 @pytest.mark.parametrize("sysname", ["swap-ore", "untwisted(Z4)"])
@@ -108,18 +114,14 @@ def test_closed_formula_matches_engine_one_var(sysname):
     sys = get_system(sysname)
     for m in range(5):
         for r in range(sys.ring.size):
-            assert mono_times_coeff_closed(sys, (m,), r) == mono_times_coeff_engine(
-                sys, (m,), r
-            )
+            assert_routes_agree(sys, (m,), r)
 
 
 def test_closed_formula_matches_engine_quantum_plane():
     qp = get_system("quantum-plane(Z3,2)")
     for alpha in monomials_upto(2, 4):
         for r in range(3):
-            assert mono_times_coeff_closed(qp, alpha, r) == mono_times_coeff_engine(
-                qp, alpha, r
-            )
+            assert_routes_agree(qp, alpha, r)
 
 
 def test_closed_formula_matches_engine_with_derivations():
@@ -127,9 +129,7 @@ def test_closed_formula_matches_engine_with_derivations():
     require_pbw(sys)
     for alpha in monomials_upto(2, 4):
         for r in range(sys.ring.size):
-            assert mono_times_coeff_closed(sys, alpha, r) == mono_times_coeff_engine(
-                sys, alpha, r
-            )
+            assert_routes_agree(sys, alpha, r)
 
 
 def test_closed_formula_rejects_bad_exponent():
@@ -204,6 +204,49 @@ def test_builtin_systems_pass_axioms(sysname):
         xj, xi = sys.variable(j), sys.variable(i)
         for r in range(sys.ring.size):
             assert xj * (xi * sys.constant(r)) == (xj * xi) * sys.constant(r)
+
+
+@st.composite
+def pbw_candidates(draw):
+    """A two- or three-variable system, valid or not: drawn twists (M2(Z2)
+    conjugations among them), delta = 0 or id - sigma, c_ij and d_ij."""
+    kind = draw(st.sampled_from(["Z2", "Z3", "Z4", "Z5", "Z6", "Z2xZ2", "M2(Z2)", "S(Z2)"]))
+    ring = get_ring(kind)
+    twists = [identity_map(ring)]
+    if kind == "Z2xZ2":
+        twists += [get_map(ring, "swap"), verify_endomorphism(ring, np.array([0, 0, 3, 3]), "proj")]
+    elif kind == "M2(Z2)":  # conjugation by each unit u
+        mul = ring.mul_table
+        for u in range(ring.size):
+            if (mul[u] == ring.one).any():
+                uinv = int(np.argmax(mul[u] == ring.one))
+                twists.append(verify_endomorphism(ring, mul[mul[u], uinv], f"conj{u}"))
+    elif kind == "S(Z2)":
+        twists.append(get_map(ring, "negate-B"))
+    n = draw(st.sampled_from([2, 3]))
+    sigma = [draw(st.sampled_from(twists)) for _ in range(n)]
+    delta = [
+        draw(st.sampled_from([zero_derivation, id_minus_sigma_derivation]))(ring, m) for m in sigma
+    ]
+    # c = 1 and d entries of 0 or 1 keep the valid systems common; any
+    # element, c = 0 among them, breaks them
+    anything = st.integers(0, ring.size - 1)
+    small = st.sampled_from([ring.zero, ring.one]) | anything
+    c, d = {}, {}
+    for i, j in itertools.combinations(range(n), 2):
+        if draw(st.booleans()):
+            c[i, j] = draw(st.just(ring.one) | anything)
+        if draw(st.booleans()):
+            d[i, j] = (draw(small), tuple(draw(small) for _ in range(n)))
+    return CommutationSystem(ring, SigmaFamily(ring, sigma), delta=delta, c=c, d=d)
+
+
+@settings(max_examples=250, deadline=None)
+@given(pbw_candidates())
+def test_pbw_failures_match_engine(sys):
+    # the two sides of each overlap through the system's normal products
+    # decide confluence exactly as the rewriting engine's do, details included
+    assert verify_pbw_axioms(sys).failures == pbw_failures_engine(sys)
 
 
 def test_zero_c_rejected():

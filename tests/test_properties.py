@@ -21,11 +21,11 @@ from skewlab.properties import (
     is_weak_sigma_rigid_ideal,
     is_weak_sigma_skew_armendariz,
     nilpotent_within,
-    poly_is_nilpotent,
 )
 from skewlab.rings import BudgetError, make_ideal, principal_right_set
 
 from conftest import get_map, get_ring, get_system
+from oracles import engine_product, poly_is_nilpotent
 
 def id_family(ring):
     return SigmaFamily(ring, [identity_map(ring)])
@@ -363,7 +363,7 @@ def test_normal_products_match_engine(at):
     products = NormalProducts(sys)
     for _ in range(12):
         f, g = _random_poly(sys, rng, 3), _random_poly(sys, rng, 2)
-        assert products.product(f.terms, g.terms) == (f * g).terms
+        assert products.product(f.terms, g.terms) == engine_product(f, g).terms
 
 
 @pytest.mark.parametrize("at", range(8))
@@ -372,7 +372,7 @@ def test_nilpotent_within_matches_engine(at):
     rng = np.random.default_rng(10 + at)
     products = NormalProducts(sys)
     for _ in range(12):
-        fg = _random_poly(sys, rng, 1) * _random_poly(sys, rng, 1)
+        fg = engine_product(_random_poly(sys, rng, 1), _random_poly(sys, rng, 1))
         for bound in (1, 2, 4):
             got = nilpotent_within(products, fg.terms, bound, 10**9)
             assert got == poly_is_nilpotent(fg, bound)
@@ -392,6 +392,34 @@ def test_skew_pi_power_chains_are_bounded():
         is_skew_pi_armendariz(z4, SearchBudget(degree_bound=1, power_bound=17, pair_cap=200_000))
     with pytest.raises(BudgetError, match="^power_bound=129 forms powers of degree 258, past 256"):
         is_skew_pi_armendariz(qp, SearchBudget(degree_bound=1, power_bound=129))
+
+
+def test_certificate_cap_counts_one_search():
+    # every product of a system goes through its one NormalProducts, so the
+    # PBW check, the structure constants and earlier searches have counted
+    # term pairs there before; the cap still meters this search alone
+    z4 = _untwisted("Z4")
+    budget = SearchBudget(degree_bound=1, power_bound=17, pair_cap=200_000)
+
+    def spent_at_raise():
+        start = z4.products.term_products
+        with pytest.raises(BudgetError, match="^nilpotency certificates multiplied more than pair_cap=200000"):
+            is_skew_pi_armendariz(z4, budget)
+        return z4.products.term_products - start
+
+    first = spent_at_raise()
+    assert first > 200_000
+    is_sigma_delta_skew_armendariz(z4, SearchBudget(degree_bound=2))
+    assert spent_at_raise() == first
+
+
+@pytest.mark.parametrize("sysname,power_bound", [("untwisted(Z4)", 8), ("untwisted(M2(Z2))", 4)])
+def test_skew_pi_repeats_on_one_system(sysname, power_bound):
+    # the second run meets the memo the first one filled: same verdict, same counters
+    sys = get_system(sysname)
+    budget = SearchBudget(degree_bound=1, power_bound=power_bound)
+    first = is_skew_pi_armendariz(sys, budget)
+    assert is_skew_pi_armendariz(sys, budget) == first
 
 
 # --- determinism ----------------------------------------------------------------

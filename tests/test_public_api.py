@@ -32,3 +32,25 @@ def test_no_unused_imports():
         read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
         unused += [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in read]
     assert unused == []
+
+
+def test_one_product_under_src():
+    # every product goes through poly.NormalProducts; the token rewriting
+    # engine and its powers live in tests/oracles.py as the reference
+    engine = {
+        "_normalize_tokens", "_term_tokens", "_mul_terms", "poly_is_nilpotent", "mono_times_coeff_engine"
+    }
+    users = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            named = engine & {getattr(node, k, None) for k in ("id", "attr", "name")}
+            token = (
+                isinstance(node, ast.Tuple)
+                and len(node.elts) == 2
+                and isinstance(node.elts[0], ast.Constant)
+                and node.elts[0].value in ("c", "v")
+            )
+            if named or token:
+                users.append(f"{path.name}:{node.lineno}")
+    assert users == []
+    assert "mono_times_coeff_engine" not in skewlab.__all__

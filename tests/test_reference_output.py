@@ -4,7 +4,9 @@ perfbench/reference.json holds the sha256 of each benchmark command's
 NDJSON minus wall_ms (`digest` in perfbench/run.py).  `verify-theorems
 --json`, and `check --json` on the small-checks specs at seed 0, must
 hash to those digests here, so any change to their output fails the
-suite.  The perfbench files are read, never written.
+suite.  The perfbench files are read, never written.  The `fails`
+witnesses of the same outputs are re-checked with the reference
+rewriting engine of tests/oracles.py, not the program's products.
 """
 import importlib.util
 import json
@@ -13,7 +15,12 @@ import sys
 
 import pytest
 
-from skewlab.cli import main
+from skewlab.cli import main, parse_spec
+from skewlab.poly import SkewPoly
+from skewlab.properties import untwisted
+from skewlab.theorems import entry_by_name, resolve
+
+from oracles import engine_product, poly_is_nilpotent
 
 PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -47,3 +54,65 @@ def test_small_check_matches_reference(name, tmp_path, capsys):
     path = tmp_path / f"{name}.spec"
     path.write_text(SPECS[name])
     _matches(capsys, ["check", str(path), "--json"], REFERENCE["small-checks"][name], "0")
+
+
+def _witnesses(obj):
+    """Every polynomial witness (a dict with `f_terms`) inside a record."""
+    if isinstance(obj, dict):
+        if "f_terms" in obj:
+            yield obj
+        for v in obj.values():
+            yield from _witnesses(v)
+    elif isinstance(obj, list):
+        for v in obj:
+            yield from _witnesses(v)
+
+
+def _engine_recheck(sys, w):
+    ring = sys.ring
+    el = ring.element_index
+
+    def poly(terms):
+        return SkewPoly(sys, {tuple(t["exp"]): el(t["coeff"]) for t in terms})
+
+    fg = engine_product(poly(w["f_terms"]), poly(w["g_terms"]))
+    ai, bj = el(w["a_i"]), el(w["b_j"])
+    ei, ej = tuple(w["exp_i"]), tuple(w["exp_j"])
+    if "fg_power_zero_at" in w:  # skew_pi_armendariz: the least zero power
+        k = w["fg_power_zero_at"]
+        assert poly_is_nilpotent(fg, k) == (True, k)
+        assert w["product"] == ring.element_name(int(ring.mul(ai, bj)))
+        return
+    assert fg.is_zero
+    if "term_product" in w:
+        term = engine_product(sys.monomial(ei, ai), sys.monomial(ej, bj))
+        assert str(term) == w["term_product"]
+    else:  # without derivations a_i x^alpha_i * b_j = a_i sigma^alpha_i(b_j) x^alpha_i
+        term = engine_product(sys.monomial(ei, ai), sys.constant(bj))
+        assert ring.element_name(term.coeff(ei)) == w["product"]
+
+
+def test_fails_witnesses_recheck_with_engine(tmp_path, capsys):
+    main(["verify-theorems", "--json"])
+    theorems = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    checked = 0
+    for rec in theorems:
+        for w in _witnesses(rec.get("details")):
+            _engine_recheck(resolve(entry_by_name(rec["instance"])).system, w)
+            checked += 1
+    assert checked >= 1
+    fails = checked = 0
+    for name, text in sorted(SPECS.items()):
+        path = tmp_path / f"{name}.spec"
+        path.write_text(text)
+        main(["check", str(path), "--json"])
+        for rec in map(json.loads, capsys.readouterr().out.splitlines()):
+            if rec["status"] != "fails":
+                continue
+            fails += 1
+            sys = parse_spec(rec["context"]["spec_text"]).system
+            if rec["check"] == "weak_armendariz":
+                sys = untwisted(sys.ring)
+            _engine_recheck(sys, rec["witness"])
+            checked += 1
+    assert checked == fails >= 1
