@@ -21,7 +21,7 @@ import numpy as np
 # the pair sweep's memory cap: key tables are built a quarter of it at a
 # time; a chunk of f rows tests at most an eighth of it in zero-pair
 # candidates, or forms all of it in products on the `keep` path
-_CHUNK_ELEMS = 1 << 18
+_CHUNK_ELEMS = 1 << 17
 
 
 def dedupe(a: np.ndarray):
@@ -78,14 +78,15 @@ def distributivity_witness(add: np.ndarray, mul: np.ndarray):
 
 
 def nilpotent_mask(mul: np.ndarray, zero: int) -> np.ndarray:
-    """Boolean mask of a with a^k = 0 for some 1 <= k <= n (pigeonhole bound)."""
+    """Boolean mask of a with a^k = 0 for some 1 <= k <= log2 n.
+
+    R > aR > ... > a^k R = 0 falls strictly (an equal step stays equal
+    down to 0), so each subgroup at most halves: 2^k <= n.
+    """
     n = mul.shape[0]
-    idx = np.arange(n)
-    cur = idx.copy()
+    idx = cur = np.arange(n)
     out = cur == zero
-    for _ in range(n - 1):
-        if out.all():
-            break
+    for _ in range(n.bit_length() - 2):
         cur = mul[cur, idx]
         out |= cur == zero
     return out

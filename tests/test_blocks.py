@@ -363,10 +363,11 @@ def test_s_z5_through_check(tmp_path, capsys, head):
 def test_s_z4_theorem_suite_memory_guard():
     # a fresh process, so no earlier test has warmed the S(Z4) caches; one
     # int32 carrier table of S(Z4) alone would be 67 MB.  The suite peaks at
-    # 2.4 MiB, in the block-elementary pair sweep's index arrays; checking
-    # the negate-B map one law's |M|x|M| grid at a time stays below that,
-    # where all seven laws over pair vectors at once took 5.7 MiB.  The
-    # bound leaves 1.6 MiB of margin
+    # 2.4 MiB, while building the block ring M2(Z4); the block-elementary
+    # pair sweep's index arrays take 1.8 MiB, and checking the negate-B map
+    # one law's |M|x|M| grid at a time stays below that, where all seven
+    # laws over pair vectors at once took 5.7 MiB.  The bound leaves 1.6 MiB
+    # of margin
     code = (
         "import tracemalloc\n"
         "from skewlab.theorems import run_all\n"

@@ -162,6 +162,9 @@ def test_zero_commutation_coefficient_rejected(tmp_path, capsys):
     )
 
 
+F2 = "ring F2 add=[[0,1],[1,0]] mul=[[0,0],[0,1]] one=1 names="
+
+
 @pytest.mark.parametrize("body,line,fragment", [
     ("maps id, id\nc[1,2] = 5\n", 3, "5 is not an element index of Z3 (size 3)"),
     ("maps id, id\nd[1,2] = [7]\n", 3, "7 is not an element index of Z3 (size 3)"),
@@ -190,16 +193,36 @@ def test_zero_commutation_coefficient_rejected(tmp_path, capsys):
     ("check skew_pi_armendariz depth=2\n", 2,
      "skew_pi_armendariz reads no option 'depth'; "
      "its options: degree_bound, pair_cap, subset, power_bound"),
+    ("c[2,1] = 1\n", 2, "c[2,1] needs 1 <= i < j"),
+    ("output yaml\n", 2, "output must be `json` or `text`"),
+    ("deltas zero, zero\n", 2, "2 deltas for 1 variables"),
+    ("derivation dd = images=[0,0,0]\ndeltas dd\n", 2,
+     "explicit derivations need images=[...] sigma=MAP"),
+    ("maps id, id\nd[1,2] = [0, 1]\n", 3, "d[1,2] needs 1 constant + 2 linear entries"),
+    ("maps id, id\nc[1,3] = 1\n", 3, "c/d entry references x3 but n = 2"),
+    ("map m = [0, 1]\nmaps m\ncheck reduced\n", 2, "image table must have shape (3,)"),
+    (F2 + '["z","u"]\nmap s = swap\nmaps s\n', 2, "unknown map 'swap' on F2; available: id"),
+    (F2 + '["z"]\n', 1, "F2: 1 names for 2 elements"),
+    (F2 + '["z","z"]\n', 1, "F2: element names are not unique"),
+    (F2 + '["zero","one"]\nmaps id, id\nc[1,2] = two\n', 3, "F2: no element named 'two'"),
 ], ids=["c-range", "d-range", "d-not-list", "map-not-ints", "map-wide-int", "names-not-list",
         "degree-negative", "degree-not-int", "power-zero", "pair-cap-not-int",
         "subset-unknown", "subset-not-s-ring", "flag-options", "rigidity-option",
-        "power-bound-unread", "unknown-option"])
+        "power-bound-unread", "unknown-option", "c-order", "output-unknown", "deltas-count",
+        "derivation-no-sigma", "d-length", "cd-past-n", "map-length", "map-not-on-tables",
+        "names-short", "names-duplicate", "c-unknown-name"])
 def test_bad_spec_numbers_exit_2(tmp_path, capsys, body, line, fragment):
     # a body that declares its own ring replaces Z3
     path = write(tmp_path, "bad.spec", body if body.startswith("ring ") else "ring Z3\n" + body)
     code, out, err = run_cli(capsys, "check", path)
     assert code == 2 and out == ""
     assert err == f"{path}:line {line}, col 1: {fragment}\n"
+
+
+def test_short_d_row_is_padded(tmp_path, capsys):
+    # d[1,2] = [0] is the constant alone; the linear entries default to zero
+    path = write(tmp_path, "pad.spec", "ring Z3\nmaps id, id\nd[1,2] = [0]\nexpect reduced=holds\n")
+    assert run_cli(capsys, "check", path)[0] == 0
 
 
 def test_explicit_ring_one_checked(tmp_path, capsys):
@@ -633,17 +656,44 @@ def test_explain_malformed_fields_are_bad_records(tmp_path, capsys):
         {**rec, "witness": {**rec["witness"], "f_terms": 5}},
         {**rec, "context": "abc"},
         {**rec, "status": None},
+        {**rec, "context": {"source": "verify-theorems"}},
+        {**rec, "check": "nosuch"},
         {**rec, "witness": {**rec["witness"], "f_terms": deep}},
     ]
     ndjson = write(tmp_path, "bad.ndjson", "".join(json.dumps(r) + "\n" for r in broken))
     code, out, err = run_cli(capsys, "explain", ndjson)
     assert (code, err) == (1, "")
-    assert [line.partition(": cannot re-verify: ")[0] for line in out.splitlines()] == [
-        f"[BAD] record at line {ln}" for ln in (1, 2, 3, 4, 5)
+    lines = out.splitlines()
+    assert [line.partition(": ")[0] for line in lines] == [
+        f"[BAD] record at line {ln}" for ln in range(1, 8)
     ]
-    assert out.splitlines()[3].endswith(
-        "status None is not one of holds, fails, holds_up_to_bound"
-    )
+    assert lines[5] == "[BAD] record at line 6: unknown check 'nosuch'"
+    assert all(": cannot re-verify: " in line for line in lines[:5] + lines[6:])
+    assert lines[3].endswith("status None is not one of holds, fails, holds_up_to_bound")
+    assert lines[4].endswith("is not reconstructible")
+
+
+def test_explain_non_json_line_exits_2(tmp_path, capsys):
+    rec = check_fails(tmp_path, capsys, "reduced", "m2")
+    ndjson = write(tmp_path, "mixed.ndjson", json.dumps(rec) + "\nnot json\n")
+    code, out, err = run_cli(capsys, "explain", ndjson)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"{ndjson}: bad record: ")
+
+
+@pytest.mark.parametrize("a,b,verified", [
+    # a nilpotent, ab = [1,0;0,0] idempotent: nil(R) does not absorb b
+    ("[0,1;0,0]", "[0,0;1,0]", True),
+    # neither factor is nilpotent, so the pair shows nothing
+    ("[1,0;0,1]", "[0,1;1,0]", False),
+], ids=["absorption-fails", "two-units"])
+def test_explain_ni_product_witness(tmp_path, capsys, a, b, verified):
+    # no decider emits an ni witness of kind `mul`, but a stored record may hold one
+    rec = check_fails(tmp_path, capsys, "ni", "m2")
+    rec["witness"] = {"kind": "mul", "a": a, "b": b}
+    code, row = explain_one(tmp_path, capsys, rec)
+    assert (code, row["verified"]) == (0 if verified else 1, verified)
+    assert row["explanation"].startswith("nilpotent absorbs under product fails")
 
 
 def test_check_budget_error_names_the_check(tmp_path, capsys):
@@ -716,7 +766,7 @@ def test_commands_leave_numpy_ma_unimported(tmp_path):
 def test_r3_weak_armendariz_memory_guard(tmp_path):
     # the degree-2 R3(Z2) sweep covers 16,777,216 pairs; its key tables
     # are chunked at a quarter of the pair chunk, its zero pairs at most
-    # 32,768 key-run survivors at a time, and the check peaks at 1.53 MiB
+    # 16,384 key-run survivors at a time, and the check peaks at 1.13 MiB
     # of traced memory
     spec = write(
         tmp_path, "r3.spec",

@@ -91,6 +91,14 @@ def test_quantum_plane_products_frozen():
     assert str(x2 * x2 * x1) == "x1*x2^2"  # coefficient 4 = 1 mod 3
 
 
+def test_c_central_invertible_two_variables():
+    assert get_system("quantum-plane(Z3,2)").c_central_invertible()
+    # 2 is central in Z4 but no unit: 2x is 0 or 2 for every x
+    z4 = get_ring("Z4")
+    fam = SigmaFamily(z4, [identity_map(z4), identity_map(z4)])
+    assert not CommutationSystem(z4, fam, c={(0, 1): 2}).c_central_invertible()
+
+
 def test_poly_str_and_zero():
     so = get_system("swap-ore")
     a = so.ring.element_index("(0|1)")

@@ -44,6 +44,7 @@ from skewlab.rings import (
 
 from conftest import get_ring
 from oracles import nil_mask_cycle_detect
+from test_blocks import _carrier_ni_failure
 
 
 # --- construction and laws -------------------------------------------------
@@ -340,6 +341,25 @@ def test_power_trajectory():
     z6 = make_zn(6)
     powers, reaches_zero = power_trajectory(z6, 2)
     assert not reaches_zero and 0 not in powers
+
+
+FACT_RINGS = [n for n in BUILTIN_RINGS if not n.startswith("S(")] + [
+    "Z8", "Z16", "Z4xZ4", "R3(Z4)", "M2(Z4)",
+]
+
+
+@pytest.mark.parametrize("name", FACT_RINGS)
+def test_finite_ring_facts_match_full_sweeps(name):
+    # the nil mask forms powers up to log2 |R| only, ni_failure sweeps
+    # sums only, is_invertible looks on one side only: each against the
+    # sweep that does not lean on the finite-ring fact
+    ring = get_ring(name)
+    assert np.array_equal(
+        kernels.nilpotent_mask(ring.mul_table, ring.zero), nil_mask_cycle_detect(ring)
+    )
+    assert ni_failure(ring) == _carrier_ni_failure(ring)
+    two_sided = ((ring.mul_table == ring.one) & (ring.mul_table.T == ring.one)).any(axis=1)
+    assert [is_invertible(ring, a) for a in range(ring.size)] == two_sided.tolist()
 
 
 # --- classification flags --------------------------------------------------

@@ -3,6 +3,7 @@ from collections import Counter
 
 import pytest
 
+from skewlab.properties import PropertyVerdict
 from skewlab.theorems import (
     DEFAULT_ENTRIES,
     CHECKS,
@@ -11,6 +12,7 @@ from skewlab.theorems import (
     check_idempotent_fixed,
     check_nil_transfer,
     check_rigid_iff_weak_reduced,
+    check_weak_armendariz_implication,
     entry_by_name,
     reproduce_counterexamples,
     resolve,
@@ -145,6 +147,32 @@ def test_run_all_sweeps_each_search_once(monkeypatch):
     monkeypatch.setattr(T, "_ctx_cache", {})
     assert [r.to_record() for r in run_all()] == [r.to_record() for r in REPORTS]
     assert len(sweeps) == 9
+
+
+FORCED_CASES = [
+    # swap is not weak rigid; read as if it were, it breaks the nil
+    # transfer at a*swap(b) and moves a central idempotent
+    ("Z2xZ2/swap", "weak_sigma_rigid", check_nil_transfer, {"part", "map", "a", "b"}),
+    ("Z2xZ2/swap", "weak_sigma_rigid", check_idempotent_fixed, {"e", "map", "image"}),
+    # M2(Z2) is not NI; read as if it were, the gated search returns its witness
+    ("M2(Z2)/id", "ni", check_weak_armendariz_implication, {"witness"}),
+]
+
+
+@pytest.mark.parametrize(
+    "instance,forced,check,keys", FORCED_CASES,
+    ids=["nil_transfer", "idempotent_fixed", "weak_armendariz_implication"],
+)
+def test_statement_fails_when_a_hypothesis_is_read_as_met(instance, forced, check, keys):
+    cached = resolve(entry_by_name(instance))
+    ctx = type(cached)(cached.entry, cached.system)
+    ctx._verdicts[forced] = PropertyVerdict(forced, instance, "holds")
+    status, details = check(ctx)
+    assert status == "fail" and set(details) == keys
+    if check is check_idempotent_fixed:
+        assert (details["e"], details["image"]) == ("(0|1)", "(1|0)")
+    if check is check_weak_armendariz_implication:
+        assert details["witness"]["product_nilpotent"] is False
 
 
 def test_rigid_iff_weak_reduced_all_pass():
