@@ -57,7 +57,6 @@ from .properties import (
     DEFAULT_PAIR_CAP,
     DEFAULT_POWER_BOUND,
     NotEndomorphismTypeError,
-    PropertyVerdict,
     SearchBudget,
     budget_fields,
     decide,
@@ -312,25 +311,15 @@ def parse_spec(text: str) -> SpecFile:
                         "names": _json_value(kv["names"], "names", line, col),
                     }
                 spec.ring_name = name
-        elif head == "map":
+        elif head in ("map", "derivation"):
             name, _, src = rest.partition("=")
             name, src = name.strip(), src.strip()
             if not name or not src:
-                raise SpecError("map statement needs `map NAME = SPEC`", line, col)
-            spec.map_decls[name] = src
-            pos[f"map:{name}"] = (line, col)
-        elif head == "derivation":
-            name, _, src = rest.partition("=")
-            name, src = name.strip(), src.strip()
-            if not name or not src:
-                raise SpecError(
-                    "derivation statement needs `derivation NAME = SPEC`", line, col
-                )
-            spec.deriv_decls[name] = src
-            pos[f"deriv:{name}"] = (line, col)
+                raise SpecError(f"{head} statement needs `{head} NAME = SPEC`", line, col)
+            (spec.map_decls if head == "map" else spec.deriv_decls)[name] = src
+            pos[f"{head}:{name}"] = (line, col)
         elif head == "maps":
             spec.family = [t.strip() for t in rest.split(",") if t.strip()]
-            pos["maps"] = (line, col)
             for nm in spec.family:
                 pos[f"fam:{nm}"] = (line, _token_col(stmt, col, nm))
         elif head == "deltas":
@@ -460,7 +449,7 @@ def _resolve_spec(spec: SpecFile, pos: dict) -> None:
                 src = "zero" if name == "zero" else spec.deriv_decls.get(name)
                 if src is None:
                     raise err(f"unknown derivation {name!r}")
-                key = f"deriv:{name}"
+                key = f"derivation:{name}"
                 if src == "zero":
                     deltas.append(zero_derivation(ring, sigma))
                 elif src.startswith("id-minus"):
@@ -557,18 +546,11 @@ def _resolve_spec(spec: SpecFile, pos: dict) -> None:
 # ---------------------------------------------------------------------------
 # running checks
 
-def _budget_from(ck: CheckRequest, spec: SpecFile, defaults: dict) -> SearchBudget:
+def _budget(ck: CheckRequest, spec: SpecFile, defaults: dict) -> SearchBudget:
+    """The check's validated option tokens laid over the command's defaults."""
     kw = {**defaults, **ck.kwargs}
-    return SearchBudget(
-        degree_bound=int(kw.get("degree_bound", DEFAULT_DEGREE_BOUND)),
-        power_bound=int(kw.get("power_bound", DEFAULT_POWER_BOUND)),
-        pair_cap=int(kw.get("pair_cap", DEFAULT_PAIR_CAP)),
-        **subset_fields(spec.ring, kw.get("subset")),
-    )
-
-
-def run_check(ck: CheckRequest, spec: SpecFile, defaults: dict) -> PropertyVerdict:
-    return decide(ck.name, spec.system, _budget_from(ck, spec, defaults), spec.instance)
+    subset = subset_fields(spec.ring, kw.pop("subset", None))
+    return SearchBudget(**{k: int(v) for k, v in kw.items()}, **subset)
 
 
 def run_spec(spec: SpecFile, defaults: dict | None = None) -> tuple[list[dict], int]:
@@ -584,7 +566,7 @@ def run_spec(spec: SpecFile, defaults: dict | None = None) -> tuple[list[dict], 
     for ck in spec.checks:
         t0 = time.perf_counter()
         try:
-            verdict = run_check(ck, spec, defaults)
+            verdict = decide(ck.name, spec.system, _budget(ck, spec, defaults), spec.instance)
         except _INPUT_ERRORS as e:
             raise SpecError(_message(e), ck.line, ck.col) from None
         ms = round((time.perf_counter() - t0) * 1000.0, 3)
@@ -661,13 +643,9 @@ def _read_text(path: str) -> str:
 
 def cmd_check(args) -> int:
     defaults = {
-        k: v
-        for k, v in (
-            ("degree_bound", args.degree_bound),
-            ("power_bound", args.power_bound),
-            ("pair_cap", args.budget),
-        )
-        if v is not None
+        "degree_bound": args.degree_bound,
+        "power_bound": args.power_bound,
+        "pair_cap": args.pair_cap,
     }
     try:
         spec = parse_spec(_read_text(args.spec_file))
@@ -688,10 +666,8 @@ def cmd_verify_theorems(args) -> int:
     try:
         reports = theorem_suite.run_all(
             instance=args.instance,
-            degree_bound=(
-                args.degree_bound if args.degree_bound is not None else DEFAULT_DEGREE_BOUND
-            ),
-            pair_cap=args.budget if args.budget is not None else DEFAULT_PAIR_CAP,
+            degree_bound=args.degree_bound,
+            pair_cap=args.pair_cap,
             ideal_mode=args.ideal_mode,
         )
     except (KeyError, RingError) as e:
@@ -792,7 +768,6 @@ def cmd_explain(args) -> int:
         print(f"{args.witness_file}: no records to explain", file=sys.stderr)
         return 2
     all_ok = True
-    out = []
     for ln, rec in records:
         # a stored record is untyped JSON: a field of the wrong type raises
         # TypeError or AttributeError, and a polynomial of a degree no search
@@ -803,20 +778,10 @@ def cmd_explain(args) -> int:
         except (*_INPUT_ERRORS, TypeError, AttributeError, SpecError, RecursionError) as e:
             ok, msg = False, f"cannot re-verify: {e}"
         all_ok = all_ok and ok
-        out.append(
-            {
-                "line": ln,
-                "verified": ok,
-                "explanation": msg,
-            }
-        )
-    if args.json:
-        for row in out:
-            print(_dumps(row))
-    else:
-        for row in out:
-            mark = "ok " if row["verified"] else "BAD"
-            print(f"[{mark}] record at line {row['line']}: {row['explanation']}")
+        if args.json:
+            print(_dumps({"line": ln, "verified": ok, "explanation": msg}))
+        else:
+            print(f"[{'ok ' if ok else 'BAD'}] record at line {ln}: {msg}")
     return 0 if all_ok else 1
 
 
@@ -835,10 +800,11 @@ def _budget_flag(key: str):
 
 
 def _add_budget_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--degree-bound", type=_budget_flag("degree_bound"), default=None,
-                   metavar="D", help="max f, g degree in zero-product searches")
-    p.add_argument("--budget", type=_budget_flag("pair_cap"), default=None,
-                   metavar="N", help="max (f, g) pairs per search")
+    p.add_argument("--degree-bound", type=_budget_flag("degree_bound"),
+                   default=DEFAULT_DEGREE_BOUND, metavar="D",
+                   help="max f, g degree in zero-product searches")
+    p.add_argument("--budget", type=_budget_flag("pair_cap"), default=DEFAULT_PAIR_CAP,
+                   dest="pair_cap", metavar="N", help="max (f, g) pairs per search")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -854,8 +820,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true", help="force NDJSON output")
     p.add_argument("--text", action="store_true", help="force text output")
     _add_budget_flags(p)
-    p.add_argument("--power-bound", type=_budget_flag("power_bound"), default=None,
-                   metavar="K", help="max exponent when certifying nilpotent polynomials")
+    p.add_argument("--power-bound", type=_budget_flag("power_bound"),
+                   default=DEFAULT_POWER_BOUND, metavar="K",
+                   help="max exponent when certifying nilpotent polynomials")
     p.set_defaults(fn=cmd_check)
 
     p = sub.add_parser("verify-theorems", help="run the statement suite over the catalog")

@@ -18,7 +18,7 @@ import zlib
 
 import numpy as np
 
-from .rings import BudgetError, FiniteRing, SRing, _CHUNK, _first_violation, index_table
+from .rings import BudgetError, FiniteRing, SRing, _first_violation, _row_blocks, index_table
 
 DEFAULT_CLOSURE_CAP = 4096
 DEFAULT_PAIR_CAP = 2048  # every pair up to this carrier size, R x G above it
@@ -74,12 +74,12 @@ class RingMap:
         return (self.table,) if self.blocks is None else self.blocks
 
     def carrier_table(self) -> np.ndarray:
-        """The carrier image table; built in chunks for a block map."""
+        """The carrier image table; built in row blocks for a block map."""
         if self.blocks is None:
             return self.table
         out = np.empty(self.ring.size, dtype=np.int32)
-        for lo in range(0, self.ring.size, _CHUNK):
-            out[lo : lo + _CHUNK] = self(np.arange(lo, min(lo + _CHUNK, self.ring.size)))
+        for x in _row_blocks(self.ring.size):
+            out[x] = self(x)
         return out
 
     @property
@@ -155,17 +155,16 @@ def _law_violation(ring: FiniteRing, laws, pair_cap: int):
     """First (law, (a, b)) with bad(a, b) True over the laws, in order, or None.
 
     Each `bad` broadcasts over element arrays.  Rows a run over the whole
-    carrier, law by law in blocks of at most _CHUNK cells; columns b run
-    over the whole carrier up to pair_cap elements and over the additive
-    generators G above it.  Each law is additive in b once the laws before
-    it hold, so R x G decides it exactly.  The witness is the law's
-    row-major first failure, with b the element, not its column.
+    carrier, law by law in the row blocks of `_first_violation`; columns b
+    run over the whole carrier up to pair_cap elements and over the
+    additive generators G above it.  Each law is additive in b once the
+    laws before it hold, so R x G decides it exactly.  The witness is the
+    law's row-major first failure, with b the element, not its column.
     """
-    n = ring.size
-    b = np.arange(n) if n <= pair_cap else ring.additive_generators
-    step = max(1, _CHUNK // len(b))
-    rows = [np.arange(lo, min(lo + step, n))[:, None] for lo in range(0, n, step)]
-    hit = _first_violation((law, lambda bad=bad: (bad(a, b) for a in rows)) for law, bad in laws)
+    b = np.arange(ring.size) if ring.size <= pair_cap else ring.additive_generators
+    hit = _first_violation(
+        ((law, lambda a, bad=bad: bad(a[:, None], b)) for law, bad in laws), ring.size, len(b)
+    )
     return hit and (hit[0], (hit[1][0], int(b[hit[1][1]])))
 
 
@@ -224,7 +223,7 @@ def verify_block_endomorphism(ring: SRing, phi, psi, chi, name: str) -> RingMap:
         if int(tab[blk.one]) != blk.one:
             raise MapVerificationError(name, f"{label}_unital", (blk.one, int(tab[blk.one])))
     add, mul = blk.add_table, blk.mul_table
-    # law, f, op, g, h: f(a op b) = g(a) op h(b) on every (a, b), one |M|x|M| grid at a time
+    # law, f, op, g, h: f(a op b) = g(a) op h(b) on every (a, b) of M x M
     laws = (
         ("phi_additive", phi, add, phi, phi),
         ("phi_multiplicative", phi, mul, phi, phi),
@@ -235,8 +234,9 @@ def verify_block_endomorphism(ring: SRing, phi, psi, chi, name: str) -> RingMap:
         ("psi_right_linear", psi, mul, psi, chi),
     )
     hit = _first_violation(
-        (law, lambda f=f, op=op, g=g, h=h: f[op] != op[np.ix_(g, h)])
-        for law, f, op, g, h in laws
+        ((law, lambda a, f=f, op=op, g=g, h=h: f[op[a]] != op[np.ix_(g[a], h)])
+         for law, f, op, g, h in laws),
+        blk.size, blk.size,
     )
     if hit:
         raise MapVerificationError(name, *hit)

@@ -39,11 +39,11 @@ from .poly import (
     term_tables,
 )
 from .rings import (
-    _CHUNK,
     BudgetError,
     FiniteRing,
     SRing,
     SubsetIdeal,
+    _row_blocks,
     abelian_failure,
     least_nonzero_nilpotent,
     ni_failure,
@@ -147,8 +147,8 @@ def _rigidity(
     if ideal is None and isinstance(ring, SRing) and all(m.blocks is not None for m in maps):
         best = _least_bad_blocks(prop, ring, maps)
     else:
-        chunks = (np.arange(lo, min(lo + _CHUNK, ring.size)) for lo in range(0, ring.size, _CHUNK))
-        best = _least_bad(prop, ring, maps, chunks if ideal is None else [np.asarray(ideal.elements)])
+        rows = _row_blocks(ring.size) if ideal is None else [np.asarray(ideal.elements)]
+        best = _least_bad(prop, ring, maps, rows)
     label = (ideal.label or "ideal") if ideal is not None else None
     name = instance or f"{ring.name}/{family_label(family)}" + (f"/{label}" if label else "")
     if best is None:

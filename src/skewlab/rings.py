@@ -7,7 +7,9 @@ structurally.  All add/mul/neg methods accept plain ints or numpy index
 arrays and broadcast.
 
 Ring axioms are checked exactly on construction, on additive generators
-G: every law is additive in each argument once (R, +) is a group.  G,
+G: every law is additive in each argument once (R, +) is a group.  Every
+pass over a carrier, laws included, runs in the row blocks of
+`_row_blocks`, at most _CHUNK cells each.  G,
 the nil mask, the idempotents and the central ones are stored on the
 ring, read-only, at first use.  An S ring has no carrier nil mask:
 `nil_at` reads nilpotency per index off its block ring.
@@ -24,7 +26,7 @@ from . import kernels
 DEFAULT_TABLE_BUDGET = 4096
 # failing tables up to this size take their witness from the (a, b, c) sweep
 _WITNESS_SWEEP_CAP = 256
-_CHUNK = 1 << 20
+_CHUNK = 1 << 14  # cells per row block of every pass over a carrier
 
 
 class RingError(Exception):
@@ -347,22 +349,29 @@ class SRing(FiniteRing):
 # law verification
 
 
-def _first_violation(laws):
-    """(law, index) of the first failing law, or None.
+def _row_blocks(n: int, width: int = 1):
+    """The indices 0..n-1 in ascending blocks of rows `width` cells wide,
+    each block at most _CHUNK cells and at least one row."""
+    step = max(1, _CHUNK // width)
+    for lo in range(0, n, step):
+        yield np.arange(lo, min(lo + step, n))
 
-    `laws` yields (law, masks) pairs in checking order; masks() builds
-    the law's boolean mask, or an iterable of its row blocks, only when
-    every earlier law has passed, so one law's arrays are alive at a
-    time.  The index is the row-major first True of that law's mask.
+
+def _first_violation(laws, n: int, width: int):
+    """(law, index) of the first failing law over rows 0..n-1, or None.
+
+    `laws` yields (law, bad) pairs in checking order; bad(x) is the law's
+    boolean mask on the rows x, each row `width` cells at most, and is
+    called on each block of `_row_blocks(n, width)` in turn, so one block
+    of one law is alive at a time.  The index (row, *rest) is the law's
+    row-major first failure, whatever the block size.
     """
-    for law, masks in laws:
-        out = masks()
-        row = 0
-        for mask in (out,) if isinstance(out, np.ndarray) else out:
+    for law, bad in laws:
+        for x in _row_blocks(n, width):
+            mask = bad(x)
             if mask.any():
                 i, *rest = np.unravel_index(int(np.argmax(mask)), mask.shape)
-                return law, (row + int(i), *map(int, rest))
-            row += len(mask)
+                return law, (int(x[i]), *map(int, rest))
     return None
 
 
@@ -371,9 +380,9 @@ def verify_ring_laws(ring: FiniteRing) -> LawReport:
     return _verify_block(ring) if isinstance(ring, SRing) else _verify_tables(ring)
 
 
-def _mul_associative(ring: FiniteRing, g: np.ndarray) -> np.ndarray:
-    """The mask (ab)c != a(bc) over (a, b, c) in g^3."""
-    a, b, c = g[:, None, None], g[None, :, None], g[None, None, :]
+def _mul_associative(ring: FiniteRing, a: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """The mask (ab)c != a(bc) over (a, b, c) in a x g x g."""
+    a, b, c = a[:, None, None], g[None, :, None], g[None, None, :]
     return ring.mul(ring.mul(a, b), c) != ring.mul(a, ring.mul(b, c))
 
 
@@ -385,28 +394,27 @@ def _verify_block(ring: SRing) -> LawReport:
     the other laws hold on S once they hold on G_S.
     """
     g, blk = ring.additive_generators, ring.block
-    x, y = g[:, None], g[None, :]
+    k = len(g)
 
-    def block_rule():
+    def block_rule(i):
+        x, y = g[i, None], g[None, :]
         (A1, B1, C1), (A2, B2, C2) = ring.decode(x), ring.decode(y)
         rule = blk.mul(A1, A2), blk.add(blk.mul(A1, B2), blk.mul(B1, C2)), blk.mul(C1, C2)
         return ring.mul(x, y) != ring.encode(*rule)
 
     hit = _first_violation([
         ("block_rule", block_rule),
-        ("one_left_identity", lambda: ring.mul(ring.one, g) != g),
-        ("one_right_identity", lambda: ring.mul(g, ring.one) != g),
-        ("mul_associative", lambda: _mul_associative(ring, g)),
-    ])
+        ("one_left_identity", lambda i: ring.mul(ring.one, g[i]) != g[i]),
+        ("one_right_identity", lambda i: ring.mul(g[i], ring.one) != g[i]),
+        ("mul_associative", lambda i: _mul_associative(ring, g[i], g)),
+    ], k, k * k)
     violation = None if hit is None else (hit[0], tuple(int(g[i]) for i in hit[1]))
-    k = len(g)
     return LawReport(ring.name, "block", k**3 + k**2 + 2 * k, violation)
 
 
 def _verify_tables(ring: TableRing) -> LawReport:
     n = ring.size
     add, mul = ring.add_table, ring.mul_table
-    idx = np.arange(n)
 
     def report(law, witness):
         return LawReport(ring.name, "generators", 0, (law, tuple(map(int, witness))))
@@ -416,12 +424,12 @@ def _verify_tables(ring: TableRing) -> LawReport:
     if ring.zero == ring.one:
         return report("zero_ne_one", (ring.zero,))
     hit = _first_violation([
-        ("add_commutative", lambda: add != add.T),
-        ("zero_identity", lambda: add[ring.zero] != idx),
-        ("negation_exists", lambda: ~(add == ring.zero).any(axis=1)),
-        ("one_left_identity", lambda: mul[ring.one] != idx),
-        ("one_right_identity", lambda: mul[:, ring.one] != idx),
-    ])
+        ("add_commutative", lambda x: add[x] != add[:, x].T),
+        ("zero_identity", lambda x: add[ring.zero, x] != x),
+        ("negation_exists", lambda x: ~(add[x] == ring.zero).any(axis=1)),
+        ("one_left_identity", lambda x: mul[ring.one, x] != x),
+        ("one_right_identity", lambda x: mul[x, ring.one] != x),
+    ], n, n)
     if hit:
         return report(*hit)
     g = ring.additive_generators
@@ -437,28 +445,27 @@ def _generator_violation(ring: TableRing, gens: np.ndarray):
     Per generator g and all x, y: (x+g)+y = x+(g+y) is Light's test for
     + associative; with that, x(y+g) = xy+xg and (x+g)y = xy+gy are
     distributivity; with both, * associative on G^3 is associativity.
+    Generator by generator, each law runs over every row x.
     """
     add, mul, n = ring.add_table, ring.mul_table, ring.size
     plus = add.ravel()  # plus[a*n + b] = a+b; flat takes beat 2-d gathers
-    step = max(1, _CHUNK // n)
-    for g in gens:
-        for lo in range(0, n, step):
-            x = np.arange(lo, min(lo + step, n))
-            ax, mx = add[x], mul[x]
-            hit = _first_violation([
-                ("add_associative", lambda: add[ax[:, g]] != ax.take(add[g], axis=1)),
-                (
-                    "distributive_left",
-                    lambda: mx.take(add[:, g], axis=1) != plus.take(mx * n + mx[:, g, None]),
-                ),
-                ("distributive_right", lambda: mul[ax[:, g]] != plus.take(mx * n + mul[g])),
-            ])
-            if hit:
-                law, (i, y) = hit
-                w = (x[i], y, g) if law == "distributive_left" else (x[i], g, y)
-                return law, tuple(map(int, w))
-    hit = _first_violation([("mul_associative", lambda: _mul_associative(ring, gens))])
-    return None if hit is None else (hit[0], tuple(int(gens[k]) for k in hit[1]))
+
+    def laws(g):  # masks over rows x and every column y
+        yield ("add_associative", g), lambda x: add[add[x, g]] != add[x].take(add[g], axis=1)
+        yield ("distributive_left", g), lambda x: (
+            mul[x].take(add[:, g], axis=1) != plus.take(mul[x] * n + mul[x, g, None])
+        )
+        yield ("distributive_right", g), lambda x: mul[add[x, g]] != plus.take(mul[x] * n + mul[g])
+
+    hit = _first_violation((law for g in gens for law in laws(int(g))), n, n)
+    if hit:
+        (law, g), (x, y) = hit
+        return law, (x, y, g) if law == "distributive_left" else (x, g, y)
+    k = len(gens)
+    hit = _first_violation(
+        [("mul_associative", lambda i: _mul_associative(ring, gens[i], gens))], k, k * k
+    )
+    return None if hit is None else (hit[0], tuple(int(gens[i]) for i in hit[1]))
 
 
 def _canonical_violation(add: np.ndarray, mul: np.ndarray):
@@ -575,8 +582,7 @@ def idempotents(ring: FiniteRing) -> np.ndarray:
             i, j, k = np.nonzero((sq[0] == A) & (sq[1] == B) & (sq[2] == C))
             out = ring.encode(e[i], j, e[k])
         else:
-            chunks = (np.arange(lo, min(lo + _CHUNK, ring.size)) for lo in range(0, ring.size, _CHUNK))
-            out = np.concatenate([x[ring.mul(x, x) == x] for x in chunks])
+            out = np.concatenate([x[ring.mul(x, x) == x] for x in _row_blocks(ring.size)])
         ring._idempotents = out.astype(np.int64)
         ring._idempotents.setflags(write=False)
     return ring._idempotents
@@ -585,8 +591,8 @@ def idempotents(ring: FiniteRing) -> np.ndarray:
 def noncommuting_witness(ring: FiniteRing, a: int):
     """First generator g (in generating-set order) with ag != ga, or None."""
     gens = ring.generating_set()
-    for lo in range(0, len(gens), _CHUNK):
-        g = gens[lo : lo + _CHUNK]
+    for i in _row_blocks(len(gens)):
+        g = gens[i]
         bad = ring.mul(a, g) != ring.mul(g, a)
         if bad.any():
             return int(g[int(np.argmax(bad))])
@@ -687,7 +693,7 @@ def make_ideal(ring: FiniteRing, elems, label: str = "") -> SubsetIdeal:
 
     The checks run in order: zero, additive closure, absorption, each by
     ascending element a, and the first a to break one is the witness.
-    Closure reads row chunks of sums (or products) through one membership
+    Closure reads row blocks of sums (or products) through one membership
     mask over the carrier.
     """
     name = label or "subset"
@@ -697,18 +703,14 @@ def make_ideal(ring: FiniteRing, elems, label: str = "") -> SubsetIdeal:
     if not inside[ring.zero]:
         raise NotAnIdealError(name, "missing zero", (ring.zero,))
     every = ring.elements()[None, :]
-    checks = (
-        ("add closure", elems.size, lambda a: inside[ring.add(a, elems[None, :])]),
-        ("mul absorption", ring.size,
-         lambda a: inside[ring.mul(every, a)] & inside[ring.mul(a, every)]),
-    )
-    for reason, width, closed in checks:
-        step = max(1, _CHUNK // width)
-        for a0 in range(0, elems.size, step):
-            a = elems[a0 : a0 + step, None]
-            bad = ~closed(a).all(axis=1)
-            if bad.any():
-                raise NotAnIdealError(name, reason, (int(a[np.argmax(bad), 0]),))
+    hit = _first_violation([
+        ("add closure", lambda i: ~inside[ring.add(elems[i, None], elems)].all(axis=1)),
+        ("mul absorption", lambda i: ~(
+            inside[ring.mul(every, elems[i, None])] & inside[ring.mul(elems[i, None], every)]
+        ).all(axis=1)),
+    ], elems.size, ring.size)
+    if hit:
+        raise NotAnIdealError(name, hit[0], (int(elems[hit[1][0]]),))
     return SubsetIdeal(ring, tuple(int(x) for x in elems), label)
 
 

@@ -249,6 +249,31 @@ def test_bad_budget_flags_exit_2(capsys, argv):
     assert "must be" in capsys.readouterr().err
 
 
+def test_check_search_options_flow(tmp_path, capsys):
+    # the flags reach the bound of each search that reads them, a spec
+    # option overrides them, and the flag and rigidity checks read none
+    path = write(tmp_path, "opts.spec", (
+        "ring Z2\ncheck skew_pi_armendariz\n"
+        "check skew_pi_armendariz degree_bound=0 power_bound=1\n"
+        "check weak_armendariz\ncheck reduced\ncheck weak_sigma_rigid\n"
+    ))
+
+    def records(*flags):
+        code, out, _ = run_cli(capsys, "check", path, "--json", *flags)
+        assert code == 0
+        return [{k: v for k, v in json.loads(ln).items() if k != "wall_ms"} for ln in out.splitlines()]
+
+    def bounds(recs):
+        return [(b.get("degree_bound"), b.get("power_bound")) for b in (r["bound"] or {} for r in recs)]
+
+    default = records()
+    flagged = records("--degree-bound", "1", "--power-bound", "2", "--budget", "16")
+    assert bounds(default) == [(2, 4), (0, 1), (2, None), (None, None), (None, None)]
+    assert bounds(flagged) == [(1, 2), (0, 1), (1, None), (None, None), (None, None)]
+    assert flagged[3:] == default[3:]
+    assert all(r["status"] == "holds" for r in flagged[3:])
+
+
 def test_missing_file_exits_2(capsys):
     code, out, err = run_cli(capsys, "check", "/nonexistent/path.spec")
     assert code == 2 and "error:" in err

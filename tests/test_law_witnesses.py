@@ -2,8 +2,8 @@
 
 The references build every law's arrays over all pairs at once, the way
 the checks were first written; the library checks one law at a time over
-grids or row blocks and must fail on exactly the same inputs, with the
-same law and witness.
+row blocks and must fail on exactly the same inputs, with the same law
+and witness.
 """
 import os
 import subprocess
@@ -16,7 +16,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from skewlab import maps, rings
+from skewlab import rings
 from skewlab.maps import (
     DEFAULT_PAIR_CAP,
     MapVerificationError,
@@ -94,27 +94,20 @@ def eager_block_endomorphism(ring, phi, psi, chi, name):
 
 
 def eager_generator_violation(ring, gens):
-    # blocks of rows x, as the library sweeps them: with several blocks the
-    # first failing block, not the first failing law, names the witness
+    # law-major over all rows at once: generator by generator, each law's
+    # whole (x, y) mask names its row-major first failure
     add, mul, n = ring.add_table, ring.mul_table, ring.size
-    plus = add.ravel()
-    step = max(1, rings._CHUNK // n)
+    x, y = np.arange(n)[:, None], np.arange(n)[None, :]
     for g in gens:
-        for lo in range(0, n, step):
-            x = np.arange(lo, min(lo + step, n))
-            ax, mx = add[x], mul[x]
-            for law, bad in (
-                ("add_associative", add[ax[:, g]] != ax.take(add[g], axis=1)),
-                (
-                    "distributive_left",
-                    mx.take(add[:, g], axis=1) != plus.take(mx * n + mx[:, g, None]),
-                ),
-                ("distributive_right", mul[ax[:, g]] != plus.take(mx * n + mul[g])),
-            ):
-                if bad.any():
-                    i, y = np.unravel_index(int(np.argmax(bad)), bad.shape)
-                    w = (x[i], y, g) if law == "distributive_left" else (x[i], g, y)
-                    return law, tuple(map(int, w))
+        for law, bad in (
+            ("add_associative", add[add[x, g], y] != add[x, add[g, y]]),
+            ("distributive_left", mul[x, add[y, g]] != add[mul[x, y], mul[x, g]]),
+            ("distributive_right", mul[add[x, g], y] != add[mul[x, y], mul[g, y]]),
+        ):
+            if bad.any():
+                i, j = np.unravel_index(int(np.argmax(bad)), bad.shape)
+                w = (i, j, g) if law == "distributive_left" else (i, g, j)
+                return law, tuple(map(int, w))
     a, b, c = gens[:, None, None], gens[None, :, None], gens[None, None, :]
     bad = mul[mul[a, b], c] != mul[a, mul[b, c]]
     if bad.any():
@@ -180,7 +173,7 @@ def test_table_map_and_derivation_witnesses_match_eager(data, chunk):
     pair_cap = data.draw(st.sampled_from([DEFAULT_PAIR_CAP, 4]))
     x = np.arange(ring.size)
     a, b = (data.draw(st.integers(0, ring.size - 1)) for _ in range(2))
-    with mock.patch.object(maps, "_CHUNK", chunk):
+    with mock.patch.object(rings, "_CHUNK", chunk):
         inner = ring.sub(ring.mul(a, x), ring.mul(x, a))
         images = maybe_corrupt(data, ring.add(sigma(x), inner), ring.size)
         endo = (ring, images, "m")
@@ -235,9 +228,29 @@ def test_generator_violation_matches_eager(data, chunk):
 # --- memory ----------------------------------------------------------------------
 
 
+def test_ring_law_check_memory_guard():
+    # one block of M2(Z4)'s generator laws holds 64 of its 256 rows; all
+    # 256 rows in one block peaked at 2.3 MiB
+    code = (
+        "import tracemalloc\n"
+        "from skewlab.catalog import get_ring\n"
+        "from skewlab.rings import verify_ring_laws\n"
+        "ring = get_ring('M2(Z4)')\n"
+        "tracemalloc.start()\n"
+        "assert verify_ring_laws(ring).ok\n"
+        "print(tracemalloc.get_traced_memory()[1])\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 1 << 20, proc.stdout
+
+
 def test_exhaustive_map_check_memory_guard():
     # all 2048^2 pairs of Z2048 as int64 index vectors alone take 64 MiB;
-    # row blocks of at most _CHUNK cells keep the check near 10 MiB
+    # row blocks of at most _CHUNK cells keep the check under 1 MiB
     code = (
         "import tracemalloc\n"
         "import numpy as np\n"

@@ -54,3 +54,20 @@ def test_one_product_under_src():
                 users.append(f"{path.name}:{node.lineno}")
     assert users == []
     assert "mono_times_coeff_engine" not in skewlab.__all__
+
+
+def test_one_row_block_split_under_src():
+    # every pass over a carrier takes its blocks from rings._row_blocks;
+    # the kernels' pair sweep sizes its chunks by its own _CHUNK_ELEMS
+    users = []
+    for path in sorted(SRC.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            if isinstance(top, ast.FunctionDef) and top.name == "_row_blocks":
+                continue
+            for node in ast.walk(top):
+                read = getattr(node, "id", getattr(node, "attr", None)) == "_CHUNK" and isinstance(
+                    node.ctx, ast.Load
+                )
+                if read or isinstance(node, ast.alias) and node.name == "_CHUNK":
+                    users.append(f"{path.name}:{node.lineno}")
+    assert users == []
