@@ -192,21 +192,26 @@ class SpecFile:
         return "\n".join(out) + "\n"
 
 
+def _pieces(text: str, sep: str, col: int):
+    """Yield (col, piece) for the nonempty stripped pieces of `text` split
+    at `sep`, where `text` starts at column `col`."""
+    for piece in text.split(sep):
+        if piece.strip():
+            yield col + len(piece) - len(piece.lstrip()), piece.strip()
+        col += len(piece) + 1
+
+
 def _statements(text: str):
     """Yield (line, col, statement) with comments stripped, both 1-based."""
     for ln, raw in enumerate(text.split("\n"), start=1):
-        body = raw.split("#", 1)[0]
-        col = 1
-        for piece in body.split(";"):
-            stmt = piece.strip()
-            if stmt:
-                yield ln, col + len(piece) - len(piece.lstrip()), stmt
-            col += len(piece) + 1
+        for col, stmt in _pieces(raw.split("#", 1)[0], ";", 1):
+            yield ln, col, stmt
 
 
-def _token_col(stmt: str, col0: int, token: str) -> int:
-    pos = stmt.find(token)
-    return col0 + (pos if pos >= 0 else 0)
+def _items(stmt: str, col: int, rest: str) -> list[tuple[int, str]]:
+    """(col, item) for the comma-separated items of `rest`, a suffix of the
+    statement `stmt` at column `col`."""
+    return list(_pieces(rest, ",", col + len(stmt) - len(rest)))
 
 
 _KV_RE = re.compile(r"\b(\w+)\s*=")
@@ -319,9 +324,10 @@ def parse_spec(text: str) -> SpecFile:
             (spec.map_decls if head == "map" else spec.deriv_decls)[name] = src
             pos[f"{head}:{name}"] = (line, col)
         elif head == "maps":
-            spec.family = [t.strip() for t in rest.split(",") if t.strip()]
-            for nm in spec.family:
-                pos[f"fam:{nm}"] = (line, _token_col(stmt, col, nm))
+            items = _items(stmt, col, rest)
+            spec.family = [nm for _, nm in items]
+            # a name's first reference is the one resolved first
+            pos.update({f"fam:{nm}": (line, c) for c, nm in reversed(items)})
         elif head == "deltas":
             spec.deltas = [t.strip() for t in rest.split(",") if t.strip()]
             pos["deltas"] = (line, col)
@@ -345,20 +351,14 @@ def parse_spec(text: str) -> SpecFile:
             spec.output_json = rest == "json"
         elif head in ("check", "checks"):
             if head == "checks":
-                names = [t.strip() for t in rest.split(",") if t.strip()]
-                for nm in names:
-                    spec.checks.append(
-                        CheckRequest(nm, {}, line, _token_col(stmt, col, nm))
-                    )
+                for c, nm in _items(stmt, col, rest):
+                    spec.checks.append(CheckRequest(nm, {}, line, c))
             else:
                 name, _, tail = rest.partition(" ")
                 kw = _parse_kv(tail.strip(), line, col) if tail.strip() else {}
                 spec.checks.append(CheckRequest(name, kw, line, col))
         elif head == "expect":
-            for part in rest.split(","):
-                part = part.strip()
-                if not part:
-                    continue
+            for c, part in _items(stmt, col, rest):
                 k, eq, v = part.partition("=")
                 k, v = k.strip(), v.strip()
                 if not eq or v not in EXPECT_STATUSES:
@@ -366,10 +366,10 @@ def parse_spec(text: str) -> SpecFile:
                         f"expect entries look like CHECK=STATUS with STATUS in "
                         f"{EXPECT_STATUSES}, got {part!r}",
                         line,
-                        _token_col(stmt, col, part),
+                        c,
                     )
                 spec.expects[k] = v
-                pos[f"expect:{k}"] = (line, _token_col(stmt, col, part))
+                pos[f"expect:{k}"] = (line, c)
         else:
             raise SpecError(f"unknown statement {head!r}", line, col)
     _resolve_spec(spec, pos)
@@ -750,20 +750,24 @@ def _reverify(rec: dict) -> tuple[bool, str]:
 
 
 def cmd_explain(args) -> int:
-    records = []
     try:
-        for ln, line in enumerate(_read_text(args.witness_file).splitlines(), start=1):
-            if not line.strip():
-                continue
-            rec = json.loads(line)
-            if isinstance(rec, dict) and rec.get("record") != "summary":
-                records.append((ln, rec))
+        lines = _read_text(args.witness_file).splitlines()
     except OSError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except json.JSONDecodeError as e:
-        print(f"{args.witness_file}: bad record: {e}", file=sys.stderr)
-        return 2
+    records = []
+    for ln, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        try:  # a JSONDecodeError is a ValueError
+            rec = json.loads(line)
+            if not isinstance(rec, dict):
+                raise ValueError("not a JSON object")
+        except ValueError as e:
+            print(f"{args.witness_file}: bad record: line {ln}: {e}", file=sys.stderr)
+            return 2
+        if rec.get("record") != "summary":
+            records.append((ln, rec))
     if not records:
         print(f"{args.witness_file}: no records to explain", file=sys.stderr)
         return 2

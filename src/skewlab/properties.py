@@ -43,7 +43,7 @@ from .rings import (
     FiniteRing,
     SRing,
     SubsetIdeal,
-    _row_blocks,
+    _first_violation,
     abelian_failure,
     least_nonzero_nilpotent,
     ni_failure,
@@ -139,16 +139,40 @@ def _rigidity(
 
     sigma_rigid asks a sigma^theta(a) = 0 to force a = 0; the weak
     properties ask a sigma^theta(a) nilpotent exactly when a is, over the
-    carrier or over the elements of `ideal`.  An S ring whose closure is
-    block-diagonal, (A|B|C) -> (phi A | psi B | chi C), is swept over a
-    slice that holds the least bad element (`_least_bad_blocks`).
+    carrier or over the elements of `ideal`.  One sweep of the mask "a
+    sigma^theta(a) is bad" over (element, map) finds the witness as its
+    row-major first failure.  When an S ring's closure is block-diagonal,
+    (A|B|C) -> (phi A | psi B | chi C), a sigma(a) has diagonal blocks
+    A phi(A) and C chi(C), so weak badness depends on (A, C) alone and
+    the slice M x 0 x M holds the least bad element: it is swept in rows
+    A of decoded (A, C, map) grids, and only the answer is encoded.
+    sigma_rigid needs no slice: every (0|B|0) with B != 0 is bad, so its
+    carrier sweep stops by index |M|.
     """
     maps = orbit_closure(family)
-    if ideal is None and isinstance(ring, SRing) and all(m.blocks is not None for m in maps):
-        best = _least_bad_blocks(prop, ring, maps)
+    if prop == "weak_sigma_rigid" and isinstance(ring, SRing) and all(m.blocks is not None for m in maps):
+        M = np.arange(ring.bsize)[None, :]
+
+        def bad(A):  # over (A, C, map): the element (A|0|C)
+            x = (A[:, None], 0, M)
+            prods = [ring.mul_blocks(x, m.on_blocks(x)) for m in maps]
+            return np.stack([ring.nil_blocks(p) for p in prods], -1) != ring.nil_blocks(x)[..., None]
+
+        hit = _first_violation([(prop, bad)], ring.bsize, ring.bsize * len(maps))
+        best = None if hit is None else (ring.encode(hit[1][0], 0, hit[1][1]), hit[1][2])
     else:
-        rows = _row_blocks(ring.size) if ideal is None else [np.asarray(ideal.elements)]
-        best = _least_bad(prop, ring, maps, rows)
+        at = (lambda i: i) if ideal is None else np.asarray(ideal.elements).take
+
+        def bad(i):  # over (element, map)
+            x = at(i)
+            prods = np.stack([ring.mul(x, m(x)) for m in maps], -1)
+            if prop == "sigma_rigid":
+                return (prods == ring.zero) & (x != ring.zero)[:, None]
+            return ring.nil_at(prods) != ring.nil_at(x)[:, None]
+
+        n = ring.size if ideal is None else len(ideal.elements)
+        hit = _first_violation([(prop, bad)], n, len(maps))
+        best = None if hit is None else (int(at(hit[1][0])), hit[1][1])
     label = (ideal.label or "ideal") if ideal is not None else None
     name = instance or f"{ring.name}/{family_label(family)}" + (f"/{label}" if label else "")
     if best is None:
@@ -173,49 +197,6 @@ def _rigidity(
     else:
         witness = {"ideal": label, **witness}
     return _failed(prop, family, name, witness)
-
-
-def _least_bad(prop: str, ring: FiniteRing, maps: list, chunks):
-    """(least bad element, first closure index at it) over ascending chunks, or None."""
-    best = None
-    for x in chunks:
-        nil_x = None if prop == "sigma_rigid" else ring.nil_at(x)
-        for mi, m in enumerate(maps):
-            prod = np.asarray(ring.mul(x, m(x)))
-            bad = (prod == ring.zero) & (x != ring.zero) if nil_x is None else ring.nil_at(prod) != nil_x
-            if bad.any():
-                a = int(x[int(np.argmax(bad))])
-                if best is None or a < best[0]:
-                    best = (a, mi)
-        if best is not None:
-            return best
-    return None
-
-
-def _least_bad_blocks(prop: str, ring: SRing, maps: list):
-    """`_least_bad` on a block-rule slice of S, as a grid of decoded triples.
-
-    a sigma(a) has diagonal blocks A phi(A) and C chi(C), so weak badness
-    depends on (A, C) alone and the slice is M x 0 x M; every (0|B|0) with
-    B != 0 is sigma_rigid bad, so its slice is 0 x M x M.  Either grid is
-    ascending in C order; only the least bad element is encoded.
-    """
-    M, z = np.arange(ring.bsize)[:, None], np.zeros((1, 1), dtype=np.int64)
-    x = (z, M, M.T) if prop == "sigma_rigid" else (M, z, M.T)
-    nil_x = None if prop == "sigma_rigid" else ring.nil_blocks(x)
-    hits = []  # (first bad grid cell, map index)
-    for mi, m in enumerate(maps):
-        p = ring.mul_blocks(x, m.on_blocks(x))
-        if nil_x is None:
-            bad = (p[0] == 0) & (p[1] == 0) & (p[2] == 0) & ((x[1] != 0) | (x[2] != 0))
-        else:
-            bad = ring.nil_blocks(p) != nil_x
-        if bad.any():
-            hits.append((int(np.argmax(bad)), mi))
-    if not hits:
-        return None
-    k, mi = min(hits)
-    return int(ring.encode(*(np.broadcast_to(t, (ring.bsize,) * 2).flat[k] for t in x))), mi
 
 
 def is_sigma_rigid(ring: FiniteRing, family: SigmaFamily, instance: str = "") -> PropertyVerdict:

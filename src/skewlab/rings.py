@@ -358,7 +358,8 @@ def _row_blocks(n: int, width: int = 1):
 
 
 def _first_violation(laws, n: int, width: int):
-    """(law, index) of the first failing law over rows 0..n-1, or None.
+    """(law, index) of the first failing law over rows 0..n-1, or None;
+    every first-failure search under skewlab, law check or witness, is one.
 
     `laws` yields (law, bad) pairs in checking order; bad(x) is the law's
     boolean mask on the rows x, each row `width` cells at most, and is
@@ -555,11 +556,10 @@ def ni_failure(ring: FiniteRing):
     if isinstance(ring, SRing):
         return ni_failure(ring.block)
     nil = nil_set(ring)
-    for a in nil:
-        bad = ~ring.nil_at(ring.add(int(a), nil))
-        if bad.any():
-            return ("add", int(a), int(nil[int(np.argmax(bad))]))
-    return None
+    hit = _first_violation(
+        [("add", lambda i: ~ring.nil_at(ring.add(nil[i, None], nil)))], nil.size, nil.size
+    )
+    return None if hit is None else ("add", *(int(nil[i]) for i in hit[1]))
 
 
 def is_ni(ring: FiniteRing) -> bool:
@@ -591,12 +591,10 @@ def idempotents(ring: FiniteRing) -> np.ndarray:
 def noncommuting_witness(ring: FiniteRing, a: int):
     """First generator g (in generating-set order) with ag != ga, or None."""
     gens = ring.generating_set()
-    for i in _row_blocks(len(gens)):
-        g = gens[i]
-        bad = ring.mul(a, g) != ring.mul(g, a)
-        if bad.any():
-            return int(g[int(np.argmax(bad))])
-    return None
+    hit = _first_violation(
+        [("commutes", lambda i: ring.mul(a, gens[i]) != ring.mul(gens[i], a))], len(gens), 1
+    )
+    return None if hit is None else int(gens[hit[1][0]])
 
 
 def is_central(ring: FiniteRing, a: int) -> bool:

@@ -13,7 +13,6 @@ from functools import cached_property
 
 import numpy as np
 
-from . import rings as R
 from .catalog import get_system
 from .maps import orbit_closure
 from .poly import CommutationSystem
@@ -31,14 +30,13 @@ from .properties import (
 from .rings import (
     FiniteRing,
     SRing,
+    _first_violation,
     central_idempotents,
     idempotents,
     make_ideal,
     power_trajectory,
     principal_right_set,
 )
-
-PAIR_SWEEP_CAP = 1024  # exhaustive (a, b) nil-transfer sweeps up to this size
 
 
 @dataclass(frozen=True)
@@ -200,50 +198,43 @@ def check_nil_transfer(ctx: EntryContext) -> tuple[str, dict]:
 
     (1) ab nil => a*m(b) and m(a)*b nil; (2) m(a)*b nil => ab, ba nil;
     (3) a*m(b) nil => ab, ba nil; swept over all pairs and all closure
-    maps m.
+    maps m, map by map, then part by part, each part a mask over rows a
+    and every b.
     """
     missing = _failed(ctx)
     if missing:
         return "vacuous", {"failed_hypotheses": missing}
-    ring = ctx.system.ring
-    if ring.size > PAIR_SWEEP_CAP:
-        raise R.BudgetError(
-            f"nil transfer sweep over {ring.size}^2 pairs exceeds cap"
-        )
-    maps = orbit_closure(ctx.system.sigma)
-    nil = ring.nil_at
-    idx = ring.elements()
-    nil_ab = nil(ring.mul(idx[:, None], idx[None, :]))
-    nil_ba = nil_ab.T
-    for m in maps:
-        ma = m(idx)
-        n_amb = nil(ring.mul(idx[:, None], ma[None, :]))
-        n_mab = nil(ring.mul(ma[:, None], idx[None, :]))
-        parts = [
-            ("ab_nil_transfers", nil_ab & ~(n_amb & n_mab)),
-            ("ma_b_nil_pulls_back", n_mab & ~(nil_ab & nil_ba)),
-            ("a_mb_nil_pulls_back", n_amb & ~(nil_ab & nil_ba)),
-        ]
-        for part, bad in parts:
-            if bad.any():
-                a, b = np.unravel_index(int(np.argmax(bad)), bad.shape)
-                return "fail", {
-                    "part": part,
-                    "map": m.name,
-                    "a": ring.element_name(int(a)),
-                    "b": ring.element_name(int(b)),
-                }
+    ring, nil = ctx.system.ring, ctx.system.ring.nil_at
+    maps, idx = orbit_closure(ctx.system.sigma), ring.elements()
+
+    def laws(m):  # masks over rows a and every b
+        mb = m(idx)
+        ab = lambda a: nil(ring.mul(a[:, None], idx))
+        ba = lambda a: nil(ring.mul(idx, a[:, None]))
+        amb = lambda a: nil(ring.mul(a[:, None], mb))
+        mab = lambda a: nil(ring.mul(m(a)[:, None], idx))
+        yield ("ab_nil_transfers", m), lambda a: ab(a) & ~(amb(a) & mab(a))
+        yield ("ma_b_nil_pulls_back", m), lambda a: mab(a) & ~(ab(a) & ba(a))
+        yield ("a_mb_nil_pulls_back", m), lambda a: amb(a) & ~(ab(a) & ba(a))
+
+    hit = _first_violation((law for m in maps for law in laws(m)), ring.size, ring.size)
+    if hit is not None:
+        (part, m), (a, b) = hit
+        return "fail", {
+            "part": part, "map": m.name, "a": ring.element_name(a), "b": ring.element_name(b),
+        }
     return "pass", {"maps_swept": len(maps), "pairs": ring.size**2}
 
 
 def _first_moved(ctx: EntryContext, elems: list[int]) -> dict | None:
     """The first e in `elems` (then family map m) with m(e) != e, named; else None."""
     x, maps = np.asarray(elems, dtype=np.int64), ctx.system.sigma.maps
-    moved = np.stack([m(x) != x for m in maps], axis=1)  # (element, map)
-    if not moved.any():
+    hit = _first_violation(
+        [("moved", lambda i: np.stack([m(x[i]) != x[i] for m in maps], -1))], x.size, len(maps)
+    )
+    if hit is None:
         return None
-    k, mi = divmod(int(np.argmax(moved)), len(maps))
-    e, m, name = int(x[k]), maps[mi], ctx.system.ring.element_name
+    e, m, name = int(x[hit[1][0]]), maps[hit[1][1]], ctx.system.ring.element_name
     return {"e": name(e), "map": m.name, "image": name(int(m(e)))}
 
 

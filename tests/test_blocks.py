@@ -360,6 +360,31 @@ def test_s_z5_through_check(tmp_path, capsys, head):
     }
 
 
+def test_s_rigidity_memory_guard():
+    # weak rigidity sweeps the M x 0 x M slice in row blocks and sigma
+    # rigidity the carrier until its first block's (0|B|0); whole grids of
+    # the slice took 3.9 and 5.0 MiB on S(Z5)
+    code = (
+        "import tracemalloc\n"
+        "from skewlab.catalog import get_system\n"
+        "from skewlab.properties import is_sigma_rigid, is_weak_sigma_rigid\n"
+        "sys_ = get_system('s-negate-b(Z5)')\n"
+        "for decide in (is_weak_sigma_rigid, is_sigma_rigid):\n"
+        "    tracemalloc.start()\n"
+        "    status = decide(sys_.ring, sys_.sigma).status\n"
+        "    print(status, tracemalloc.get_traced_memory()[1])\n"
+        "    tracemalloc.stop()\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    (weak, weak_peak), (rigid, rigid_peak) = (line.split() for line in proc.stdout.splitlines())
+    assert (weak, rigid) == ("holds", "fails")
+    assert int(weak_peak) < 1 << 20 and int(rigid_peak) < 1 << 20, proc.stdout
+
+
 def test_s_z4_theorem_suite_memory_guard():
     # a fresh process, so no earlier test has warmed the S(Z4) caches; one
     # int32 carrier table of S(Z4) alone would be 67 MB.  The suite peaks at

@@ -137,6 +137,20 @@ def test_unknown_map_reported_at_reference_site(tmp_path, capsys):
     assert "line 2, col 10: unknown map 'nosuch' on Z4" in err
 
 
+@pytest.mark.parametrize("text,line,col", [
+    ("ring Z4\nmaps s\ncheck reduced\n", 2, 6),
+    ("ring Z4\nmaps id, a\ncheck reduced\n", 2, 10),
+    ("ring Z4\nchecks ni, n\n", 2, 12),
+    ("ring Z4\nexpect ni=holds, i=holds\n", 2, 18),
+    ("ring Z4; maps s\ncheck reduced\n", 1, 15),
+], ids=["maps-s", "maps-second", "checks-second", "expect-second", "maps-after-semicolon"])
+def test_list_item_reported_at_its_own_column(text, line, col):
+    # each item's name also occurs earlier in its statement
+    with pytest.raises(SpecError) as e:
+        parse_spec(text)
+    assert (e.value.line, e.value.col) == (line, col)
+
+
 @pytest.mark.parametrize("ring,name,msg", [
     ("Z2xZ3", "swap", "map 'swap' needs an equal-factor product, not Z2xZ3"),
     ("S(Z3)", "swap", "map 'swap' needs an equal-factor product, not S(Z3)"),
@@ -700,10 +714,12 @@ def test_explain_malformed_fields_are_bad_records(tmp_path, capsys):
 
 def test_explain_non_json_line_exits_2(tmp_path, capsys):
     rec = check_fails(tmp_path, capsys, "reduced", "m2")
-    ndjson = write(tmp_path, "mixed.ndjson", json.dumps(rec) + "\nnot json\n")
-    code, out, err = run_cli(capsys, "explain", ndjson)
-    assert (code, out) == (2, "")
-    assert err.startswith(f"{ndjson}: bad record: ")
+    # a JSON line that is not an object is no record either; both name the file line
+    for tail, line in [("not json", 2), ("\n[1, 2]\n\"fails\"", 3)]:
+        ndjson = write(tmp_path, "mixed.ndjson", json.dumps(rec) + "\n" + tail + "\n")
+        code, out, err = run_cli(capsys, "explain", ndjson)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"{ndjson}: bad record: line {line}: ")
 
 
 @pytest.mark.parametrize("a,b,verified", [

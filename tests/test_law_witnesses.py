@@ -25,9 +25,19 @@ from skewlab.maps import (
     verify_endomorphism,
     verify_sigma_derivation,
 )
-from skewlab.rings import make_product, make_zn
+from skewlab.properties import decide, is_weak_sigma_rigid_ideal
+from skewlab.rings import (
+    idempotents,
+    make_ideal,
+    make_product,
+    make_zn,
+    ni_failure,
+    noncommuting_witness,
+    principal_right_set,
+)
+from skewlab.theorems import DEFAULT_ENTRIES, _first_moved, check_nil_transfer, resolve
 
-from conftest import get_ring
+from conftest import get_ring, get_system
 
 CHUNKS = [1, rings._CHUNK]  # one row per block, and the default
 
@@ -225,6 +235,50 @@ def test_generator_violation_matches_eager(data, chunk):
         assert rings._generator_violation(raw, gens) == eager_generator_violation(raw, gens)
 
 
+# --- witness searches ------------------------------------------------------------
+
+
+def _witness_searches():
+    """What every first-failure search outside the law checks answers, on small inputs."""
+    out = {}
+    for name in ["untwisted(M2(Z2))", "untwisted(R3(Z2))", "swap-ore", "s-negate-b(Z2)", "s-negate-b(Z3)"]:
+        for prop in ("sigma_rigid", "weak_sigma_rigid"):
+            out[prop, name] = decide(prop, get_system(name))
+    # the eR and (1-e)R ideals of check_ideal_decomposition; swap-ore's fail
+    for name in ["untwisted(Z6)", "untwisted(R3(Z2))", "swap-ore"]:
+        sys_ = get_system(name)
+        ring = sys_.ring
+        for e in idempotents(ring).tolist():
+            for gen in (e, int(ring.sub(ring.one, e))):
+                ideal = make_ideal(ring, principal_right_set(ring, gen), ring.element_name(gen) + "*R")
+                out["ideal", name, gen] = is_weak_sigma_rigid_ideal(ring, sys_.sigma, ideal)
+    for name in ["M2(Z2)", "M2(Z4)"]:
+        out["ni", name] = ni_failure(get_ring(name))
+    for name in ["M2(Z2)", "S(Z2)"]:
+        ring = get_ring(name)
+        out["noncommuting", name] = [noncommuting_witness(ring, e) for e in idempotents(ring).tolist()]
+    for entry in DEFAULT_ENTRIES:
+        if entry.name == "S(Z4)/negate-B":
+            continue
+        cached = resolve(entry)
+        ctx = type(cached)(cached.entry, cached.system)  # its own verdicts
+        out["nil_transfer", entry.name] = check_nil_transfer(ctx)
+        out["moved", entry.name] = _first_moved(ctx, idempotents(ctx.system.ring).tolist())
+    return out
+
+
+def test_witness_searches_match_at_every_block_size():
+    # each search's witness is its mask's row-major first failure, so one
+    # row per block answers as the default blocks do
+    with mock.patch.object(rings, "_CHUNK", 1):
+        one_row = _witness_searches()
+    default = _witness_searches()
+    assert one_row == default
+    assert default["sigma_rigid", "s-negate-b(Z3)"].fails
+    assert default["ideal", "swap-ore", 1].fails
+    assert default["nil_transfer", "Z4/id"] == ("pass", {"maps_swept": 1, "pairs": 16})
+
+
 # --- memory ----------------------------------------------------------------------
 
 
@@ -267,3 +321,26 @@ def test_exhaustive_map_check_memory_guard():
     )
     assert proc.returncode == 0, proc.stderr
     assert int(proc.stdout) < 40 << 20, proc.stdout
+
+
+def test_nil_transfer_memory_guard():
+    # each (part, map) law is a mask over row blocks of a and every b, so no
+    # n x n array is held: Z1024's took 7.1 MiB, and Z1025 was refused
+    code = (
+        "import tracemalloc\n"
+        "from skewlab.catalog import get_system\n"
+        "from skewlab.theorems import CatalogEntry, EntryContext, check_nil_transfer\n"
+        "entry = CatalogEntry('Z1025/id', 'untwisted(Z1025)', {})\n"
+        "ctx = EntryContext(entry, get_system(entry.system_name))\n"
+        "ctx.flags\n"
+        "tracemalloc.start()\n"
+        "status, details = check_nil_transfer(ctx)\n"
+        "print(status, details['pairs'], tracemalloc.get_traced_memory()[1])\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    status, pairs, peak = proc.stdout.split()
+    assert (status, int(pairs)) == ("pass", 1025**2) and int(peak) < 1 << 20, proc.stdout

@@ -71,3 +71,25 @@ def test_one_row_block_split_under_src():
                 if read or isinstance(node, ast.alias) and node.name == "_CHUNK":
                     users.append(f"{path.name}:{node.lineno}")
     assert users == []
+
+
+def test_one_first_failure_sweep_under_src():
+    # every first-failure search is a mask handed to rings._first_violation;
+    # TableRing._neg_table reads each row's additive inverse, and kernels.py
+    # keeps the pair sweep and the full (a, b, c) law witnesses
+    allowed = {"rings.py:_first_violation", "rings.py:TableRing._neg_table"}
+    users = []
+
+    def visit(node, path, scope=()):
+        where = f"{path}:{'.'.join(scope)}"
+        for child in ast.iter_child_nodes(node):
+            named = getattr(child, "attr", getattr(child, "name", None))
+            if named in ("argmax", "unravel_index") and where not in allowed:
+                users.append(f"{where}:{child.lineno}")
+            scoped = isinstance(child, (ast.FunctionDef, ast.ClassDef))
+            visit(child, path, scope + (child.name,) if scoped else scope)
+
+    for path in sorted(SRC.glob("*.py")):
+        if path.name != "kernels.py":
+            visit(ast.parse(path.read_text()), path.name)
+    assert users == []

@@ -169,6 +169,9 @@ def test_statement_fails_when_a_hypothesis_is_read_as_met(instance, forced, chec
     ctx._verdicts[forced] = PropertyVerdict(forced, instance, "holds")
     status, details = check(ctx)
     assert status == "fail" and set(details) == keys
+    if check is check_nil_transfer:
+        witness = (details["part"], details["map"], details["a"], details["b"])
+        assert witness == ("ab_nil_transfers", "swap", "(0|1)", "(1|0)")
     if check is check_idempotent_fixed:
         assert (details["e"], details["image"]) == ("(0|1)", "(1|0)")
     if check is check_weak_armendariz_implication:
